@@ -8,7 +8,8 @@ One workload per process, single-threaded, from the repository root:
 
 A run first times set-up (fresh interpreters importing approxdiag and
 parsing the workload's configuration), then repeats verdict passes for
-`--seconds` seconds and reports medians.  Every pass is checked against
+`--seconds` seconds and reports medians of times corrected for the host's
+speed (hostspeed.py).  Every pass is checked against
 the workload's known answer, and every count it yields must repeat exactly.
 
 `--trace 0` reports the end-to-end metrics.  `--trace 1` alternates
@@ -34,6 +35,7 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -43,7 +45,7 @@ WORKLOAD_NAMES = ("e1-refute", "e1-prove", "e1-falsify", "fts-suite")
 
 MIN_PASSES = 3  # untraced passes per run, whatever --seconds says
 MIN_TRACED_ROUNDS = 2  # (untraced, traced) rounds per traced run
-SETUP_REPEATS = 5  # timed fresh interpreters, after one untimed warm-up
+SETUP_REPEATS = 9  # timed fresh interpreters, after one untimed warm-up
 
 
 # -- environment stamp (read from this process and /proc only) ------------------
@@ -98,7 +100,7 @@ def measure_setup(workload, inputs) -> list[float]:
 
     code = setup_child_code(workload)
     text = workload.setup_text(inputs)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(SRC), str(HERE))))
     samples = []
     for i in range(SETUP_REPEATS + 1):
         out = subprocess.run(
@@ -136,46 +138,59 @@ def _done(started: float, seconds: float, passes: int, minimum: int, last: float
     return passes >= minimum and elapsed + last > seconds
 
 
-def fresh_pass(workload, inputs, tracer=None):
+def corrected_pass(workload, inputs, probe, tracer=None):
+    """A pass whose times are corrected for the host's speed (hostspeed.py),
+    and its wall seconds."""
     gc.collect()  # every pass starts from a collected heap
-    return workload.run(inputs, tracer)
+    with probe.sampling() as reading:
+        p = workload.run(inputs, tracer)
+    scale = reading.corrected(p.seconds) / p.seconds
+    return replace(p, seconds=p.seconds * scale, work_seconds=p.work_seconds * scale), p.seconds
 
 
 def untraced_run(workload, inputs, seconds):
-    passes, counts = [], CountCheck()
+    from hostspeed import Probe
+
+    probe = Probe()
+    passes, walls, counts = [], [], CountCheck()
     started = time.perf_counter()
     while True:
-        p = fresh_pass(workload, inputs)
+        p, wall = corrected_pass(workload, inputs, probe)
         counts.add(f"pass {len(passes)}", p.counts)
         passes.append(p)
-        if _done(started, seconds, len(passes), MIN_PASSES, p.seconds):
-            return passes, counts
+        walls.append(wall)
+        if _done(started, seconds, len(passes), MIN_PASSES, wall):
+            return passes, walls, counts
 
 
 def traced_run(workload, inputs, seconds):
+    from hostspeed import Probe
     from spans import SpanSummary, Tracer
 
+    probe = Probe()
     plain, traced, summaries = [], [], []
     counts, span_counts = CountCheck(), CountCheck()
     started = time.perf_counter()
     rounds = 0
     while True:
         order = (False, True) if rounds % 2 == 0 else (True, False)
+        round_wall = 0.0
         for use_trace in order:
             if use_trace:
                 tracer = Tracer()
                 with tracer.installed():
-                    p = fresh_pass(workload, inputs, tracer)
+                    p, wall = corrected_pass(workload, inputs, probe, tracer)
                 summary = SpanSummary(tracer.spans)
                 span_counts.add(f"traced round {rounds}", layer_counts(summary))
                 summaries.append(summary)
                 traced.append(p)
             else:
-                p = fresh_pass(workload, inputs)
+                p, wall = corrected_pass(workload, inputs, probe)
                 plain.append(p)
+            round_wall += wall
             counts.add(f"{'traced' if use_trace else 'untraced'} round {rounds}", p.counts)
         rounds += 1
-        if _done(started, seconds, rounds, MIN_TRACED_ROUNDS, plain[-1].seconds + traced[-1].seconds):
+        if _done(started, seconds, rounds, MIN_TRACED_ROUNDS, round_wall):
             break
     counts.failures += cross_check(counts.first, span_counts.first) + span_counts.failures
     counts.failures += [
@@ -347,7 +362,7 @@ def run_workload(args) -> int:
         metrics["trace_overhead_pct"] = ((t_traced / t_plain - 1.0) * 100.0, "%", len(traced))
     else:
         setup = measure_setup(workload, inputs)
-        passes, counts = untraced_run(workload, inputs, args.seconds)
+        passes, walls, counts = untraced_run(workload, inputs, args.seconds)
         metrics = end_to_end(passes, setup)
 
     failures = [f for p in passes for f in p.failures]
@@ -359,6 +374,8 @@ def run_workload(args) -> int:
     print(f"workload {workload.name} seed {args.seed} trace {args.trace}")
     print(f"  why: {workload_why(workload.name)}")
     print("env " + json.dumps(env, sort_keys=True))
+    if not args.trace:
+        print("pass_wall_seconds " + " ".join(f"{w:.4f}" for w in walls))
     print("pass_seconds " + " ".join(f"{p.seconds:.4f}" for p in passes))
     for name, (value, unit, n) in metrics.items():
         print(f"metric {name} = {value:.6g} {unit} (n={n})")
@@ -405,6 +422,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=int, default=25)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    # Single-threaded numpy in this process and the ones it starts: with a
+    # second BLAS thread, set-up time depends on whether the other core is idle.
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     if args.workload == "all":
         return run_all(args)
     return run_workload(args)

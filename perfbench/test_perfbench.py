@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import approxdiag as ad
+import hostspeed
 import run
 import workloads
 from approxdiag import diagnosis, finsys
@@ -178,6 +179,34 @@ def test_tracer_nests_spans_and_restores_the_program():
     assert diagnosis.check_diagnosability is original_check
     assert finsys.FiniteSystem.__dict__["ball_states"] is original_ball
     assert finsys.FiniteSystem.__dict__["from_json"] is original_load
+
+
+# -- host-speed correction ------------------------------------------------------------
+
+
+def test_correction_removes_kernel_time_and_divides_by_slowness():
+    reading = hostspeed.Reading()
+    for samples, nominal in zip(reading.samples, hostspeed.NOMINAL):
+        samples += [nominal, 2 * nominal, 3 * nominal]  # medians: 2x nominal
+    reading.inside_seconds = 0.5
+    assert reading.slowness() == pytest.approx(2.0)
+    assert reading.corrected(4.5) == pytest.approx(2.0)
+
+
+def test_sampling_fills_a_reading_and_restores_the_alarm_handler():
+    import signal
+    import time
+
+    before = signal.getsignal(signal.SIGALRM)
+    with hostspeed.Probe().sampling(0.005) as reading:
+        end = time.perf_counter() + 0.1
+        while time.perf_counter() < end:
+            pass
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    inside = sum(len(s) for s in reading.samples) - 2 * hostspeed.BRACKET * len(hostspeed.NOMINAL)
+    assert inside >= 5 and 0 < reading.inside_seconds < 0.1
+    assert reading.slowness() > 0
 
 
 # -- benchmark definition ---------------------------------------------------------------

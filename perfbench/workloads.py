@@ -383,13 +383,17 @@ WORKLOADS = {w.name: w for w in (E1_REFUTE, E1_PROVE, E1_FALSIFY, FtsWorkload())
 
 def setup_child_code(workload) -> str:
     """Program a fresh interpreter runs to time `import approxdiag` plus
-    parsing the workload's configuration (read from stdin beforehand)."""
+    parsing the workload's configuration (read from stdin beforehand),
+    corrected for the host's speed like a pass."""
     return (
         "import json, sys, time\n"
+        "from hostspeed import Probe\n"
         "text = sys.stdin.read()\n"
-        "t0 = time.perf_counter()\n"
-        "import approxdiag\n"
-        f"{workload.setup_parse}\n"
-        "print(repr(time.perf_counter() - t0))\n"
+        "with Probe().sampling(0.005) as reading:\n"
+        "    t0 = time.perf_counter()\n"
+        "    import approxdiag\n"
+        f"    {workload.setup_parse}\n"
+        "    seconds = time.perf_counter() - t0\n"
+        "print(repr(reading.corrected(seconds)))\n"
     )
 
