@@ -26,11 +26,10 @@ from .diagnosis import (
     Verdict,
     brute_force_check,
     check_diagnosability,
-    diagnoser_step,
     monte_carlo_contract,
     synthesize_diagnoser,
 )
-from .finsys import FiniteSystem, TwinProduct, observation_symbol, synchronized_product
+from .finsys import FiniteSystem, observation_symbol
 from .kfun import KFunction, compose_eval, compose_inverse
 from .lattice import LatticePoint, cell_of, lattice_image, lattice_points_in, quantize
 from .regions import Box, BoxUnion, ball_in_union

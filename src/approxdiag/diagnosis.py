@@ -120,48 +120,57 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
     if not spec.faults:
         return Verdict(True, delta=0, stats={"region_states": 0})
     ball = system.ball_states(spec.faults, spec.rho)
-    faults = spec.faults
     n = system.n_states
+    ids = system.output_ids
+    by_output = system.successors_by_output
+    # Right-hand successors must stay outside the ball: the groups of j
+    # without ball states, filled in on first use.
+    safe_groups: list = [None] * n
+    faulty = [False] * n
+    for i in spec.faults:
+        faulty[i] = True
 
-    def enc(i, j):
-        return i * n + j
-
-    def pair_moves(code):
+    # A pair (i, j) is encoded as i * n + j; it moves to every pair of
+    # successors of equal output class whose right side avoids the ball.
+    def moves(code):
         i, j = divmod(code, n)
-        si = system.successors_by_output(i)
-        sj = system.successors_by_output(j)
-        for out, ilist in si.items():
-            jlist = sj.get(out)
+        gj = safe_groups[j]
+        if gj is None:
+            gj = by_output(j)
+            if not ball.isdisjoint(system.successors_any(j)):
+                kept = {c: tuple(b for b in js if b not in ball) for c, js in gj.items()}
+                gj = {c: js for c, js in kept.items() if js}
+            safe_groups[j] = gj
+        out = []
+        for cls, ilist in by_output(i).items():
+            jlist = gj.get(cls)
             if jlist is None:
                 continue
             for a in ilist:
+                base = a * n
                 for b in jlist:
-                    yield a, b
+                    out.append(base + b)
+        return out
 
     # Phase A: pairs with no fault seen on the left and no ball visit on the
     # right, reached from output-matched initial pairs.
-    roots = [
-        (i, j)
-        for i in system.initial
-        for j in system.initial
-        if system.outputs[i] == system.outputs[j] and j not in ball
-    ]
+    same_class: dict[int, list[int]] = {}
+    for j in system.initial:
+        same_class.setdefault(ids[j], []).append(j)
     a_parent: dict[int, int | None] = {}
     entries: dict[int, int | None] = {}  # region entry -> predecessor in phase A
     frontier = []
-    for i, j in roots:
-        code = enc(i, j)
-        if code not in a_parent:
-            a_parent[code] = None
-            frontier.append(code)
+    for i in system.initial:
+        for j in same_class[ids[i]]:
+            code = i * n + j
+            if j not in ball and code not in a_parent:
+                a_parent[code] = None
+                frontier.append(code)
     while frontier:
         nxt = []
         for code in frontier:
-            for a, b in pair_moves(code):
-                if b in ball:
-                    continue
-                tgt = enc(a, b)
-                if a in faults:
+            for tgt in moves(code):
+                if faulty[tgt // n]:
                     if tgt not in entries:
                         entries[tgt] = code
                 elif tgt not in a_parent:
@@ -179,18 +188,12 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
     while frontier:
         nxt = []
         for code in frontier:
-            for a, b in pair_moves(code):
-                if b in ball:
-                    continue
-                tgt = enc(a, b)
+            for tgt in moves(code):
                 if tgt not in b_parent:
                     b_parent[tgt] = code
                     nxt.append(tgt)
         frontier = nxt
     region = b_parent.keys()
-
-    def region_succs(code):
-        return [enc(a, b) for a, b in pair_moves(code) if b not in ball]
 
     # Iterative DFS: a back edge exposes a region cycle (not diagnosable);
     # otherwise the reverse postorder supports a longest-path pass.
@@ -200,7 +203,7 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
     for start in entries:
         if color[start] != WHITE:
             continue
-        stack = [(start, iter(region_succs(start)))]
+        stack = [(start, iter(moves(start)))]
         color[start] = GRAY
         while stack:
             node, it = stack[-1]
@@ -217,7 +220,7 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
                     )
                 if color[tgt] == WHITE:
                     color[tgt] = GRAY
-                    stack.append((tgt, iter(region_succs(tgt))))
+                    stack.append((tgt, iter(moves(tgt))))
                     advanced = True
                     break
             if not advanced:
@@ -231,7 +234,7 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
         base = dist.get(node)
         if base is None:
             continue
-        for tgt in region_succs(node):
+        for tgt in moves(node):
             if dist.get(tgt, -1) < base + 1:
                 dist[tgt] = base + 1
     delta = max(dist.values()) + 1
@@ -297,11 +300,15 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
     ball = system.ball_states(spec.faults, spec.rho)
     ball_mask = _mask(ball)
     fault_mask = _mask(spec.faults)
-    outputs = system.outputs
-    out_values = sorted(set(outputs), key=repr)
+    ids = system.output_ids
+    value_of: dict[int, tuple] = {}
+    for i, cls in enumerate(ids):
+        value_of.setdefault(cls, system.outputs[i])
+    # Output classes, enumerated in the repr order of their values.
+    out_classes = sorted(value_of, key=lambda cls: repr(value_of[cls]))
 
     succ_by_out = [
-        {out: _mask(js) for out, js in ((o, list(v)) for o, v in system.successors_by_output(i).items())}
+        {cls: _mask(js) for cls, js in system.successors_by_output(i).items()}
         for i in range(n)
     ]
 
@@ -358,7 +365,7 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
             return
         if not faulted and not (unfauled_mask & reach_fault_mask):
             return
-        for out in out_values:
+        for out in out_classes:
             out_unf = 0
             new_faulted: dict[int, int] = {}
             m = unfauled_mask
@@ -405,8 +412,9 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
             if pump is not None:
                 return
 
-    for out in sorted({outputs[i] for i in system.initial}, key=repr):
-        unf = _mask(i for i in system.initial if outputs[i] == out)
+    initial_classes = {ids[i] for i in system.initial}
+    for out in (cls for cls in out_classes if cls in initial_classes):
+        unf = _mask(i for i in system.initial if ids[i] == out)
         safe = unf & ~ball_mask
         fchains = [{}]
         schains = [{j: 1 << j for j in range(n) if safe >> j & 1}]
@@ -427,14 +435,15 @@ def _mask(indices) -> int:
 
 
 def _find_run(system, stream, start_set, end_state, upto, *, forbidden=frozenset(), need_fault=None):
-    """Backtracking search for one run consistent with stream[0..upto] that
-    ends at end_state, avoids ``forbidden`` and, when need_fault is given,
-    visits it at least once.  Desk-scale helper for witness assembly."""
+    """Backtracking search for one run consistent with stream[0..upto] (a
+    stream of output class ids) that ends at end_state, avoids
+    ``forbidden`` and, when need_fault is given, visits it at least once.
+    Desk-scale helper for witness assembly."""
 
-    outputs = system.outputs
+    ids = system.output_ids
 
     def rec(t, state, seen_fault, path):
-        if outputs[state] != stream[t] or state in forbidden:
+        if ids[state] != stream[t] or state in forbidden:
             return None
         seen = seen_fault or (need_fault is not None and state in need_fault)
         path.append(state)
@@ -458,15 +467,16 @@ def _find_run(system, stream, start_set, end_state, upto, *, forbidden=frozenset
 
 
 def _find_loop(system, stream, k, d, state, *, forbidden=frozenset()):
-    """Path state -> state over stream[k+1..d], avoiding forbidden states."""
+    """Path state -> state over stream[k+1..d] (output class ids), avoiding
+    forbidden states."""
 
-    outputs = system.outputs
+    ids = system.output_ids
 
     def rec(t, cur, path):
         if t == d:
             return list(path) if cur == state else None
         for nxt in system.successors_any(cur):
-            if nxt in forbidden or outputs[nxt] != stream[t + 1]:
+            if nxt in forbidden or ids[nxt] != stream[t + 1]:
                 continue
             path.append(nxt)
             got = rec(t + 1, nxt, path)
@@ -528,21 +538,18 @@ class Diagnoser:
     def step(self, belief: Belief, y) -> tuple[Belief, int]:
         if not belief:
             raise InfeasibleObservationError("empty belief")
+        outputs = self.system.outputs
         members = set()
         for s, visited in belief:
-            for out, js in self.system.successors_by_output(s).items():
-                if out != y:
+            for js in self.system.successors_by_output(s).values():
+                if outputs[js[0]] != y:
                     continue
                 for j in js:
                     members.add((j, visited or j in self.ball))
         if not members:
             raise InfeasibleObservationError(f"no consistent run produces output {y}")
-        return frozenset(members), belief_decision(frozenset(members))
-
-
-def diagnoser_step(diag: Diagnoser, belief: Belief, y) -> tuple[Belief, int]:
-    """Online evaluation: advance the belief by one observed output."""
-    return diag.step(belief, y)
+        members = frozenset(members)
+        return members, belief_decision(members)
 
 
 def synthesize_diagnoser(system: FiniteSystem, spec: FaultSpec) -> Diagnoser:
@@ -600,6 +607,7 @@ def monte_carlo_contract(
     ball = diag.ball
     delta = diag.delta
     horizon = horizon if horizon is not None else delta + 2 * system.n_states + 4
+    ids = system.output_ids
     checked_alarm = checked_window = viol_alarm = viol_window = 0
 
     for _ in range(n_runs):
@@ -633,7 +641,7 @@ def monte_carlo_contract(
             for t in range(alarm_at - 1, -1, -1):
                 keep = set()
                 for s in consistent[t]:
-                    nxt = system.successors_by_output(s).get(system.outputs[run[t + 1]], ())
+                    nxt = system.successors_by_output(s).get(ids[run[t + 1]], ())
                     if any(j in consistent[t + 1] for j in nxt):
                         keep.add(s)
                 consistent[t] = frozenset(keep)

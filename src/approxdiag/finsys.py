@@ -4,7 +4,9 @@ States carry exact rational embeddings: abstraction states embed as
 2*theta*coords with theta converted exactly to Fraction, hand-written
 automata supply rational embeddings directly.  Output equality, ball
 membership and the twin-plant synchronization below therefore never
-compare floats.
+compare floats.  Outputs are interned once, by exact equality, into
+integer output classes; everything that synchronizes on outputs compares
+class ids.
 
 Hand-written systems may be nondeterministic; abstractions are
 deterministic by construction.  Two systems can share embeddings between
@@ -18,10 +20,18 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DimensionMismatchError, DomainError
 from .rational import to_rational
 
 SCHEMA_VERSION = 1
+
+# Coordinate differences held at once by the lattice ball (states x fault
+# chunk x dimension), so its memory stays flat in the fault-set size.
+_BALL_CHUNK = 1 << 15
+# Coordinates below this magnitude have differences that fit in int64.
+_COORD_LIMIT = 1 << 62
 
 
 def _to_fraction(v) -> Fraction:
@@ -52,6 +62,14 @@ class FiniteSystem:
     state_coords: tuple[tuple[int, ...], ...] | None = None
     input_coords: tuple[tuple[int, ...], ...] | None = None
     meta: dict = field(default_factory=dict, compare=False)
+    # Derived tables (successors, output classes, balls), private to this
+    # instance: dataclasses.replace builds fresh ones for the copy.
+    _cache: dict = field(
+        default_factory=lambda: {"succ_any": {}, "succ_by_out": {}, "balls": {}},
+        init=False,
+        compare=False,
+        repr=False,
+    )
 
     def __post_init__(self):
         ns = len(self.states)
@@ -80,20 +98,36 @@ class FiniteSystem:
 
     def successors_any(self, i: int) -> tuple[int, ...]:
         """Distinct successors of state i under any input (input-erased)."""
-        cache = self.meta.setdefault("_succ_any", {})
-        if i not in cache:
-            cache[i] = tuple(sorted({j for targets in self.succ[i] for j in targets}))
-        return cache[i]
+        cache = self._cache["succ_any"]
+        succs = cache.get(i)
+        if succs is None:
+            succs = cache[i] = tuple(sorted({j for targets in self.succ[i] for j in targets}))
+        return succs
 
-    def successors_by_output(self, i: int) -> dict:
-        """Input-erased successors of i grouped by their output value."""
-        cache = self.meta.setdefault("_succ_by_out", {})
-        if i not in cache:
-            groups: dict = {}
+    @property
+    def output_ids(self) -> tuple[int, ...]:
+        """Output class of every state: outputs interned by exact equality,
+        class ids numbered in order of first appearance."""
+        ids = self._cache.get("output_ids")
+        if ids is None:
+            classes: dict = {}
+            ids = self._cache["output_ids"] = tuple(
+                classes.setdefault(out, len(classes)) for out in self.outputs
+            )
+        return ids
+
+    def successors_by_output(self, i: int) -> dict[int, tuple[int, ...]]:
+        """Input-erased successors of i grouped by output class id; groups
+        appear in the order their first member has in successors_any(i)."""
+        cache = self._cache["succ_by_out"]
+        groups = cache.get(i)
+        if groups is None:
+            ids = self.output_ids
+            acc: dict = {}
             for j in self.successors_any(i):
-                groups.setdefault(self.outputs[j], []).append(j)
-            cache[i] = {out: tuple(js) for out, js in groups.items()}
-        return cache[i]
+                acc.setdefault(ids[j], []).append(j)
+            groups = cache[i] = {c: tuple(js) for c, js in acc.items()}
+        return groups
 
     def is_run(self, run) -> bool:
         if not run or run[0] not in self.initial:
@@ -111,17 +145,31 @@ class FiniteSystem:
 
     def ball_states(self, fault: frozenset[int] | set[int], rho) -> frozenset[int]:
         """States within infinity-norm distance rho of the fault set
-        (closed ball); exact rational comparison, equals the fault set at
-        rho = 0 when embeddings are injective."""
+        (closed ball); equals the fault set at rho = 0 when embeddings are
+        injective.  Computed once per (fault set, rho) and then reused.
+
+        Lattice-backed models (state_coords and state_theta set) embed every
+        state as exactly 2*theta*coords, so membership is the exact integer
+        test: Chebyshev coordinate distance at most floor(rho / (2*theta)).
+        Other systems compare rational distances directly."""
         r = _to_rho(rho)
         fault = frozenset(fault)
-        if not fault:
-            return frozenset()
-        return frozenset(
-            i
-            for i in range(self.n_states)
-            if any(self.distance(i, j) <= r for j in fault)
-        )
+        balls = self._cache["balls"]
+        ball = balls.get((fault, r))
+        if ball is None:
+            if not fault:
+                ball = frozenset()
+            elif self.state_coords is not None and self.state_theta is not None:
+                k = r // (2 * to_rational(self.state_theta))
+                ball = _lattice_ball(self.state_coords, fault, k)
+            if ball is None:
+                ball = frozenset(
+                    i
+                    for i in range(self.n_states)
+                    if any(self.distance(i, j) <= r for j in fault)
+                )
+            balls[(fault, r)] = ball
+        return ball
 
     # -- serialization ----------------------------------------------------
 
@@ -140,7 +188,7 @@ class FiniteSystem:
                 "inputs": [list(c) for c in self.input_coords],
                 "initial": list(self.initial),
                 "successors": [[t[0] for t in row] for row in self.succ],
-                **{k: v for k, v in self.meta.items() if not k.startswith("_")},
+                **self.meta,
             }
         return {
             "kind": "finite-system",
@@ -156,7 +204,7 @@ class FiniteSystem:
                 for u, targets in enumerate(row)
                 for j in targets
             ],
-            **{k: v for k, v in self.meta.items() if not k.startswith("_")},
+            **self.meta,
         }
 
     def save(self, path: str):
@@ -231,59 +279,24 @@ def _to_rho(rho) -> Fraction:
     return r
 
 
-@dataclass(frozen=True)
-class TwinProduct:
-    """Self-product synchronized on equal outputs (inputs existentially
-    quantified, since the diagnoser observes outputs only)."""
-
-    system: FiniteSystem
-    pairs: tuple[tuple[int, int], ...]
-
-    def pair_index(self, i: int, j: int) -> int:
-        return self.pairs.index((i, j))
-
-
-def synchronized_product(s: FiniteSystem) -> TwinProduct:
-    """Materialized twin plant over all equal-output state pairs.
-
-    Pair (i, j) steps to (i', j') when i -> i' under some input, j -> j'
-    under some (possibly different) input, and the target outputs agree.
-    Intended for desk-scale systems; the diagnosability checker explores
-    the same product implicitly.
-    """
-    pairs = [
-        (i, j)
-        for i in range(s.n_states)
-        for j in range(s.n_states)
-        if s.outputs[i] == s.outputs[j]
-    ]
-    index = {pair: k for k, pair in enumerate(pairs)}
-    initial = tuple(
-        index[(i, j)] for i in s.initial for j in s.initial if s.outputs[i] == s.outputs[j]
-    )
-    succ_rows = []
-    for i, j in pairs:
-        si = s.successors_by_output(i)
-        sj = s.successors_by_output(j)
-        targets = sorted(
-            index[(a, b)]
-            for out, alist in si.items()
-            if out in sj
-            for a in alist
-            for b in sj[out]
-        )
-        succ_rows.append((tuple(targets),))
-    states = tuple(s.states[i] + s.states[j] for i, j in pairs)
-    outputs = tuple(s.outputs[i] for i, j in pairs)
-    product = FiniteSystem(
-        states,
-        initial,
-        ("*",),
-        tuple(succ_rows),
-        outputs,
-        s.p,
-    )
-    return TwinProduct(product, tuple(pairs))
+def _lattice_ball(coords, fault: frozenset[int], k: int) -> frozenset[int] | None:
+    """Indices of the coordinate rows within Chebyshev distance k of some
+    fault row, compared in chunks of fault rows; None when the coordinates
+    do not form an int64 array whose differences fit in int64."""
+    try:
+        pts = np.array(coords, dtype=np.int64)
+    except (OverflowError, ValueError):
+        return None
+    if pts.size and not -_COORD_LIMIT < pts.min() <= pts.max() < _COORD_LIMIT:
+        return None
+    centers = pts[sorted(fault)]
+    k = min(k, np.iinfo(np.int64).max)
+    hit = np.zeros(len(pts), dtype=bool)
+    step = max(1, _BALL_CHUNK // max(1, pts.size))
+    for lo in range(0, len(centers), step):
+        gaps = np.abs(pts[:, None, :] - centers[None, lo : lo + step, :]).max(axis=2)
+        hit |= (gaps <= k).any(axis=1)
+    return frozenset(np.flatnonzero(hit).tolist())
 
 
 def observation_symbol(s: FiniteSystem, values) -> tuple[Fraction, ...]:

@@ -27,10 +27,6 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
-def text_digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 class PhaseTimer:
     """Collects wall milliseconds per named phase."""
 

