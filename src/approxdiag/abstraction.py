@@ -11,7 +11,7 @@ certificate:
 Only the accessible part is ever built, by breadth-first closure from the
 quantizer image of the initial set.  Frontier levels are expanded in
 lexicographic coordinate order, so the resulting state numbering (and any
-serialized model file) is bit-reproducible, independent of thread count.
+serialized model file) is bit-reproducible.
 
 Reachability is not bounded analytically: the certificate carries an
 explicit exploration box instead, and the builder fails loudly when a
@@ -20,8 +20,6 @@ reached state escapes it.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +28,6 @@ from .errors import BoundExceededError, ParamCheckError
 from .finsys import FiniteSystem
 from .kfun import compose_inverse
 from .lattice import lattice_image, quantize, quantize_index
-from .rational import to_rational
 from .system import Certificate, SystemDef, _sample_union, step
 
 SOLVE_EPS_TOL = 1e-9
@@ -87,17 +84,6 @@ def solve_epsilon(cert: Certificate, eta: float, mu: float) -> float:
     return eps
 
 
-def _expand_chunk(fn, input_embeds, eta, chunk):
-    out = []
-    for coords, emb in chunk:
-        row = []
-        for u_emb in input_embeds:
-            nxt = fn(emb, u_emb)
-            row.append(tuple(quantize_index(v, eta) for v in nxt))
-        out.append((coords, row))
-    return out
-
-
 def build_abstraction(
     sysdef: SystemDef,
     cert: Certificate,
@@ -115,6 +101,8 @@ def build_abstraction(
     eta-lattice.  Raises BoundExceededError when any reached state embeds
     outside the certificate's exploration box.  ``enforce_params=False``
     skips the accuracy check; it exists for negative-control experiments.
+    ``threads`` is accepted and ignored: the expansion is pure Python, so
+    worker threads measured no faster under the GIL.
     """
     if enforce_params:
         chk = check_params(cert, params)
@@ -148,25 +136,13 @@ def build_abstraction(
 
     succ_rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     level = [pt.coords for pt in init_points]
-    workers = max(1, int(threads)) if threads else 1
     while level:
-        tasks = [(coords, embeds[index[coords]]) for coords in level]
-        if workers > 1 and len(tasks) > 1:
-            chunk_size = math.ceil(len(tasks) / workers)
-            chunks = [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = [
-                    item
-                    for part in pool.map(
-                        lambda ch: _expand_chunk(fn, input_embeds, eta, ch), chunks
-                    )
-                    for item in part
-                ]
-        else:
-            results = _expand_chunk(fn, input_embeds, eta, tasks)
         fresh: dict[tuple[int, ...], tuple] = {}
-        for coords, row in results:
-            succ_rows[coords] = row
+        for coords in level:
+            emb = embeds[index[coords]]
+            row = succ_rows[coords] = [
+                tuple(quantize_index(v, eta) for v in fn(emb, u_emb)) for u_emb in input_embeds
+            ]
             for u_pos, tgt in enumerate(row):
                 if tgt not in index and tgt not in fresh:
                     fresh[tgt] = (coords, input_coords[u_pos])
@@ -180,26 +156,18 @@ def build_abstraction(
     succ = tuple(
         tuple((index[tgt],) for tgt in succ_rows[coords]) for coords in coords_list
     )
-    two_eta = 2 * to_rational(eta)
-    states = tuple(tuple(two_eta * c for c in coords) for coords in coords_list)
-    outputs = tuple(s[: sysdef.p] for s in states)
-    two_mu = 2 * to_rational(mu)
-    inputs = tuple(tuple(two_mu * c for c in coords) for coords in input_coords)
     meta = {"epsilon": params.epsilon}
     if config_digest is not None:
         meta["config_digest"] = config_digest
-    return FiniteSystem(
-        states,
+    return FiniteSystem.on_lattice(
+        tuple(coords_list),
+        eta,
+        tuple(input_coords),
+        mu,
         initial,
-        inputs,
         succ,
-        outputs,
         sysdef.p,
-        state_theta=eta,
-        input_theta=mu,
-        state_coords=tuple(coords_list),
-        input_coords=tuple(input_coords),
-        meta=meta,
+        meta,
     )
 
 

@@ -42,7 +42,7 @@ def chain_system(n: int, width: int, eta: float = 0.5) -> tuple[SystemDef, Certi
     return sysdef, cert
 
 
-def bench_scaling(dims, width: int, eta: float = 0.5, threads: int | None = None) -> list[dict]:
+def bench_scaling(dims, width: int, eta: float = 0.5) -> list[dict]:
     """Build the chain abstraction for each dimension and report sizes and
     wall times; an empty dimension list yields an empty table."""
     rows = []
@@ -51,7 +51,7 @@ def bench_scaling(dims, width: int, eta: float = 0.5, threads: int | None = None
         mu = eta
         params = AbstractionParams(solve_epsilon(cert, eta, mu), eta, mu)
         t0 = time.perf_counter()
-        system = build_abstraction(sysdef, cert, params, threads=threads)
+        system = build_abstraction(sysdef, cert, params)
         ms = (time.perf_counter() - t0) * 1000.0
         rows.append(
             {

@@ -33,7 +33,7 @@ from .errors import (
     ParamCheckError,
 )
 from .finsys import FiniteSystem
-from .lattice import lattice_points_in
+from .lattice import _index_points, lattice_points_in
 from .rational import to_rational
 from .regions import Box, BoxUnion, ball_in_union
 from .system import Certificate, SystemDef, _sample_union, quantized_output_trace, step
@@ -86,6 +86,14 @@ def _require_closed(region: BoxUnion, what: str):
             raise FaultSpecError(f"{what} must be given as closed boxes")
 
 
+def _inside_closed(bound: Box):
+    """Closed membership test of exact embeddings in the bound; the bound
+    is converted to rationals once, not once per point."""
+    blo = [to_rational(v) for v in bound.lower]
+    bhi = [to_rational(v) for v in bound.upper]
+    return lambda emb: all(lo <= v <= hi for v, lo, hi in zip(emb, blo, bhi))
+
+
 def fault_lattice_dilated(
     region: BoxUnion, eps: float, eta: float, bound: Box
 ) -> list[tuple[int, ...]]:
@@ -98,26 +106,13 @@ def fault_lattice_dilated(
     two_eta = 2 * to_rational(eta)
     blo = [to_rational(v) for v in bound.lower]
     bhi = [to_rational(v) for v in bound.upper]
-    found: set[tuple[int, ...]] = set()
-    for box in region.boxes:
-        if box.is_empty():
-            continue
-        ranges = []
-        for i in range(box.dim):
-            lo = max(to_rational(box.lower[i]) - e, blo[i])
-            hi = min(to_rational(box.upper[i]) + e, bhi[i])
-            cmin = math.ceil(lo / two_eta)
-            cmax = math.floor(hi / two_eta)
-            if cmin > cmax:
-                ranges = None
-                break
-            ranges.append(range(cmin, cmax + 1))
-        if ranges is None:
-            continue
-        import itertools
 
-        found.update(itertools.product(*ranges))
-    return sorted(found)
+    def axis_range(box, i):
+        lo = max(to_rational(box.lower[i]) - e, blo[i])
+        hi = min(to_rational(box.upper[i]) + e, bhi[i])
+        return math.ceil(lo / two_eta), math.floor(hi / two_eta)
+
+    return _index_points(region, axis_range)
 
 
 def fault_lattice_eroded(
@@ -132,15 +127,11 @@ def fault_lattice_eroded(
     bounded = BoxUnion(
         tuple(b for b in region.boxes if not b.is_empty()), region.dim
     )
-    candidates = lattice_points_in(bounded, eta)
-    blo = [to_rational(v) for v in bound.lower]
-    bhi = [to_rational(v) for v in bound.upper]
+    inside = _inside_closed(bound)
     out = []
-    for pt in candidates:
+    for pt in lattice_points_in(bounded, eta):
         emb = pt.embed_exact()
-        if any(v < lo or v > hi for v, lo, hi in zip(emb, blo, bhi)):
-            continue
-        if ball_in_union(emb, eps, region):
+        if inside(emb) and ball_in_union(emb, eps, region):
             out.append(pt.coords)
     return out
 
@@ -169,7 +160,6 @@ def conclude(
     k: int | None = None,
     rho: float | None = None,
     system: FiniteSystem | None = None,
-    threads: int | None = None,
     config_digest: str | None = None,
 ) -> PlantVerdict:
     """Run the finite check and transfer its verdict to the plant.
@@ -188,65 +178,31 @@ def conclude(
     if fault_region.intersects(sysdef.x0):
         raise FaultSpecError("fault region meets the initial set")
     if system is None:
-        system = build_abstraction(
-            sysdef, cert, params, threads=threads, config_digest=config_digest
-        )
+        system = build_abstraction(sysdef, cert, params, config_digest=config_digest)
     bound = cert.explore_bound
     eps, eta = params.epsilon, params.eta
 
     dilated = fault_lattice_dilated(fault_region, eps, eta, bound)
     eroded = fault_lattice_eroded(fault_region, eps, eta, bound)
+    inside = _inside_closed(bound)
     plain = [
-        pt.coords
-        for pt in lattice_points_in(fault_region, eta)
-        if all(
-            to_rational(bound.lower[i]) <= v <= to_rational(bound.upper[i])
-            for i, v in enumerate(pt.embed_exact())
-        )
+        pt.coords for pt in lattice_points_in(fault_region, eta) if inside(pt.embed_exact())
     ]
     if not (set(eroded) <= set(plain) <= set(dilated)):
         raise InternalInvariantError("fault-set inclusion chain violated")
 
+    # Each mode picks k, its lattice fault set, the plant verdict a
+    # transferring finite verdict yields, and the fields every result carries.
     if mode == PROVE:
         kk = k if k is not None else math.ceil(2 * to_rational(eps) / to_rational(eta))
         if kk < 0:
             raise FaultSpecError("k must be a natural number")
-        fault_idx, dropped = _map_to_states(system, dilated)
-        rho_hat = kk * to_rational(eta)
-        try:
-            spec = FaultSpec(fault_idx, rho_hat)
-            verdict = check_diagnosability(system, spec)
-        except FaultSpecError as exc:
-            return PlantVerdict(
-                INCONCLUSIVE,
-                params,
-                k=kk,
-                reason=f"finite check ill-posed: {exc}",
-                fault_indices=fault_idx,
-                dropped_fault_points=dropped,
-            )
-        if verdict.diagnosable:
-            return PlantVerdict(
-                DIAGNOSABLE_ABOVE,
-                params,
-                k=kk,
-                rho_bound=2 * eps + kk * eta,
-                finite=verdict,
-                fault_indices=fault_idx,
-                dropped_fault_points=dropped,
-            )
-        return PlantVerdict(
-            INCONCLUSIVE,
-            params,
-            k=kk,
-            reason="finite system not diagnosable for the dilated fault set; "
-            "the proving direction gives nothing",
-            finite=verdict,
-            fault_indices=fault_idx,
-            dropped_fault_points=dropped,
+        coords, success, fields = dilated, DIAGNOSABLE_ABOVE, {}
+        nothing = (
+            "finite system not diagnosable for the dilated fault set; "
+            "the proving direction gives nothing"
         )
-
-    if mode == REFUTE:
+    elif mode == REFUTE:
         if rho is None:
             raise FaultSpecError("refute mode requires a target rho")
         if not eroded:
@@ -254,44 +210,26 @@ def conclude(
                 "eroded fault set is empty; shrink epsilon or enlarge the fault region"
             )
         kk = smallest_refute_k(rho, eps, eta)
-        fault_idx, dropped = _map_to_states(system, eroded)
-        rho_hat = kk * to_rational(eta)
-        try:
-            spec = FaultSpec(fault_idx, rho_hat)
-            verdict = check_diagnosability(system, spec)
-        except FaultSpecError as exc:
-            return PlantVerdict(
-                INCONCLUSIVE,
-                params,
-                k=kk,
-                rho=rho,
-                reason=f"finite check ill-posed: {exc}",
-                fault_indices=fault_idx,
-                dropped_fault_points=dropped,
-            )
-        if not verdict.diagnosable:
-            return PlantVerdict(
-                NOT_DIAGNOSABLE,
-                params,
-                k=kk,
-                rho=rho,
-                finite=verdict,
-                fault_indices=fault_idx,
-                dropped_fault_points=dropped,
-            )
-        return PlantVerdict(
-            INCONCLUSIVE,
-            params,
-            k=kk,
-            rho=rho,
-            reason="finite system diagnosable for the eroded fault set; "
-            "the contrapositive gives nothing",
-            finite=verdict,
-            fault_indices=fault_idx,
-            dropped_fault_points=dropped,
+        coords, success, fields = eroded, NOT_DIAGNOSABLE, {"rho": rho}
+        nothing = (
+            "finite system diagnosable for the eroded fault set; "
+            "the contrapositive gives nothing"
         )
+    else:
+        raise FaultSpecError(f"unknown mode {mode!r}")
 
-    raise FaultSpecError(f"unknown mode {mode!r}")
+    fault_idx, dropped = _map_to_states(system, coords)
+    fields.update(k=kk, fault_indices=fault_idx, dropped_fault_points=dropped)
+    try:
+        spec = FaultSpec(fault_idx, kk * to_rational(eta))
+        verdict = check_diagnosability(system, spec)
+    except FaultSpecError as exc:
+        return PlantVerdict(INCONCLUSIVE, params, reason=f"finite check ill-posed: {exc}", **fields)
+    # Proving transfers a diagnosable finite verdict, refuting the opposite.
+    if verdict.diagnosable != (mode == PROVE):
+        return PlantVerdict(INCONCLUSIVE, params, reason=nothing, finite=verdict, **fields)
+    rho_bound = 2 * eps + kk * eta if mode == PROVE else None
+    return PlantVerdict(success, params, rho_bound=rho_bound, finite=verdict, **fields)
 
 
 # -- trajectory-level falsifier ---------------------------------------------

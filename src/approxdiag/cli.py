@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bench as bench_mod
@@ -51,13 +50,6 @@ EXIT_INTERNAL = 70
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _threads(args) -> int | None:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("APPROXDIAG_THREADS")
-    return int(env) if env else None
 
 
 def _emit(args, doc: dict):
@@ -137,9 +129,7 @@ def _cmd_abstract(args) -> int:
     chk = check_params(cert, params)
     timer = PhaseTimer()
     with timer.phase("build"):
-        system = build_abstraction(
-            sysdef, cert, params, threads=_threads(args), config_digest=digest
-        )
+        system = build_abstraction(sysdef, cert, params, config_digest=digest)
     with timer.phase("write"):
         system.save(args.output)
     _emit(
@@ -166,9 +156,7 @@ def _cmd_certify(args) -> int:
     params = _resolve_params(cert, args)
     timer = PhaseTimer()
     with timer.phase("build"):
-        system = build_abstraction(
-            sysdef, cert, params, threads=_threads(args), config_digest=digest
-        )
+        system = build_abstraction(sysdef, cert, params, config_digest=digest)
     with timer.phase("certify"):
         rep = certify_relation(sysdef, cert, params, system, samples=args.samples, seed=args.seed)
     _emit(
@@ -240,7 +228,6 @@ def _cmd_check(args) -> int:
     sysdef, cert, digest = _load_config(args.config)
     fault_region = _load_faults_region(args.faults)
     params = _resolve_params(cert, args)
-    threads = _threads(args)
     timer = PhaseTimer()
     attempts = 0
     while True:
@@ -254,7 +241,6 @@ def _cmd_check(args) -> int:
                     args.mode,
                     k=args.k,
                     rho=args.rho,
-                    threads=threads,
                     config_digest=digest,
                 )
         except EmptyErosionError:
@@ -325,7 +311,7 @@ def _cmd_falsify(args) -> int:
 
 def _cmd_bench(args) -> int:
     dims = [int(d) for d in args.dims.split(",")] if args.dims else []
-    rows = bench_mod.bench_scaling(dims, args.width, eta=args.eta, threads=_threads(args))
+    rows = bench_mod.bench_scaling(dims, args.width, eta=args.eta)
     if args.json:
         print(canonical_json({"schema": "approxdiag/bench/v1", "rows": rows}))
     else:
@@ -365,7 +351,7 @@ def build_parser() -> _Parser:
     sub.add_argument("config")
     _add_params_flags(sub)
     sub.add_argument("-o", "--output", required=True)
-    sub.add_argument("--threads", type=int)
+    sub.add_argument("--threads", type=int, help="accepted and ignored")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_abstract)
 
@@ -374,7 +360,7 @@ def build_parser() -> _Parser:
     _add_params_flags(sub)
     sub.add_argument("--samples", type=int, default=10_000)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int)
+    sub.add_argument("--threads", type=int, help="accepted and ignored")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_certify)
 
@@ -401,7 +387,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--rho-target", type=float, help="report whether this rho is covered")
     _add_params_flags(sub)
     sub.add_argument("--refine", type=int, default=0, help="halve eta, mu up to N times on INCONCLUSIVE")
-    sub.add_argument("--threads", type=int)
+    sub.add_argument("--threads", type=int, help="accepted and ignored")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_check)
 
@@ -419,7 +405,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--dims", default="", help="comma-separated dimensions, e.g. 1,2,3")
     sub.add_argument("--width", type=int, default=5, help="cells per axis")
     sub.add_argument("--eta", type=float, default=0.5)
-    sub.add_argument("--threads", type=int)
+    sub.add_argument("--threads", type=int, help="accepted and ignored")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_bench)
 

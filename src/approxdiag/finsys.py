@@ -23,7 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
+from .lattice import quantize
 from .rational import to_rational
+from .report import canonical_json
 
 SCHEMA_VERSION = 1
 
@@ -143,6 +145,31 @@ class FiniteSystem:
     def distance(self, i: int, j: int) -> Fraction:
         return max(abs(a - b) for a, b in zip(self.states[i], self.states[j]))
 
+    @staticmethod
+    def on_lattice(
+        state_coords, state_theta, input_coords, input_theta, initial, succ, p, meta
+    ) -> "FiniteSystem":
+        """Lattice-backed model: every state embeds exactly as
+        2*state_theta*coords (Fractions), outputs are the first p state
+        components and inputs embed as 2*input_theta*coords.  The lattice
+        ball below relies on this embedding."""
+        two_theta = 2 * to_rational(state_theta)
+        states = tuple(tuple(two_theta * c for c in row) for row in state_coords)
+        two_mu = 2 * to_rational(input_theta)
+        return FiniteSystem(
+            states,
+            initial,
+            tuple(tuple(two_mu * c for c in row) for row in input_coords),
+            succ,
+            tuple(s[:p] for s in states),
+            p,
+            state_theta=state_theta,
+            input_theta=input_theta,
+            state_coords=state_coords,
+            input_coords=input_coords,
+            meta=meta,
+        )
+
     def ball_states(self, fault: frozenset[int] | set[int], rho) -> frozenset[int]:
         """States within infinity-norm distance rho of the fault set
         (closed ball); equals the fault set at rho = 0 when embeddings are
@@ -208,8 +235,6 @@ class FiniteSystem:
         }
 
     def save(self, path: str):
-        from .report import canonical_json
-
         with open(path, "w") as fh:
             fh.write(canonical_json(self.to_json()))
             fh.write("\n")
@@ -218,34 +243,20 @@ class FiniteSystem:
     def from_json(doc: dict) -> "FiniteSystem":
         kind = doc.get("kind")
         if kind == "abstraction-model":
-            theta = float(doc["state_theta"])
-            two_theta = 2 * to_rational(theta)
-            coords = tuple(tuple(int(c) for c in row) for row in doc["states"])
-            p = int(doc["p"])
-            states = tuple(tuple(two_theta * c for c in row) for row in coords)
-            outputs = tuple(s[:p] for s in states)
-            in_coords = tuple(tuple(int(c) for c in row) for row in doc["inputs"])
-            succ = tuple(tuple((int(j),) for j in row) for row in doc["successors"])
-            mu = float(doc["input_theta"])
-            two_mu = 2 * to_rational(mu)
-            inputs = tuple(tuple(two_mu * c for c in row) for row in in_coords)
             meta = {
                 k: doc[k]
                 for k in ("config_digest", "epsilon")
                 if k in doc and doc[k] is not None
             }
-            return FiniteSystem(
-                states,
+            return FiniteSystem.on_lattice(
+                tuple(tuple(int(c) for c in row) for row in doc["states"]),
+                float(doc["state_theta"]),
+                tuple(tuple(int(c) for c in row) for row in doc["inputs"]),
+                float(doc["input_theta"]),
                 tuple(int(i) for i in doc["initial"]),
-                inputs,
-                succ,
-                outputs,
-                p,
-                state_theta=theta,
-                input_theta=mu,
-                state_coords=coords,
-                input_coords=in_coords,
-                meta=meta,
+                tuple(tuple((int(j),) for j in row) for row in doc["successors"]),
+                int(doc["p"]),
+                meta,
             )
         if kind == "finite-system":
             states = tuple(tuple(_to_fraction(v) for v in row) for row in doc["raw_states"])
@@ -306,8 +317,6 @@ def observation_symbol(s: FiniteSystem, values) -> tuple[Fraction, ...]:
     if len(values) != s.p:
         raise DimensionMismatchError(f"expected {s.p} output components")
     if s.state_theta is not None:
-        from .lattice import quantize
-
         q = quantize(tuple(float(v) for v in values), s.state_theta)
         return q.embed_exact()
     return tuple(_to_fraction(v) for v in values)

@@ -17,6 +17,7 @@ Exact rational inputs (Fraction) bypass the snap entirely.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,16 +119,23 @@ def _require_bounded(region: BoxUnion):
         raise UnboundedRegionError("lattice enumeration requires a bounded region")
 
 
-def _axis_intersection_range(lo, hi, lo_open, hi_open, two_theta: Fraction):
-    """Index range of embeddings 2*theta*c inside one interval, exactly."""
-    flo, fhi = to_rational(lo), to_rational(hi)
-    cmin = math.ceil(flo / two_theta)
-    if lo_open and flo == two_theta * cmin:
-        cmin += 1
-    cmax = math.floor(fhi / two_theta)
-    if hi_open and fhi == two_theta * cmax:
-        cmax -= 1
-    return cmin, cmax
+def _index_points(region: BoxUnion, axis_range) -> list[tuple[int, ...]]:
+    """Sorted coordinate tuples in the union, over the region's nonempty
+    boxes, of the index boxes ``axis_range(box, i) -> (cmin, cmax)`` per
+    axis; a box with an empty range on some axis contributes nothing."""
+    found: set[tuple[int, ...]] = set()
+    for box in region.boxes:
+        if box.is_empty():
+            continue
+        ranges = []
+        for i in range(box.dim):
+            cmin, cmax = axis_range(box, i)
+            if cmin > cmax:
+                break
+            ranges.append(range(cmin, cmax + 1))
+        else:
+            found.update(itertools.product(*ranges))
+    return sorted(found)
 
 
 def lattice_points_in(region: BoxUnion, theta: float) -> list[LatticePoint]:
@@ -137,50 +145,39 @@ def lattice_points_in(region: BoxUnion, theta: float) -> list[LatticePoint]:
         raise DomainError("quantization parameter must be positive")
     _require_bounded(region)
     two_theta = 2 * to_rational(theta)
-    found: set[tuple[int, ...]] = set()
-    for box in region.boxes:
-        if box.is_empty():
-            continue
-        ranges = []
-        for i in range(box.dim):
-            cmin, cmax = _axis_intersection_range(
-                box.lower[i], box.upper[i], box.lower_open[i], box.upper_open[i], two_theta
-            )
-            if cmin > cmax:
-                ranges = None
-                break
-            ranges.append(range(cmin, cmax + 1))
-        if ranges is None:
-            continue
-        found.update(_product(ranges))
-    return [LatticePoint(c, theta) for c in sorted(found)]
+
+    def axis_range(box, i):
+        lo, hi = to_rational(box.lower[i]), to_rational(box.upper[i])
+        cmin = math.ceil(lo / two_theta)
+        if box.lower_open[i] and lo == two_theta * cmin:
+            cmin += 1
+        cmax = math.floor(hi / two_theta)
+        if box.upper_open[i] and hi == two_theta * cmax:
+            cmax -= 1
+        return cmin, cmax
+
+    return [LatticePoint(c, theta) for c in _index_points(region, axis_range)]
 
 
 def lattice_image(region: BoxUnion, theta: float) -> list[LatticePoint]:
     """Image of the region under the quantizer: every lattice point whose
     cell meets the region, one point per met cell.  Computed from the
     quantizer itself (index intervals per axis, never by sampling), so it is
-    consistent with ``quantize`` including its tie treatment: points
-    arbitrarily close below an open upper bound land in the bound's own
-    cell, so open flags need no range adjustment.  Sorted by coordinates.
+    consistent with ``quantize`` including its tie treatment: a bound's own
+    cell is met by points arbitrarily close to the bound.  The one exception
+    is an open upper bound exactly on a cell's lower edge (exact rational
+    test), which does not meet that cell.  Sorted by coordinates.
     """
     if not theta > 0:
         raise DomainError("quantization parameter must be positive")
     _require_bounded(region)
-    found: set[tuple[int, ...]] = set()
-    for box in region.boxes:
-        if box.is_empty():
-            continue
-        ranges = []
-        for i in range(box.dim):
-            cmin = quantize_index(box.lower[i], theta)
-            cmax = quantize_index(box.upper[i], theta)
-            ranges.append(range(cmin, cmax + 1))
-        found.update(_product(ranges))
-    return [LatticePoint(c, theta) for c in sorted(found)]
+    t = to_rational(theta)
 
+    def axis_range(box, i):
+        hi = box.upper[i]
+        cmax = quantize_index(hi, theta)
+        if box.upper_open[i] and to_rational(hi) == (2 * cmax - 1) * t:
+            cmax -= 1
+        return quantize_index(box.lower[i], theta), cmax
 
-def _product(ranges):
-    import itertools
-
-    return itertools.product(*ranges)
+    return [LatticePoint(c, theta) for c in _index_points(region, axis_range)]

@@ -15,6 +15,7 @@ them, and default to closed everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -75,8 +76,6 @@ class Box:
         return len(self.lower)
 
     def is_bounded(self) -> bool:
-        import math
-
         return all(math.isfinite(v) for v in self.lower + self.upper)
 
     def is_empty(self) -> bool:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,10 @@ from approxdiag.bridge import (
     smallest_refute_k,
 )
 from approxdiag.errors import EmptyErosionError, FaultSpecError, ParamCheckError
+from approxdiag.finsys import FiniteSystem
 from approxdiag.fixtures import e1
 from approxdiag.lattice import lattice_points_in
+from approxdiag.rational import to_rational
 from approxdiag.regions import Box, BoxUnion
 
 WIDE = Box((-10.0, -10.0), (10.0, 10.0))
@@ -52,13 +56,33 @@ def test_smallest_refute_k_examples():
     assert smallest_refute_k(0.05, 0.3, 0.03) == 23
 
 
+NARROW = Box((-1.0, -0.5), (0.75, 1.5))
+
+
+def dilated_oracle(box, eps, eta, bound):
+    """Brute force: lattice coordinates whose exact embedding lies in
+    [lo - eps, hi + eps] intersected with the bound, axis by axis."""
+    e, two_eta = to_rational(eps), 2 * to_rational(eta)
+    axes = []
+    for i in range(box.dim):
+        lo = max(to_rational(box.lower[i]) - e, to_rational(bound.lower[i]))
+        hi = min(to_rational(box.upper[i]) + e, to_rational(bound.upper[i]))
+        window = range(int(lo / two_eta) - 2, int(hi / two_eta) + 3)
+        axes.append([c for c in window if lo <= two_eta * c <= hi])
+    return set(itertools.product(*axes))
+
+
 def test_sandwich_on_random_instances():
     rng = np.random.default_rng(70)
     for _ in range(50):
         lo = rng.uniform(-2, 1, size=2)
-        region = BoxUnion.of(Box(tuple(lo), tuple(lo + rng.uniform(0.3, 2.0, size=2))))
+        box = Box(tuple(lo), tuple(lo + rng.uniform(0.3, 2.0, size=2)))
+        region = BoxUnion.of(box)
         eps = float(rng.uniform(0.01, 0.4))
         eta = float(rng.choice([0.05, 0.1, 0.25]))
+        for bound in (WIDE, NARROW):
+            dil = fault_lattice_dilated(region, eps, eta, bound)
+            assert dil == sorted(dilated_oracle(box, eps, eta, bound))
         dil = set(fault_lattice_dilated(region, eps, eta, WIDE))
         ero = set(fault_lattice_eroded(region, eps, eta, WIDE))
         plain = {pt.coords for pt in lattice_points_in(region, eta)}
@@ -105,6 +129,83 @@ def test_conclude_prove_observable_fault():
     assert verdict.direction == DIAGNOSABLE_ABOVE
     assert verdict.k == 20 and verdict.rho_bound == 2.0
     assert verdict.finite.diagnosable
+    assert verdict.to_json() == {
+        "direction": DIAGNOSABLE_ABOVE,
+        "epsilon": 0.5, "eta": 0.05, "mu": 0.025,
+        "fault_states": 98, "dropped_fault_points": 305,
+        "k": 20, "rho_bound": 2.0,
+        "finite_verdict": {
+            "diagnosable": True, "method": "twin-plant", "delta": 1,
+            "region_states": 0, "phase_a_pairs": 6172,
+        },
+    }
+
+
+def test_conclude_prove_inconclusive_when_finite_not_diagnosable():
+    # Hidden coordinate and k = 0: the dilated set is confusable.
+    sysdef, cert = e1()
+    region = BoxUnion.of(Box((1.52, 0.22), (1.98, 0.98)))
+    verdict = conclude(sysdef, cert, prove_params(), region, "prove", k=0)
+    assert verdict.to_json() == {
+        "direction": INCONCLUSIVE,
+        "epsilon": 0.5, "eta": 0.05, "mu": 0.025,
+        "fault_states": 105, "dropped_fault_points": 133,
+        "k": 0,
+        "reason": "finite system not diagnosable for the dilated fault set; "
+        "the proving direction gives nothing",
+        "finite_verdict": {
+            "diagnosable": False, "method": "twin-plant",
+            "witness": [[236, 503, 138, 10, 480, 6, 6, 6], [231, 500, 136, 9, 479, 6, 6, 6]],
+            "region_states": 1176, "phase_a_pairs": 10160,
+        },
+    }
+
+
+def hidden_fault_initial_model():
+    # Lattice model whose one non-origin state, the eroded point (1.5, 0.6)
+    # of the hidden fault region, is also initial: e1 itself cannot put a
+    # fault state into its quantized initial set.
+    return FiniteSystem.from_json({
+        "kind": "abstraction-model", "schema": 1, "p": 1,
+        "state_theta": 0.03, "input_theta": 0.01,
+        "states": [[0, 0], [25, 10]], "inputs": [[0]],
+        "initial": [0, 1], "successors": [[0], [1]],
+    })
+
+
+@pytest.mark.parametrize(
+    "mode, kwargs, extra",
+    [
+        ("prove", {}, {"k": 20, "dropped_fault_points": 620}),
+        ("refute", {"rho": 0.05}, {"k": 23, "dropped_fault_points": 20, "rho": 0.05}),
+    ],
+)
+def test_conclude_ill_posed_finite_check(mode, kwargs, extra):
+    sysdef, cert = e1()
+    region = BoxUnion.of(Box((1.02, 0.22), (1.98, 0.98)))
+    verdict = conclude(
+        sysdef, cert, refute_params(), region, mode,
+        system=hidden_fault_initial_model(), **kwargs,
+    )
+    assert verdict.to_json() == {
+        "direction": INCONCLUSIVE,
+        "epsilon": 0.3, "eta": 0.03, "mu": 0.01,
+        "fault_states": 1,
+        "reason": "finite check ill-posed: fault set meets the initial states: [1]",
+        **extra,
+    }
+
+
+def test_conclude_rejects_unknown_mode_and_negative_k():
+    sysdef, cert = e1()
+    region = BoxUnion.of(Box((2.1, -1.0), (2.3, 1.0)))
+    params = AbstractionParams(1.0, 0.1, 0.05)
+    with pytest.raises(FaultSpecError, match="unknown mode 'guess'"):
+        conclude(sysdef, cert, params, region, "guess")
+    with pytest.raises(FaultSpecError, match="k must be a natural number"):
+        conclude(sysdef, cert, params, region, "prove", k=-1)
+    with pytest.raises(FaultSpecError, match="requires a target rho"):
+        conclude(sysdef, cert, params, region, "refute")
 
 
 def test_conclude_refute_empty_erosion():
@@ -121,6 +222,18 @@ def test_conclude_refute_inconclusive_when_finite_diagnosable():
     verdict = conclude(sysdef, cert, refute_params(), region, "refute", rho=0.05)
     assert verdict.direction == INCONCLUSIVE
     assert verdict.finite is not None and verdict.finite.diagnosable
+    assert verdict.to_json() == {
+        "direction": INCONCLUSIVE,
+        "epsilon": 0.3, "eta": 0.03, "mu": 0.01,
+        "fault_states": 21, "dropped_fault_points": 41,
+        "k": 23, "rho": 0.05,
+        "reason": "finite system diagnosable for the eroded fault set; "
+        "the contrapositive gives nothing",
+        "finite_verdict": {
+            "diagnosable": True, "method": "twin-plant", "delta": 1,
+            "region_states": 0, "phase_a_pairs": 47208,
+        },
+    }
 
 
 def test_conclude_refute_hidden_fault():
@@ -130,6 +243,20 @@ def test_conclude_refute_hidden_fault():
     assert verdict.direction == NOT_DIAGNOSABLE
     assert verdict.k == 23
     assert not verdict.finite.diagnosable
+    assert verdict.to_json() == {
+        "direction": NOT_DIAGNOSABLE,
+        "epsilon": 0.3, "eta": 0.03, "mu": 0.01,
+        "fault_states": 21, "dropped_fault_points": 0,
+        "k": 23, "rho": 0.05,
+        "finite_verdict": {
+            "diagnosable": False, "method": "twin-plant",
+            "witness": [
+                [974, 1488, 482, 1362, 1235, 9, 9, 9],
+                [945, 1473, 475, 1359, 1234, 9, 9, 9],
+            ],
+            "region_states": 2541, "phase_a_pairs": 42876,
+        },
+    }
 
 
 def test_falsify_trivial_cases():

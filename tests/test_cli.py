@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,3 +185,15 @@ def test_usage_error_exit_code():
 
 def test_missing_config_is_precondition_failure(capsys):
     assert main(["validate", "/nonexistent/config.json"]) == 4
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # concurrent.futures drags in logging, traceback and queue at start-up.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, approxdiag; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

@@ -1,10 +1,19 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from approxdiag.errors import DomainError, UnboundedRegionError
-from approxdiag.lattice import LatticePoint, cell_of, lattice_image, lattice_points_in, quantize
+from approxdiag.lattice import (
+    LatticePoint,
+    cell_of,
+    lattice_image,
+    lattice_points_in,
+    quantize,
+    quantize_index,
+)
+from approxdiag.rational import to_rational
 from approxdiag.regions import Box, BoxUnion
 
 
@@ -175,6 +184,84 @@ def test_image_and_intersection_semantics_differ():
     region = BoxUnion.of(Box((0.25,), (0.35,)))
     assert lattice_points_in(region, 0.1) == []
     assert {pt.coords for pt in lattice_image(region, 0.1)} == {(1,), (2,)}
+
+
+def test_open_upper_bound_on_cell_edge_meets_no_cell_above():
+    # [0, 0.05) meets only cell 0 = [-0.05, 0.05); cell 1 starts at 0.05.
+    half_open = BoxUnion.of(Box((0.0,), (0.05,), (False,), (True,)))
+    assert [pt.coords for pt in lattice_image(half_open, 0.05)] == [(0,)]
+    closed = BoxUnion.of(Box((0.0,), (0.05,)))
+    assert [pt.coords for pt in lattice_image(closed, 0.05)] == [(0,), (1,)]
+
+
+def cell_meets_box(coords, theta, box):
+    """Exact test: the half-open cell of the coordinates meets the box."""
+    t = to_rational(theta)
+    for c, a, b, a_open, b_open in zip(
+        coords, box.lower, box.upper, box.lower_open, box.upper_open
+    ):
+        cell_hi = (2 * c + 1) * t
+        a, b = to_rational(a), to_rational(b)
+        lo, hi = max((2 * c - 1) * t, a), min(cell_hi, b)
+        if lo > hi:
+            return False
+        # A single shared value must lie in the cell and in the interval.
+        if lo == hi and not (lo < cell_hi and (lo != a or not a_open) and (lo != b or not b_open)):
+            return False
+    return True
+
+
+def random_bound(rng, theta):
+    if rng.random() < 0.5:  # on a cell edge, an odd multiple of theta
+        return float((2 * int(rng.integers(-6, 6)) + 1) * to_rational(theta))
+    return round(float(rng.uniform(-2.0, 2.0)), 4)
+
+
+def test_lattice_image_matches_cell_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        theta = float(rng.choice([0.05, 0.1, 0.25, 0.5]))
+        dim = int(rng.integers(1, 3))
+        boxes = []
+        for _ in range(int(rng.integers(1, 3))):
+            bounds = [
+                sorted((random_bound(rng, theta), random_bound(rng, theta))) for _ in range(dim)
+            ]
+            flags = rng.random((2, dim)) < 0.5
+            boxes.append(Box(
+                tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds),
+                tuple(bool(f) for f in flags[0]), tuple(bool(f) for f in flags[1]),
+            ))
+        region = BoxUnion.of(*boxes)
+        image = {pt.coords for pt in lattice_image(region, theta)}
+        # Every image cell meets the region, and every met cell is imaged.
+        window = [
+            range(
+                min(quantize_index(b.lower[i], theta) for b in boxes) - 1,
+                max(quantize_index(b.upper[i], theta) for b in boxes) + 2,
+            )
+            for i in range(dim)
+        ]
+        met = {
+            c
+            for c in itertools.product(*window)
+            if any(cell_meets_box(c, theta, b) for b in boxes if not b.is_empty())
+        }
+        assert image == met, (region, theta)
+        # Quantized region points land in the image.
+        for box in boxes:
+            if box.is_empty():
+                continue
+            for _ in range(10):
+                x = []
+                for a, b, a_open, b_open in zip(
+                    box.lower, box.upper, box.lower_open, box.upper_open
+                ):
+                    picks = [float(rng.uniform(a, b))] if a < b else []
+                    picks += [a] * (not a_open) + [b] * (not b_open)
+                    x.append(picks[int(rng.integers(len(picks)))])
+                if box.contains(x):
+                    assert quantize(x, theta).coords in image, (box, x)
 
 
 def test_unbounded_region_rejected():
