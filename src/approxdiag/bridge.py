@@ -33,10 +33,14 @@ from .errors import (
     ParamCheckError,
 )
 from .finsys import FiniteSystem
-from .lattice import _index_points, lattice_points_in
+from .lattice import _index_points, lattice_points_in, quantize_indices
 from .rational import to_rational
 from .regions import Box, BoxUnion, ball_in_union
 from .system import Certificate, SystemDef, _sample_union, quantized_output_trace, step
+
+# Falsifier trials simulated at once: a counterexample early on costs one
+# chunk, and memory stays flat in the trial count.
+_TRIAL_CHUNK = 256
 
 PROVE = "prove"
 REFUTE = "refute"
@@ -262,6 +266,67 @@ class Counterexample:
         }
 
 
+def _draw_trial(sysdef: SystemDef, horizon: int, seed: int, trial: int):
+    """Fault-side initial state, raw safe-side initial state and shared
+    inputs of one trial, from the trial's own (seed, trial) stream."""
+    rng = np.random.default_rng((seed, trial))
+    x0f = _sample_union(rng, sysdef.x0, 1)[0]
+    return x0f, _sample_union(rng, sysdef.x0, 1)[0], _sample_union(rng, sysdef.u_set, horizon)
+
+
+def _check_trial(sysdef, fault_region, rho, horizon, seed, trial) -> Counterexample | None:
+    """Scalar check of one trial: its counterexample, None, or the exception
+    its simulation raises."""
+    p = sysdef.p
+    x0f, x0s_raw, us = (tuple(a.tolist()) for a in _draw_trial(sysdef, horizon, seed, trial))
+    x0s = x0f[:p] + x0s_raw[p:]
+    if not sysdef.x0.contains(x0s):
+        x0s = x0s_raw
+    inputs = tuple(map(tuple, us))
+    traj_f, traj_s = [x0f], [x0s]
+    for u in inputs:
+        traj_f.append(step(sysdef, traj_f[-1], u))
+        traj_s.append(step(sysdef, traj_s[-1], u))
+    fault_time = next((t for t, x in enumerate(traj_f) if fault_region.contains(x)), None)
+    if not fault_time or any(fault_region.distance_to(x) <= rho for x in traj_s):
+        return None
+    trace_f = [pt.coords for pt in quantized_output_trace(sysdef, x0f, inputs)]
+    if trace_f != [pt.coords for pt in quantized_output_trace(sysdef, x0s, inputs)]:
+        return None
+    return Counterexample(
+        trial, fault_time, x0f, x0s, inputs, tuple(traj_f), tuple(traj_s), tuple(trace_f)
+    )
+
+
+def _screen_trials(sysdef, fault_region, rho, horizon, seed, chunk: range) -> list[int]:
+    """Trials of the chunk the scalar check must see, in trial order: those
+    whose simulation may fail and those that pass every screen.
+
+    Both trajectories of each trial are simulated as numpy rows, and the
+    screens make the scalar check's comparisons on the same floats, so a
+    trial left out is one the scalar check returns None for.
+    """
+    p, c = sysdef.p, len(chunk)
+    x0f, raw, us = (np.array(a) for a in zip(*(_draw_trial(sysdef, horizon, seed, t) for t in chunk)))
+    mixed = np.concatenate([x0f[:, :p], raw[:, p:]], axis=1)
+    x = np.concatenate([x0f, np.where(sysdef.x0.contains_rows(mixed)[:, None], mixed, raw)])
+    us = np.concatenate([us, us])
+    traj, bad = [x], np.zeros(2 * c, dtype=bool)
+    for t in range(horizon):
+        cols, failed = sysdef.compiled_np(list(x.T), list(us[:, t].T))
+        x = np.column_stack(cols)
+        bad |= failed
+        traj.append(x)
+    traj = np.stack(traj, axis=1)
+    q = quantize_indices(traj[:, :, :p], sysdef.eta)
+    bad |= ~(np.isfinite(traj).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2)))
+    hit = fault_region.contains_rows(traj[:c])
+    entered = hit.any(axis=1) & ~hit[:, 0]
+    near = (fault_region.distance_rows(traj[c:]) <= rho).any(axis=1)
+    same = (q[:c] == q[c:]).all(axis=(1, 2))
+    return [chunk[i] for i in np.flatnonzero(bad[:c] | bad[c:] | (entered & ~near & same))]
+
+
 def falsify_plant(
     sysdef: SystemDef,
     fault_region: BoxUnion,
@@ -279,53 +344,20 @@ def falsify_plant(
     throughout, and the quantized output traces coincide.  Per-trial random
     streams are derived from (seed, trial), so the outcome is reproducible
     for a given seed and trial count regardless of chunking.
+
+    Trials are simulated _TRIAL_CHUNK at a time as numpy rows; the trials
+    that fail or pass the screens go, in trial order, to the scalar check,
+    which returns the first counterexample or raises the first error.
     """
     if fault_region.is_empty():
         return None
     _require_closed(fault_region, "fault region")
     if fault_region.intersects(sysdef.x0):
         raise FaultSpecError("fault region meets the initial set")
-    p = sysdef.p
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        x0f = tuple(float(v) for v in _sample_union(rng, sysdef.x0, 1)[0])
-        x0s_raw = tuple(float(v) for v in _sample_union(rng, sysdef.x0, 1)[0])
-        x0s = x0f[:p] + x0s_raw[p:]
-        if not sysdef.x0.contains(x0s):
-            x0s = x0s_raw
-        inputs = tuple(
-            tuple(float(v) for v in u) for u in _sample_union(rng, sysdef.u_set, horizon)
-        )
-
-        xf, xs = x0f, x0s
-        traj_f, traj_s = [xf], [xs]
-        ok = True
-        for u in inputs:
-            xf = step(sysdef, xf, u)
-            xs = step(sysdef, xs, u)
-            traj_f.append(xf)
-            traj_s.append(xs)
-        fault_time = None
-        for t, x in enumerate(traj_f):
-            if fault_region.contains(x):
-                fault_time = t
-                break
-        if fault_time is None or fault_time == 0:
-            continue
-        if any(fault_region.distance_to(x) <= rho for x in traj_s):
-            continue
-        trace_f = quantized_output_trace(sysdef, x0f, inputs)
-        trace_s = quantized_output_trace(sysdef, x0s, inputs)
-        if any(a.coords != b.coords for a, b in zip(trace_f, trace_s)):
-            continue
-        return Counterexample(
-            trial,
-            fault_time,
-            x0f,
-            x0s,
-            inputs,
-            tuple(traj_f),
-            tuple(traj_s),
-            tuple(pt.coords for pt in trace_f),
-        )
+    for lo in range(0, trials, _TRIAL_CHUNK):
+        chunk = range(lo, min(trials, lo + _TRIAL_CHUNK))
+        for trial in _screen_trials(sysdef, fault_region, rho, horizon, seed, chunk):
+            found = _check_trial(sysdef, fault_region, rho, horizon, seed, trial)
+            if found is not None:
+                return found
     return None

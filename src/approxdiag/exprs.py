@@ -12,7 +12,13 @@ min(a, b), max(a, b), pow(a, b).  Grammar (EBNF):
 
 Evaluation is total on finite inputs in the sense that every failure mode
 is a guarded EvaluationError rather than a NaN or an uncaught exception:
-division by zero, a negative base under a non-integer exponent, overflow.
+division by zero, a zero or negative base under a bad exponent, overflow,
+a math domain error.  ``compile_forest_np`` emits the same source over
+column arrays and flags, row by row, exactly the rows the scalar forms
+raise on; + - * / and negation are numpy operations (bit for bit the
+scalar results under IEEE), min/max keep Python's tie rule, and exp, sin,
+cos, tanh and pow run the scalar helper per element, as numpy's SIMD
+ufuncs need not round like libm.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EvaluationError, ExprSyntaxError, UnknownIdentifierError
 
@@ -206,52 +214,33 @@ def _div(a: float, b: float) -> float:
 
 
 def _pow(a: float, b: float) -> float:
-    if a < 0.0 and b != int(b):
+    if a < 0.0 and not (math.isfinite(b) and b == int(b)):
         raise EvaluationError(f"negative base {a} under non-integer exponent {b}")
     try:
         return a ** b
+    except ZeroDivisionError as exc:
+        raise EvaluationError(f"zero base under negative exponent {b}") from exc
     except OverflowError as exc:
         raise EvaluationError("overflow in power") from exc
+
+
+def _guard(name: str, fn):
+    def call(*args):
+        try:
+            return fn(*args)
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationError(f"{name} failed on {list(args)}") from exc
+
+    return call
 
 
 _EVAL_HELPERS = {
     "_div": _div,
     "_pow": _pow,
-    **{name: fn for name, fn in _FUNCS1.items()},
+    **{name: _guard(name, fn) for name, fn in _FUNCS1.items()},
     "min": min,
     "max": max,
 }
-
-
-def eval_expr(node: Node, x, u) -> float:
-    """Tree-walking evaluator; x and u are 0-based sequences."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        seq = x if node.kind == "x" else u
-        return seq[node.index - 1]
-    if isinstance(node, Neg):
-        return -eval_expr(node.arg, x, u)
-    if isinstance(node, Bin):
-        a = eval_expr(node.left, x, u)
-        b = eval_expr(node.right, x, u)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return _div(a, b)
-        return _pow(a, b)
-    fn = node.fn
-    args = [eval_expr(a, x, u) for a in node.args]
-    if fn == "pow":
-        return _pow(*args)
-    try:
-        return _EVAL_HELPERS[fn](*args)
-    except (ValueError, OverflowError) as exc:
-        raise EvaluationError(f"{fn} failed on {args}") from exc
 
 
 # -- compilation ----------------------------------------------------------
@@ -276,48 +265,59 @@ def _emit(node: Node) -> str:
     return f"{node.fn}({', '.join(_emit(a) for a in node.args)})"
 
 
+def _exec_forest(nodes, name: str, namespace: dict):
+    body = ", ".join(_emit(nd) for nd in nodes)
+    src = f"def {name}(x, u):\n    return ({body}{',' if len(tuple(nodes)) == 1 else ''})\n"
+    exec(compile(src, f"<{name}>", "exec"), namespace)  # noqa: S102
+    return namespace[name]
+
+
 def compile_forest(nodes, name: str = "_dynamics"):
     """Compile an expression forest into one fast callable (x, u) -> tuple.
 
     The generated source is assembled purely from the validated AST, so it
     contains only literals, indexed reads of x/u and the helper calls above.
     """
-    body = ", ".join(_emit(nd) for nd in nodes)
-    src = f"def {name}(x, u):\n    return ({body}{',' if len(tuple(nodes)) == 1 else ''})\n"
-    namespace = dict(_EVAL_HELPERS)
-    exec(compile(src, f"<{name}>", "exec"), namespace)  # noqa: S102
-    return namespace[name]
+    return _exec_forest(nodes, name, dict(_EVAL_HELPERS))
 
 
-# -- pretty printing ------------------------------------------------------
+class _Rows:
+    """Array helpers of one numpy forest; each call of the forest resets
+    ``rows`` and ``bad``, which flags the rows that failed."""
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+    def each(self, fn, *args):
+        out = np.zeros(self.rows)
+        for i, vals in enumerate(zip(*(np.broadcast_to(a, (self.rows,)).tolist() for a in args))):
+            try:
+                out[i] = fn(*vals)
+            except EvaluationError:
+                self.bad[i] = True
+        return out
 
-
-def _render(node: Node, required: int) -> str:
-    """Render with parentheses exactly where the node binds looser than the
-    slot requires; children pass required = prec (same-side associative) or
-    prec + 1 (the non-associative side)."""
-    if isinstance(node, Num):
-        v = node.value
-        return repr(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
-    if isinstance(node, Var):
-        return f"{node.kind}{node.index}"
-    if isinstance(node, Call):
-        return f"{node.fn}({', '.join(_render(a, 0) for a in node.args)})"
-    if isinstance(node, Neg):
-        text = f"-{_render(node.arg, _PREC['neg'])}"
-        return f"({text})" if _PREC["neg"] < required else text
-    prec = _PREC[node.op]
-    if node.op == "^":
-        left, right = _render(node.left, prec + 1), _render(node.right, prec)
-        text = f"{left}^{right}"
-    else:
-        left, right = _render(node.left, prec), _render(node.right, prec + 1)
-        text = f"{left} {node.op} {right}"
-    return f"({text})" if prec < required else text
+    def div(self, a, b):
+        zero = np.broadcast_to(b == 0.0, (self.rows,))
+        self.bad |= zero
+        return a / np.where(zero, 1.0, b)
 
 
-def pretty(node: Node) -> str:
-    """Render a parseable string that round-trips to an identical tree."""
-    return _render(node, 0)
+def compile_forest_np(nodes):
+    """Numpy variant of ``compile_forest``: (x, u) are sequences of equal-
+    length float64 columns; returns (output columns, failure mask), where
+    row i is flagged exactly when the scalar forest raises on row i."""
+    ops = _Rows()
+    namespace = {name: (lambda *a, f=fn: ops.each(f, *a)) for name, fn in _EVAL_HELPERS.items()}
+    namespace.update(
+        _div=ops.div,
+        abs=np.abs,
+        min=lambda a, b: np.where(b < a, b, a),
+        max=lambda a, b: np.where(b > a, b, a),
+    )
+    fn = _exec_forest(nodes, "_dynamics_np", namespace)
+
+    def forest(x, u):
+        ops.rows, ops.bad = len(x[0]), np.zeros(len(x[0]), dtype=bool)
+        with np.errstate(all="ignore"):
+            cols = fn(x, u)
+        return tuple(np.broadcast_to(c, (ops.rows,)).astype(float) for c in cols), ops.bad
+
+    return forest

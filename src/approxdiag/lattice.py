@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError, UnboundedRegionError
 from .rational import to_rational
 from .regions import Box, BoxUnion
@@ -32,6 +34,7 @@ __all__ = [
     "LatticePoint",
     "quantize",
     "quantize_index",
+    "quantize_indices",
     "cell_of",
     "lattice_points_in",
     "lattice_image",
@@ -87,6 +90,17 @@ def quantize_index(x, theta: float) -> int:
     if abs(q - nearest) <= REL_TIE_SNAP * max(1.0, abs(q)):
         return int(nearest)
     return int(math.floor(q))
+
+
+def quantize_indices(values: np.ndarray, theta: float) -> np.ndarray:
+    """``quantize_index`` of every entry, same tie snap, as integer-valued
+    floats (exact, no int64 overflow); an entry the scalar quantizer would
+    reject comes out non-finite."""
+    with np.errstate(all="ignore"):
+        q = values / (2.0 * theta) + 0.5
+        nearest = np.floor(q + 0.5)
+        snap = np.abs(q - nearest) <= REL_TIE_SNAP * np.maximum(1.0, np.abs(q))
+    return np.where(snap, nearest, np.floor(q))
 
 
 def quantize(x, theta: float) -> LatticePoint:

@@ -15,9 +15,12 @@ them, and default to closed everywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .rational import to_rational
@@ -193,6 +196,15 @@ class BoxUnion:
     def is_empty(self) -> bool:
         return all(b.is_empty() for b in self.boxes)
 
+    @functools.cached_property
+    def member_arrays(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Lower corners and widths of the nonempty member boxes, one float
+        row per box, and whether that is one box with no degenerate axis."""
+        boxes = [b for b in self.boxes if not b.is_empty()]
+        lower = np.array([b.lower for b in boxes]).reshape(len(boxes), self.dim)
+        width = np.array([b.upper for b in boxes]).reshape(len(boxes), self.dim) - lower
+        return lower, width, len(boxes) == 1 and bool(width.all())
+
     def is_bounded(self) -> bool:
         return all(b.is_bounded() for b in self.boxes)
 
@@ -206,6 +218,16 @@ class BoxUnion:
             raise DimensionMismatchError(f"point dim {len(x)} != union dim {self.dim}")
         return any(b.contains_exact(x) for b in self.boxes)
 
+    def contains_rows(self, points: np.ndarray) -> np.ndarray:
+        """``contains`` of each point along the last axis of a float array,
+        by the same comparisons."""
+        inside = np.zeros(points.shape[:-1], dtype=bool)
+        for b in self.boxes:
+            out = (points < b.lower) | (points > b.upper)
+            out |= (points == b.lower) & b.lower_open | (points == b.upper) & b.upper_open
+            inside |= ~out.any(axis=-1)
+        return inside
+
     def dilate(self, eps: float) -> "BoxUnion":
         """Minkowski sum with the closed eps-ball (per-axis inflation)."""
         if eps < 0:
@@ -216,6 +238,16 @@ class BoxUnion:
         if not self.boxes:
             raise DomainError("distance to an empty union is undefined")
         return min(b.distance_to(x) for b in self.boxes)
+
+    def distance_rows(self, points: np.ndarray) -> np.ndarray:
+        """``distance_to`` of each point along the last axis (same floats)."""
+        if not self.boxes:
+            raise DomainError("distance to an empty union is undefined")
+        per_box = [
+            np.maximum(np.maximum(np.subtract(b.lower, points), points - b.upper), 0.0).max(-1)
+            for b in self.boxes
+        ]
+        return np.min(per_box, axis=0)
 
     def intersects(self, other: "BoxUnion") -> bool:
         if other.dim != self.dim:

@@ -14,6 +14,7 @@ prove one.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -51,6 +52,11 @@ class SystemDef:
             object.__setattr__(self, "_compiled", fn)
         return fn
 
+    @functools.cached_property
+    def compiled_np(self):
+        """The numpy forest: column arrays in, (columns, failure mask) out."""
+        return exprs.compile_forest_np(self.f_nodes)
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -71,11 +77,13 @@ class Certificate:
 
 
 def step(sysdef: SystemDef, x, u):
-    """One step of the dynamics; raises NumericError on non-finite results."""
-    out = sysdef.compiled()(tuple(x), tuple(u))
+    """One step of the dynamics; raises NumericError on non-finite results.
+    Numpy scalars are read as Python floats, so they fail like floats."""
+    x, u = tuple(map(float, x)), tuple(map(float, u))
+    out = sysdef.compiled()(x, u)
     for v in out:
         if not math.isfinite(v):
-            raise NumericError(f"non-finite state {out} from x={tuple(x)}, u={tuple(u)}")
+            raise NumericError(f"non-finite state {out} from x={x}, u={u}")
     return out
 
 
@@ -266,19 +274,20 @@ class CertificateReport:
 
 
 def _sample_union(rng: np.random.Generator, union: BoxUnion, count: int) -> np.ndarray:
-    """Uniform samples: pick a member box uniformly, then uniform inside."""
-    if not union.boxes:
+    """Uniform samples: pick a nonempty member box uniformly, then uniform
+    inside.  One ``integers`` pick call, then one ``random`` draw per row
+    and non-degenerate axis in row order: ``lo + (hi - lo) * r`` is
+    ``rng.uniform(lo, hi)`` bit for bit, so the stream is the per-row one."""
+    lower, width, one_full_box = union.member_arrays
+    if not len(lower):
         raise ConfigError("", "cannot sample from an empty union")
-    picks = rng.integers(0, len(union.boxes), size=count)
-    out = np.empty((count, union.dim))
-    for i, k in enumerate(picks):
-        b = union.boxes[int(k)]
-        out[i] = [rng.uniform(lo, hi) if hi > lo else lo for lo, hi in zip(b.lower, b.upper)]
-    return out
-
-
-def _sample_box(rng: np.random.Generator, box: Box, count: int) -> np.ndarray:
-    return _sample_union(rng, BoxUnion.of(box), count)
+    if one_full_box:  # its pick call, integers(0, 1), would draw nothing
+        return lower + width * rng.random((count, width.shape[1]))
+    picks = rng.integers(0, len(lower), size=count)
+    lo, span = lower[picks], width[picks]
+    live = span > 0
+    lo[live] += span[live] * rng.random(np.count_nonzero(live))
+    return lo
 
 
 def validate_certificate(
@@ -295,8 +304,9 @@ def validate_certificate(
     if samples <= 0:
         return CertificateReport(0, -math.inf, -math.inf, -math.inf)
     rng = np.random.default_rng(seed)
-    xs = _sample_box(rng, cert.explore_bound, samples)
-    xps = _sample_box(rng, cert.explore_bound, samples)
+    bound = BoxUnion.of(cert.explore_bound)
+    xs = _sample_union(rng, bound, samples)
+    xps = _sample_union(rng, bound, samples)
     us = _sample_union(rng, sysdef.u_set, samples)
     ups = _sample_union(rng, sysdef.u_set, samples)
 

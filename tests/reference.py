@@ -2,16 +2,27 @@
 
 These are the straightforward forms of what the library computes on
 integer output classes: outputs are compared as exact Fraction tuples and
-the ball is taken from exact rational distances.  They are oracles, not
-library code.
+the ball is taken from exact rational distances.  Expressions are
+evaluated by walking the tree, and the abstraction BFS, the falsifier and
+the sampler run one point, one trial and one row at a time through the
+scalar forest.  They are oracles, not library code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from approxdiag import exprs
+from approxdiag.abstraction import AbstractionParams
+from approxdiag.bridge import Counterexample
 from approxdiag.diagnosis import Diagnoser, FaultSpec, Verdict, _unroll_witness
+from approxdiag.errors import BoundExceededError
 from approxdiag.finsys import FiniteSystem, _to_rho
+from approxdiag.lattice import lattice_image, quantize_index
+from approxdiag.regions import BoxUnion
+from approxdiag.system import Certificate, SystemDef, quantized_output_trace, step
 
 
 def exact_ball(system: FiniteSystem, fault, rho) -> frozenset[int]:
@@ -199,3 +210,132 @@ def synchronized_product(s: FiniteSystem) -> TwinProduct:
 def diagnoser_step(diag: Diagnoser, belief, y):
     """Online evaluation: advance the belief by one observed output."""
     return diag.step(belief, y)
+
+
+def reference_sample_union(rng: np.random.Generator, union: BoxUnion, count: int) -> np.ndarray:
+    """Per-row sampler: pick a nonempty member box, then rng.uniform per
+    non-degenerate axis."""
+    boxes = [b for b in union.boxes if not b.is_empty()]
+    picks = rng.integers(0, len(boxes), size=count)
+    out = np.empty((count, union.dim))
+    for i, k in enumerate(picks):
+        b = boxes[int(k)]
+        out[i] = [rng.uniform(lo, hi) if hi > lo else lo for lo, hi in zip(b.lower, b.upper)]
+    return out
+
+
+def reference_build_abstraction(
+    sysdef: SystemDef, cert: Certificate, params: AbstractionParams
+) -> FiniteSystem:
+    """Point-at-a-time BFS closure of the lattice abstraction (no parameter
+    check), expanding each level state by state and input by input."""
+    eta, mu = params.eta, params.mu
+    fn = sysdef.compiled()
+    bound = cert.explore_bound
+    input_points = lattice_image(sysdef.u_set, mu)
+    input_coords = [pt.coords for pt in input_points]
+    input_embeds = [pt.embed() for pt in input_points]
+    init_points = lattice_image(sysdef.x0, eta)
+    index: dict[tuple[int, ...], int] = {}
+    embeds: list[tuple[float, ...]] = []
+
+    def admit(coords, source=None, input_label=None):
+        emb = tuple(2.0 * eta * c for c in coords)
+        if not bound.contains(emb):
+            raise BoundExceededError(coords, emb, source, input_label)
+        index[coords] = len(embeds)
+        embeds.append(emb)
+
+    for pt in init_points:
+        admit(pt.coords)
+    succ_rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    level = [pt.coords for pt in init_points]
+    while level:
+        fresh: dict[tuple[int, ...], tuple] = {}
+        for coords in level:
+            emb = embeds[index[coords]]
+            row = succ_rows[coords] = [
+                tuple(quantize_index(v, eta) for v in fn(emb, u_emb)) for u_emb in input_embeds
+            ]
+            for u_pos, tgt in enumerate(row):
+                if tgt not in index and tgt not in fresh:
+                    fresh[tgt] = (coords, input_coords[u_pos])
+        ordered = sorted(fresh)
+        for coords in ordered:
+            admit(coords, *fresh[coords])
+        level = ordered
+    coords_list = sorted(index, key=index.get)
+    succ = tuple(tuple((index[tgt],) for tgt in succ_rows[c]) for c in coords_list)
+    initial = tuple(range(len(init_points)))
+    meta = {"epsilon": params.epsilon}
+    return FiniteSystem.on_lattice(
+        tuple(coords_list), eta, tuple(input_coords), mu, initial, succ, sysdef.p, meta
+    )
+
+
+def reference_falsify(
+    sysdef: SystemDef, fault_region: BoxUnion, rho: float, trials: int, horizon: int, seed: int = 0
+) -> Counterexample | None:
+    """Trial-at-a-time falsifier: each trial from its own (seed, trial)
+    stream, simulated and checked with scalar steps (the preconditions are
+    the library's)."""
+    if fault_region.is_empty():
+        return None
+    p = sysdef.p
+    for trial in range(trials):
+        rng = np.random.default_rng((seed, trial))
+        x0f = tuple(float(v) for v in reference_sample_union(rng, sysdef.x0, 1)[0])
+        x0s_raw = tuple(float(v) for v in reference_sample_union(rng, sysdef.x0, 1)[0])
+        x0s = x0f[:p] + x0s_raw[p:]
+        if not sysdef.x0.contains(x0s):
+            x0s = x0s_raw
+        inputs = tuple(
+            tuple(float(v) for v in u)
+            for u in reference_sample_union(rng, sysdef.u_set, horizon)
+        )
+        xf, xs = x0f, x0s
+        traj_f, traj_s = [xf], [xs]
+        for u in inputs:
+            xf = step(sysdef, xf, u)
+            xs = step(sysdef, xs, u)
+            traj_f.append(xf)
+            traj_s.append(xs)
+        fault_time = next((t for t, x in enumerate(traj_f) if fault_region.contains(x)), None)
+        if fault_time is None or fault_time == 0:
+            continue
+        if any(fault_region.distance_to(x) <= rho for x in traj_s):
+            continue
+        trace_f = quantized_output_trace(sysdef, x0f, inputs)
+        trace_s = quantized_output_trace(sysdef, x0s, inputs)
+        if any(a.coords != b.coords for a, b in zip(trace_f, trace_s)):
+            continue
+        coords = tuple(pt.coords for pt in trace_f)
+        return Counterexample(
+            trial, fault_time, x0f, x0s, inputs, tuple(traj_f), tuple(traj_s), coords
+        )
+    return None
+
+
+def eval_expr(node: exprs.Node, x, u) -> float:
+    """Tree-walking evaluator; x and u are 0-based sequences."""
+    if isinstance(node, exprs.Num):
+        return node.value
+    if isinstance(node, exprs.Var):
+        seq = x if node.kind == "x" else u
+        return seq[node.index - 1]
+    if isinstance(node, exprs.Neg):
+        return -eval_expr(node.arg, x, u)
+    if isinstance(node, exprs.Bin):
+        a = eval_expr(node.left, x, u)
+        b = eval_expr(node.right, x, u)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            return exprs._div(a, b)
+        return exprs._pow(a, b)
+    fn = "_pow" if node.fn == "pow" else node.fn
+    return exprs._EVAL_HELPERS[fn](*(eval_expr(a, x, u) for a in node.args))

@@ -1,0 +1,379 @@
+"""The numpy forest, the level-batched abstraction BFS, the trial-batched
+falsifier and the one-call sampler, checked bit for bit against their
+scalar forms in `reference.py`."""
+
+import dataclasses
+import json
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import approxdiag as ad
+from approxdiag import bridge, exprs
+from approxdiag.bench import chain_system
+from approxdiag.cli import main
+from approxdiag.errors import BoundExceededError, DomainError, EvaluationError
+from approxdiag.fixtures import e1, e1_config
+from approxdiag.lattice import quantize_index, quantize_indices
+from approxdiag.regions import Box, BoxUnion
+from approxdiag.system import _sample_union, parse_system
+from reference import (
+    eval_expr,
+    reference_build_abstraction,
+    reference_falsify,
+    reference_sample_union,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+FAULT_X1 = BoxUnion.from_json(json.loads((CONFIGS / "fault_x1.json").read_text()))
+FAULT_X2 = BoxUnion.from_json(json.loads((CONFIGS / "fault_x2.json").read_text()))
+# A third fault region, reached through both coordinates.
+BAND = BoxUnion.of(Box((1.2, 0.6), (2.0, 1.0)))
+
+# Every operator and function of the expression language, alone and mixed,
+# with constant subtrees and a bare constant.
+FOREST_SOURCES = [
+    "x1 + u1 - x2*x1",
+    "x1 / (x2 - 0.5)",
+    "-x1^2 + x2^u1 - x1^-1",
+    "pow(x2, u1) + pow(x1, -2)",
+    "exp(x1) + sin(x2)*cos(u1) - tanh(x1*x2)",
+    "abs(x1) - abs(-x2)",
+    "min(x1, x2) - max(x2, u1)",
+    "max(x1, x2) + min(u1, x1)",
+    "min(x1, exp(1000*x1))",
+    "exp(2) + min(1, 2)*x1 - pow(4, 0.5)",
+    "3",
+    "x2",
+]
+# Nonlinear plant using every function; contracting enough to stay bounded.
+NONLINEAR = [
+    "0.5*tanh(x1) + 0.1*sin(x2)*cos(u1) + u1 - 0.05*min(x1, x2) + 0.01*x1^2",
+    "0.25*x1 + 0.1*(exp(0.5*x1) - 1) + 0.02*pow(abs(x2), 1.5) - 0.02*max(x2, -x2) + 0.3*x2/(2 + abs(x1))",
+]
+E1_PARAMS = [(0.3, 0.03, 0.01), (0.4, 0.04, 0.005), (0.5, 0.05, 0.025)]
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def plant(sources, x0=None, u=None):
+    sysdef, cert = e1()
+    nodes = tuple(exprs.parse_expr(s, 2, 1) for s in sources)
+    sysdef = dataclasses.replace(
+        sysdef,
+        f_nodes=nodes,
+        f_sources=tuple(sources),
+        x0=x0 if x0 is not None else sysdef.x0,
+        u_set=u if u is not None else sysdef.u_set,
+    )
+    return sysdef, cert
+
+
+def scalar_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error itself is the value compared
+        return (type(exc), str(exc))
+
+
+def forest_columns(rng, rows: int) -> list[np.ndarray]:
+    special = np.array(
+        [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 4.0, 700.0, -700.0, 1e200, -1e200, 1e-310, -2.25]
+    )
+    cols = []
+    for _ in range(3):
+        col = rng.normal(0.0, 3.0, rows)
+        pick = rng.random(rows) < 0.4
+        col[pick] = rng.choice(special, int(pick.sum()))
+        cols.append(col)
+    cols[1][:50], cols[0][:50] = -0.0, 0.0  # min/max ties of signed zeros
+    cols[0][50:100], cols[1][50:100] = -0.0, 0.0
+    return cols
+
+
+@pytest.mark.parametrize("sources", [[s] for s in FOREST_SOURCES] + [FOREST_SOURCES])
+def test_numpy_forest_bitwise_equals_scalar_forest(sources):
+    nodes = [exprs.parse_expr(s, 2, 1) for s in sources]
+    scalar, vector = exprs.compile_forest(nodes), exprs.compile_forest_np(nodes)
+    cols = forest_columns(np.random.default_rng(len(sources[0])), 600)
+    out, bad = vector(cols[:2], cols[2:])
+    assert len(out) == len(nodes) and all(c.shape == (600,) for c in out)
+    raised = 0
+    for i in range(600):
+        x, u = (float(cols[0][i]), float(cols[1][i])), (float(cols[2][i]),)
+        try:
+            want = scalar(x, u)
+        except EvaluationError:
+            raised += 1
+            assert bad[i], (sources, x, u)
+            continue
+        assert not bad[i], (sources, x, u)
+        assert (bits(want) == bits([c[i] for c in out])).all(), (sources, x, u, want)
+    assert int(bad.sum()) == raised
+
+
+def test_numpy_forest_keeps_python_min_max_on_signed_zeros():
+    nodes = [exprs.parse_expr(s, 2, 1) for s in ("min(x1, x2)", "max(x1, x2)")]
+    out, bad = exprs.compile_forest_np(nodes)([np.array([0.0, -0.0]), np.array([-0.0, 0.0])], [np.zeros(2)])
+    assert not bad.any()
+    assert list(bits(out[0])) == list(bits([0.0, -0.0])) == list(bits(out[1]))
+
+
+@pytest.mark.parametrize(
+    "source, x1, message",
+    [
+        ("exp(x1)", 1000.0, "exp failed on [1000.0]"),
+        ("sin(x1)", float("inf"), "sin failed on [inf]"),
+        ("x1^-1", 0.0, "zero base under negative exponent -1.0"),
+        ("pow(x1, -2)", 0.0, "zero base under negative exponent -2.0"),
+        ("pow(x1, 0.5)", -4.0, "negative base -4.0 under non-integer exponent 0.5"),
+        ("pow(x1, x1*1e308*10)", -2.0, "negative base -2.0 under non-integer exponent -inf"),
+        ("x1^3", 1e200, "overflow in power"),
+        ("1/x1", -0.0, "division by zero"),
+    ],
+)
+def test_every_evaluation_failure_is_an_evaluation_error(source, x1, message):
+    node = exprs.parse_expr(source, 1, 1)
+    with pytest.raises(EvaluationError) as walked:
+        eval_expr(node, (x1,), (0.0,))
+    with pytest.raises(EvaluationError) as compiled:
+        exprs.compile_forest([node])((x1,), (0.0,))
+    assert str(walked.value) == str(compiled.value) == message
+    _, bad = exprs.compile_forest_np([node])([np.array([x1, 1.0])], [np.zeros(2)])
+    assert list(bad) == [True, False]
+
+
+def test_step_fails_on_numpy_scalars_like_on_floats():
+    sysdef, _ = plant(["0.5*x1 + u1 + pow(x2, -1)", "0.25*x1 + 0.5*x2"])
+    for x in ((1.0, 0.0), tuple(np.zeros(2)), np.array([1.0, 0.0])):
+        with pytest.raises(EvaluationError, match="zero base under negative exponent"):
+            ad.step(sysdef, x, np.zeros(1))
+
+
+def test_quantize_indices_matches_scalar_quantizer():
+    rng = np.random.default_rng(7)
+    for theta in (0.05, 0.1, 0.03, 0.5, 1e-3):
+        ties = theta * (2 * rng.integers(-500, 500, 400) + 1)
+        values = np.concatenate([ties, rng.uniform(-30, 30, 400), [0.0, -0.0, 1e300, -1e300]])
+        got = quantize_indices(values, theta)
+        assert [int(v) for v in got] == [quantize_index(float(v), theta) for v in values]
+    assert not np.isfinite(quantize_indices(np.array([np.inf, np.nan]), 0.1)).any()
+
+
+def test_region_rows_match_scalar_tests():
+    rng = np.random.default_rng(3)
+    union = BoxUnion.of(
+        Box((0.0, -1.0), (1.0, 1.0), (True, False), (False, True)),
+        Box((0.5, 0.5), (0.5, 2.0)),
+        Box((-2.0, -2.0), (-1.0, -1.0)),
+    )
+    grid = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    points = np.concatenate([rng.uniform(-3, 3, (300, 2)), rng.choice(grid, (300, 2))])
+    inside = union.contains_rows(points)
+    dist = union.distance_rows(points)
+    for i, pt in enumerate(points.tolist()):
+        assert inside[i] == union.contains(pt)
+        assert bits(dist[i]) == bits(union.distance_to(pt))
+    assert union.contains_rows(points.reshape(20, 30, 2)).shape == (20, 30)
+
+
+@pytest.mark.parametrize(
+    "union",
+    [
+        BoxUnion.of(Box((-1.0, -1.0), (1.0, 1.0))),
+        BoxUnion.of(Box((-1.0,), (1.0,))),
+        BoxUnion.of(Box((0.0, 0.3, -2.0), (0.0, 0.7, 5.5))),
+        BoxUnion.of(
+            Box((-1.0, -1.0), (1.0, 1.0)),
+            Box((1.5, 0.5), (1.5, 0.9)),
+            Box((0.1, 2.0), (0.3, 3.0), (True, False), (False, True)),
+        ),
+    ],
+)
+def test_sampler_stream_equals_per_row_sampler(union):
+    for seed in range(40):
+        for count in (0, 1, 7, 30):
+            a = np.random.default_rng(seed)
+            b = np.random.default_rng(seed)
+            assert (bits(_sample_union(a, union, count)) == bits(reference_sample_union(b, union, count))).all()
+            assert a.random() == b.random()  # the streams stay in step
+
+
+def test_sampler_skips_empty_member_boxes():
+    doc = e1_config()
+    doc["X0"]["boxes"].append({"lower": [1.5, 0.5], "upper": [1.5, 0.9], "lower_open": [True, False]})
+    sysdef, cert = parse_system(doc)
+    samples = _sample_union(np.random.default_rng(0), sysdef.x0, 1000)
+    assert all(sysdef.x0.contains(tuple(x)) for x in samples.tolist())
+    params = ad.AbstractionParams(1.0, 0.1, 0.05)
+    system = ad.build_abstraction(sysdef, cert, params)
+    report = ad.certify_relation(sysdef, cert, params, system, samples=500, seed=1)
+    assert report.violations_initial == 0
+    with pytest.raises(Exception, match="empty union"):
+        _sample_union(np.random.default_rng(0), BoxUnion.of(Box((0.0,), (0.0,), (True,))), 3)
+
+
+@pytest.mark.parametrize("params", E1_PARAMS)
+def test_build_equals_reference_on_e1(params):
+    sysdef, cert = e1()
+    p = ad.AbstractionParams(*params)
+    assert ad.build_abstraction(sysdef, cert, p).to_json() == reference_build_abstraction(
+        sysdef, cert, p
+    ).to_json()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_build_equals_reference_on_chain(dim):
+    sysdef, cert = chain_system(dim, 5)
+    p = ad.AbstractionParams(ad.solve_epsilon(cert, 0.5, 0.5), 0.5, 0.5)
+    assert ad.build_abstraction(sysdef, cert, p).to_json() == reference_build_abstraction(
+        sysdef, cert, p
+    ).to_json()
+
+
+def test_build_equals_reference_on_nonlinear_plant():
+    sysdef, cert = plant(NONLINEAR, u=BoxUnion.of(Box((-0.5,), (0.5,))))
+    p = ad.AbstractionParams(1.0, 0.05, 0.05)
+    built = ad.build_abstraction(sysdef, cert, p, enforce_params=False)
+    assert built.n_states > 300
+    assert built.to_json() == reference_build_abstraction(sysdef, cert, p).to_json()
+
+
+def build_outcomes(sysdef, cert, params):
+    p = ad.AbstractionParams(*params)
+    got = scalar_or_error(lambda: ad.build_abstraction(sysdef, cert, p, enforce_params=False))
+    want = scalar_or_error(reference_build_abstraction, sysdef, cert, p)
+    return got, want
+
+
+def test_bound_exceeded_fields_equal_reference():
+    sysdef, cert = e1()
+    cert = dataclasses.replace(cert, explore_bound=Box((-1.3, -1.05), (1.6, 1.05)))
+    p = ad.AbstractionParams(0.4, 0.04, 0.005)
+    with pytest.raises(BoundExceededError) as got:
+        ad.build_abstraction(sysdef, cert, p)
+    with pytest.raises(BoundExceededError) as want:
+        reference_build_abstraction(sysdef, cert, p)
+    fields = ("coords", "embedding", "source", "input_label", "args")
+    assert [getattr(got.value, f) for f in fields] == [getattr(want.value, f) for f in fields]
+    assert got.value.source is not None
+
+
+@pytest.mark.parametrize(
+    "f1, error",
+    [
+        ("0.5*x1 + u1 + 0*exp(1000*x1)", EvaluationError),
+        ("0.5*x1 + u1 + 0*sin(x2*1e308*10)", EvaluationError),
+        ("0.5*x1 + u1 + min(x1, x1^-3)", EvaluationError),
+        ("0.5*x1 + u1 + x1*1e308*10", DomainError),
+    ],
+)
+def test_build_errors_equal_reference(f1, error):
+    sysdef, cert = plant([f1, "0.25*x1 + 0.5*x2"])
+    got, want = build_outcomes(sysdef, cert, (0.4, 0.04, 0.005))
+    assert got == want and got[0] is error
+
+
+def falsify_outcomes(sysdef, region, rho, trials, horizon, seed):
+    got = scalar_or_error(bridge.falsify_plant, sysdef, region, rho, trials, horizon, seed)
+    want = scalar_or_error(reference_falsify, sysdef, region, rho, trials, horizon, seed)
+    return got, want
+
+
+@pytest.mark.parametrize(
+    "region, rho, trials",
+    [(FAULT_X1, 2.1, 300), (FAULT_X2, 0.05, 600), (BAND, 0.05, 600)],
+)
+def test_falsify_equals_reference_on_e1(region, rho, trials):
+    sysdef, _ = e1()
+    found = 0
+    for seed in range(20):
+        got, want = falsify_outcomes(sysdef, region, rho, trials, 30, seed)
+        assert got == want, seed
+        found += got is not None
+    assert found == 0 if region is FAULT_X1 else found > 0
+
+
+def test_falsify_equals_reference_on_two_box_x0_and_nonlinear_plant():
+    x0 = BoxUnion.of(Box((-1.0, -1.0), (1.0, 1.0)), Box((0.5, 1.5), (0.9, 1.5)))
+    two_box, _ = plant(["0.5*x1 + u1", "0.25*x1 + 0.5*x2"], x0=x0)
+    nonlinear, _ = plant(NONLINEAR)
+    for sysdef, region in ((two_box, FAULT_X2), (two_box, BAND), (nonlinear, FAULT_X2)):
+        found = 0
+        for seed in range(6):
+            got, want = falsify_outcomes(sysdef, region, 0.05, 300, 20, seed)
+            assert got == want, seed
+            found += got is not None
+        assert found > 0
+
+
+def test_falsify_errors_surface_only_before_the_first_counterexample():
+    # exp overflows once x1 passes about 1.702: some seeds meet such a trial
+    # before their first counterexample, the others only after it.
+    sysdef, _ = plant(["0.5*x1 + u1 + 0*exp(417*x1)", "0.25*x1 + 0.5*x2"])
+    outcomes = []
+    for seed in range(8):
+        got, want = falsify_outcomes(sysdef, FAULT_X2, 0.05, 600, 30, seed)
+        assert got == want, seed
+        if isinstance(got, tuple):
+            assert got[0] is EvaluationError and got[1].startswith("exp failed on")
+        outcomes.append("raised" if isinstance(got, tuple) else got.trial)
+    assert "raised" in outcomes and len(set(outcomes)) > 2
+
+
+def test_cli_evaluation_failure_exits_4(tmp_path, capsys):
+    doc = e1_config()
+    doc["f"][0] = "0.5*x1 + u1 + 0*exp(1000*x1)"
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(doc))
+    code = main(
+        ["abstract", str(config), "--eta", "0.1", "--mu", "0.05", "--epsilon", "1.0",
+         "-o", str(tmp_path / "model.json")]
+    )
+    assert code == 4 and "exp failed on" in capsys.readouterr().err
+    code = main(
+        ["falsify", str(config), "--faults", str(CONFIGS / "fault_x1.json"), "--rho", "2.1",
+         "--trials", "50"]
+    )
+    assert code == 4 and "exp failed on" in capsys.readouterr().err
+
+
+def test_falsify_memory_is_flat_in_trials():
+    sysdef, _ = e1()
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            assert bridge.falsify_plant(sysdef, FAULT_X1, 2.1, trials, 10, seed=0) is None
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(2_000)
+    assert peak(20_000) <= 1.5 * small
+
+
+def test_early_counterexample_simulates_one_chunk(monkeypatch):
+    sysdef, _ = e1()
+    drawn, checked = [], []
+    draw, check = bridge._draw_trial, bridge._check_trial
+
+    def counting_draw(*args):
+        drawn.append(args[-1])
+        return draw(*args)
+
+    def counting_check(*args):
+        checked.append(args[-1])
+        return check(*args)
+
+    monkeypatch.setattr(bridge, "_draw_trial", counting_draw)
+    monkeypatch.setattr(bridge, "_check_trial", counting_check)
+    found = bridge.falsify_plant(sysdef, FAULT_X2, 0.05, 10_000, 30, seed=3)
+    assert found is not None and found.trial < 30
+    assert checked[-1] == found.trial and checked == sorted(checked)
+    assert len(drawn) <= bridge._TRIAL_CHUNK + len(checked)
+    assert max(drawn) < bridge._TRIAL_CHUNK
