@@ -105,7 +105,7 @@ def _expand_level(sysdef: SystemDef, level, input_embeds, eta: float) -> np.ndar
         bad |= ~np.isfinite(q).all(axis=1)
         if bad.any():
             r = int(np.flatnonzero(bad)[0])
-            fx = sysdef.compiled()(tuple(xs[r].tolist()), tuple(us[r].tolist()))
+            fx = sysdef.compiled(tuple(xs[r].tolist()), tuple(us[r].tolist()))
             tuple(quantize_index(v, eta) for v in fx)
             raise InternalInvariantError(f"row {r} flagged but evaluates: {fx}")
         out[lo * n_in : lo * n_in + len(q)] = q

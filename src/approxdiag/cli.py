@@ -6,8 +6,9 @@ canonical serialization; reports embed a digest of the input config so
 model files and verdicts stay traceable to exact inputs.
 
 Exit codes: 0 verdict produced, 2 inconclusive, 3 infeasible observation
-(monitor), 4 precondition failure, 64 usage error, 70 internal invariant
-breach.  Progress and diagnostics go to stderr, reports to stdout.
+(monitor), 4 precondition failure (a malformed monitor line included), 64
+usage error, 70 internal invariant breach.  Progress and diagnostics go
+to stderr, reports to stdout.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .bridge import (
 from .diagnosis import FaultSpec, brute_force_check, check_diagnosability, synthesize_diagnoser
 from .errors import (
     ApproxDiagError,
+    DomainError,
     EmptyErosionError,
     InfeasibleObservationError,
     InternalInvariantError,
@@ -211,7 +213,10 @@ def _cmd_monitor(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            values = json.loads(line)
+            try:
+                values = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"malformed observation line {line!r}: {exc}") from exc
             symbol = observation_symbol(model, values)
             if belief is None:
                 belief, decision = diag.start(symbol)

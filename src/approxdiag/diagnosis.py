@@ -100,7 +100,8 @@ def validate_witness(system: FiniteSystem, spec: FaultSpec, witness) -> bool:
         return False
     if not (system.is_run(run_f) and system.is_run(run_s)):
         return False
-    if system.output_run(run_f) != system.output_run(run_s):
+    ids = system.output_ids
+    if any(ids[i] != ids[j] for i, j in zip(run_f, run_s)):
         return False
     ball = system.ball_states(spec.faults, spec.rho)
     return any(i in spec.faults for i in run_f) and all(j not in ball for j in run_s)
@@ -136,13 +137,13 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
         i, j = divmod(code, n)
         gj = safe_groups[j]
         if gj is None:
-            gj = by_output(j)
-            if not ball.isdisjoint(system.successors_any(j)):
+            gj = by_output[j]
+            if not ball.isdisjoint(system.successors_any[j]):
                 kept = {c: tuple(b for b in js if b not in ball) for c, js in gj.items()}
                 gj = {c: js for c, js in kept.items() if js}
             safe_groups[j] = gj
         out = []
-        for cls, ilist in by_output(i).items():
+        for cls, ilist in by_output[i].items():
             jlist = gj.get(cls)
             if jlist is None:
                 continue
@@ -301,15 +302,12 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
     ball_mask = _mask(ball)
     fault_mask = _mask(spec.faults)
     ids = system.output_ids
-    value_of: dict[int, tuple] = {}
-    for i, cls in enumerate(ids):
-        value_of.setdefault(cls, system.outputs[i])
     # Output classes, enumerated in the repr order of their values.
-    out_classes = sorted(value_of, key=lambda cls: repr(value_of[cls]))
+    class_of = system.class_of
+    out_classes = [class_of[out] for out in sorted(class_of, key=repr)]
 
     succ_by_out = [
-        {cls: _mask(js) for cls, js in system.successors_by_output(i).items()}
-        for i in range(n)
+        {cls: _mask(js) for cls, js in groups.items()} for groups in system.successors_by_output
     ]
 
     # States from which the fault set is reachable (any number of steps).
@@ -319,7 +317,7 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
         changed = False
         for i in range(n):
             if i not in can_reach_fault and any(
-                j in can_reach_fault for j in system.successors_any(i)
+                j in can_reach_fault for j in system.successors_any[i]
             ):
                 can_reach_fault.add(i)
                 changed = True
@@ -330,13 +328,8 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
 
     def advance_mask(mask: int, out) -> int:
         acc = 0
-        i = 0
-        m = mask
-        while m:
-            if m & 1:
-                acc |= succ_by_out[i].get(out, 0)
-            m >>= 1
-            i += 1
+        for i in _members(mask):
+            acc |= succ_by_out[i].get(out, 0)
         return acc
 
     def search(depth, unfauled_mask, faulted, safe_mask, fault_chains, safe_chains, stream):
@@ -366,31 +359,15 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
         if not faulted and not (unfauled_mask & reach_fault_mask):
             return
         for out in out_classes:
-            out_unf = 0
+            out_unf = advance_mask(unfauled_mask, out)
             new_faulted: dict[int, int] = {}
-            m = unfauled_mask
-            i = 0
-            while m:
-                if m & 1:
-                    tgt = succ_by_out[i].get(out, 0)
-                    out_unf |= tgt
-                m >>= 1
-                i += 1
             for s, t in faulted.items():
-                tgt = succ_by_out[s].get(out, 0)
-                j = 0
-                while tgt:
-                    if tgt & 1 and (j not in new_faulted or new_faulted[j] > t):
+                for j in _members(succ_by_out[s].get(out, 0)):
+                    if j not in new_faulted or new_faulted[j] > t:
                         new_faulted[j] = t
-                    tgt >>= 1
-                    j += 1
-            fresh_faults = out_unf & fault_mask
-            j = 0
-            while fresh_faults:
-                if fresh_faults & 1 and (j not in new_faulted or new_faulted[j] > depth + 1):
+            for j in _members(out_unf & fault_mask):
+                if j not in new_faulted or new_faulted[j] > depth + 1:
                     new_faulted[j] = depth + 1
-                fresh_faults >>= 1
-                j += 1
             new_unf = out_unf & ~fault_mask
             if not new_unf and not new_faulted:
                 continue
@@ -403,9 +380,7 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
                 for ch in safe_chains
             ]
             new_fchains.append({s: 1 << s for s in new_faulted})
-            new_schains.append(
-                {j: 1 << j for j in range(n) if new_safe >> j & 1}
-            )
+            new_schains.append({j: 1 << j for j in _members(new_safe)})
             stream.append(out)
             search(depth + 1, new_unf, new_faulted, new_safe, new_fchains, new_schains, stream)
             stream.pop()
@@ -417,7 +392,7 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
         unf = _mask(i for i in system.initial if ids[i] == out)
         safe = unf & ~ball_mask
         fchains = [{}]
-        schains = [{j: 1 << j for j in range(n) if safe >> j & 1}]
+        schains = [{j: 1 << j for j in _members(safe)}]
         search(0, unf, {}, safe, fchains, schains, [out])
 
     method = f"bounded-enumeration(T={horizon})"
@@ -434,16 +409,26 @@ def _mask(indices) -> int:
     return m
 
 
+def _members(mask: int):
+    """Indices of the set bits of mask, in ascending order."""
+    i = 0
+    while mask:
+        if mask & 1:
+            yield i
+        mask >>= 1
+        i += 1
+
+
 def _find_run(system, stream, start_set, end_state, upto, *, forbidden=frozenset(), need_fault=None):
     """Backtracking search for one run consistent with stream[0..upto] (a
     stream of output class ids) that ends at end_state, avoids
     ``forbidden`` and, when need_fault is given, visits it at least once.
     Desk-scale helper for witness assembly."""
 
-    ids = system.output_ids
+    groups = system.successors_by_output
 
     def rec(t, state, seen_fault, path):
-        if ids[state] != stream[t] or state in forbidden:
+        if state in forbidden:
             return None
         seen = seen_fault or (need_fault is not None and state in need_fault)
         path.append(state)
@@ -452,15 +437,16 @@ def _find_run(system, stream, start_set, end_state, upto, *, forbidden=frozenset
                 return list(path)
             path.pop()
             return None
-        for nxt in system.successors_any(state):
+        for nxt in groups[state].get(stream[t + 1], ()):
             got = rec(t + 1, nxt, seen, path)
             if got is not None:
                 return got
         path.pop()
         return None
 
+    ids = system.output_ids
     for s0 in start_set:
-        got = rec(0, s0, False, [])
+        got = rec(0, s0, False, []) if ids[s0] == stream[0] else None
         if got is not None:
             return got
     return None
@@ -470,13 +456,13 @@ def _find_loop(system, stream, k, d, state, *, forbidden=frozenset()):
     """Path state -> state over stream[k+1..d] (output class ids), avoiding
     forbidden states."""
 
-    ids = system.output_ids
+    groups = system.successors_by_output
 
     def rec(t, cur, path):
         if t == d:
             return list(path) if cur == state else None
-        for nxt in system.successors_any(cur):
-            if nxt in forbidden or ids[nxt] != stream[t + 1]:
+        for nxt in groups[cur].get(stream[t + 1], ()):
+            if nxt in forbidden:
                 continue
             path.append(nxt)
             got = rec(t + 1, nxt, path)
@@ -528,24 +514,29 @@ class Diagnoser:
     delta: int
 
     def start(self, y) -> tuple[Belief, int]:
-        members = frozenset(
-            (s, s in self.ball) for s in self.system.initial if self.system.outputs[s] == y
-        )
+        return self._start(self.system.class_of.get(y), y)
+
+    def step(self, belief: Belief, y) -> tuple[Belief, int]:
+        return self._step(belief, self.system.class_of.get(y), y)
+
+    # The observed value y is interned into its class id once, above; it
+    # is only carried along below for the error messages.
+
+    def _start(self, cls: int | None, y) -> tuple[Belief, int]:
+        ids = self.system.output_ids
+        members = frozenset((s, s in self.ball) for s in self.system.initial if ids[s] == cls)
         if not members:
             raise InfeasibleObservationError(f"no initial state produces output {y}")
         return members, belief_decision(members)
 
-    def step(self, belief: Belief, y) -> tuple[Belief, int]:
+    def _step(self, belief: Belief, cls: int | None, y) -> tuple[Belief, int]:
         if not belief:
             raise InfeasibleObservationError("empty belief")
-        outputs = self.system.outputs
+        groups = self.system.successors_by_output
         members = set()
         for s, visited in belief:
-            for js in self.system.successors_by_output(s).values():
-                if outputs[js[0]] != y:
-                    continue
-                for j in js:
-                    members.add((j, visited or j in self.ball))
+            for j in groups[s].get(cls, ()):
+                members.add((j, visited or j in self.ball))
         if not members:
             raise InfeasibleObservationError(f"no consistent run produces output {y}")
         members = frozenset(members)
@@ -614,17 +605,17 @@ def monte_carlo_contract(
         s = int(rng.choice(system.initial))
         run = [s]
         for _ in range(horizon):
-            succs = system.successors_any(run[-1])
+            succs = system.successors_any[run[-1]]
             if not succs:
                 break
             run.append(int(succs[rng.integers(0, len(succs))]))
 
         beliefs = []
-        belief, decision = diag.start(system.outputs[run[0]])
+        belief, decision = diag._start(ids[run[0]], system.outputs[run[0]])
         beliefs.append(belief)
         alarm_at = None if decision == 0 else 0
         for t in range(1, len(run)):
-            belief, decision = diag.step(belief, system.outputs[run[t]])
+            belief, decision = diag._step(belief, ids[run[t]], system.outputs[run[t]])
             beliefs.append(belief)
             if alarm_at is None and decision == 1:
                 alarm_at = t
@@ -641,7 +632,7 @@ def monte_carlo_contract(
             for t in range(alarm_at - 1, -1, -1):
                 keep = set()
                 for s in consistent[t]:
-                    nxt = system.successors_by_output(s).get(ids[run[t + 1]], ())
+                    nxt = system.successors_by_output[s].get(ids[run[t + 1]], ())
                     if any(j in consistent[t + 1] for j in nxt):
                         keep.add(s)
                 consistent[t] = frozenset(keep)

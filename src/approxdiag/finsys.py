@@ -64,29 +64,55 @@ class FiniteSystem:
     state_coords: tuple[tuple[int, ...], ...] | None = None
     input_coords: tuple[tuple[int, ...], ...] | None = None
     meta: dict = field(default_factory=dict, compare=False)
-    # Derived tables (successors, output classes, balls), private to this
-    # instance: dataclasses.replace builds fresh ones for the copy.
-    _cache: dict = field(
-        default_factory=lambda: {"succ_any": {}, "succ_by_out": {}, "balls": {}},
-        init=False,
-        compare=False,
-        repr=False,
-    )
 
     def __post_init__(self):
+        """Validate, then derive the integer tables every finite-system
+        algorithm reads.  They are plain attributes, not fields, so they
+        take no part in equality and dataclasses.replace rebuilds them:
+
+        * ``class_of``: output value -> class id, numbered in order of
+          first appearance (interning by exact equality);
+        * ``output_ids``: the class id of every state;
+        * ``successors_any``: per state, its sorted distinct successors
+          under any input;
+        * ``successors_by_output``: per state, those successors grouped by
+          class id, groups in the order of their first member."""
         ns = len(self.states)
         if len(self.succ) != ns or len(self.outputs) != ns:
             raise DimensionMismatchError("states, succ and outputs must align")
         for i in self.initial:
             if not 0 <= i < ns:
                 raise DomainError(f"initial state index {i} out of range")
+        class_of: dict = {}
+        ids = tuple(class_of.setdefault(out, len(class_of)) for out in self.outputs)
+        n_inputs = len(self.inputs)
+        # States with equal successor sets share one group dict.
+        tables: dict = {}
+        succ_any = []
+        by_output = []
         for row in self.succ:
-            if len(row) != len(self.inputs):
+            if len(row) != n_inputs:
                 raise DimensionMismatchError("successor rows must cover every input")
-            for targets in row:
-                for j in targets:
-                    if not 0 <= j < ns:
-                        raise DomainError(f"successor index {j} out of range")
+            succs = tuple(sorted(set().union(*row)))
+            if succs and not (0 <= succs[0] and succs[-1] < ns):
+                bad = next(j for targets in row for j in targets if not 0 <= j < ns)
+                raise DomainError(f"successor index {bad} out of range")
+            groups = tables.get(succs)
+            if groups is None:
+                groups = tables[succs] = {}
+                for j in succs:
+                    groups.setdefault(ids[j], []).append(j)
+                for c, js in groups.items():
+                    groups[c] = succs if len(groups) == 1 else tuple(js)
+            succ_any.append(succs)
+            by_output.append(groups)
+        self.__dict__.update(
+            class_of=class_of,
+            output_ids=ids,
+            successors_any=tuple(succ_any),
+            successors_by_output=tuple(by_output),
+            _balls={},
+        )
 
     @property
     def n_states(self) -> int:
@@ -98,43 +124,10 @@ class FiniteSystem:
 
     # -- run machinery ---------------------------------------------------
 
-    def successors_any(self, i: int) -> tuple[int, ...]:
-        """Distinct successors of state i under any input (input-erased)."""
-        cache = self._cache["succ_any"]
-        succs = cache.get(i)
-        if succs is None:
-            succs = cache[i] = tuple(sorted({j for targets in self.succ[i] for j in targets}))
-        return succs
-
-    @property
-    def output_ids(self) -> tuple[int, ...]:
-        """Output class of every state: outputs interned by exact equality,
-        class ids numbered in order of first appearance."""
-        ids = self._cache.get("output_ids")
-        if ids is None:
-            classes: dict = {}
-            ids = self._cache["output_ids"] = tuple(
-                classes.setdefault(out, len(classes)) for out in self.outputs
-            )
-        return ids
-
-    def successors_by_output(self, i: int) -> dict[int, tuple[int, ...]]:
-        """Input-erased successors of i grouped by output class id; groups
-        appear in the order their first member has in successors_any(i)."""
-        cache = self._cache["succ_by_out"]
-        groups = cache.get(i)
-        if groups is None:
-            ids = self.output_ids
-            acc: dict = {}
-            for j in self.successors_any(i):
-                acc.setdefault(ids[j], []).append(j)
-            groups = cache[i] = {c: tuple(js) for c, js in acc.items()}
-        return groups
-
     def is_run(self, run) -> bool:
         if not run or run[0] not in self.initial:
             return False
-        return all(b in self.successors_any(a) for a, b in zip(run, run[1:]))
+        return all(b in self.successors_any[a] for a, b in zip(run, run[1:]))
 
     def output_run(self, run) -> tuple:
         """Pointwise outputs of a state run; the run must be a valid path."""
@@ -181,8 +174,7 @@ class FiniteSystem:
         Other systems compare rational distances directly."""
         r = _to_rho(rho)
         fault = frozenset(fault)
-        balls = self._cache["balls"]
-        ball = balls.get((fault, r))
+        ball = self._balls.get((fault, r))
         if ball is None:
             if not fault:
                 ball = frozenset()
@@ -195,7 +187,7 @@ class FiniteSystem:
                     for i in range(self.n_states)
                     if any(self.distance(i, j) <= r for j in fault)
                 )
-            balls[(fault, r)] = ball
+            self._balls[(fault, r)] = ball
         return ball
 
     # -- serialization ----------------------------------------------------
@@ -259,14 +251,29 @@ class FiniteSystem:
                 meta,
             )
         if kind == "finite-system":
-            states = tuple(tuple(_to_fraction(v) for v in row) for row in doc["raw_states"])
-            outputs = tuple(tuple(_to_fraction(v) for v in row) for row in doc["raw_outputs"])
+            # Equal int or string values share one Fraction and equal target
+            # lists one tuple: fewer objects per model, and equal outputs
+            # intern by identity.
+            fractions: dict = {}
+            targets: dict = {}
+
+            def fraction(v):
+                if type(v) not in (int, str):
+                    return _to_fraction(v)
+                if v not in fractions:
+                    fractions[v] = _to_fraction(v)
+                return fractions[v]
+
+            states = tuple(tuple(map(fraction, row)) for row in doc["raw_states"])
+            outputs = tuple(tuple(map(fraction, row)) for row in doc["raw_outputs"])
             inputs = tuple(doc["inputs"])
             n_states, n_inputs = len(states), len(inputs)
             table = [[set() for _ in range(n_inputs)] for _ in range(n_states)]
             for i, u, j in doc["transitions"]:
                 table[int(i)][int(u)].add(int(j))
-            succ = tuple(tuple(tuple(sorted(t)) for t in row) for row in table)
+            succ = tuple(
+                tuple(targets.setdefault(t, t) for t in map(tuple, map(sorted, row))) for row in table
+            )
             return FiniteSystem(
                 states,
                 tuple(int(i) for i in doc["initial"]),
@@ -314,9 +321,14 @@ def observation_symbol(s: FiniteSystem, values) -> tuple[Fraction, ...]:
     """Map an observed numeric output vector onto the system's own output
     value domain: via the output quantizer for lattice-backed models, via
     exact decimal conversion for hand-written ones."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise DomainError(f"an observation is a list of {s.p} numbers, got {values!r}")
     if len(values) != s.p:
         raise DimensionMismatchError(f"expected {s.p} output components")
-    if s.state_theta is not None:
-        q = quantize(tuple(float(v) for v in values), s.state_theta)
-        return q.embed_exact()
-    return tuple(_to_fraction(v) for v in values)
+    try:
+        if s.state_theta is None:
+            return tuple(to_rational(v) for v in values)
+        point = tuple(float(v) for v in values)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise DomainError(f"observation {values!r} is not numeric") from exc
+    return quantize(point, s.state_theta).embed_exact()

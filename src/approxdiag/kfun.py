@@ -72,11 +72,6 @@ class KFunction:
 
     # -- evaluation -----------------------------------------------------
 
-    @property
-    def is_kinf(self) -> bool:
-        """All representable forms grow without bound."""
-        return True
-
     def __call__(self, r: float) -> float:
         if r < 0:
             raise DomainError(f"comparison functions are defined on r >= 0, got {r}")

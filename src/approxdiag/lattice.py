@@ -86,6 +86,8 @@ def quantize_index(x, theta: float) -> int:
     if not math.isfinite(x):
         raise DomainError(f"cannot quantize non-finite value {x}")
     q = x / (2.0 * theta) + 0.5
+    if not math.isfinite(q):
+        raise DomainError(f"lattice index of {x} overflows at theta {theta}")
     nearest = math.floor(q + 0.5)
     if abs(q - nearest) <= REL_TIE_SNAP * max(1.0, abs(q)):
         return int(nearest)

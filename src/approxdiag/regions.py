@@ -254,13 +254,6 @@ class BoxUnion:
             raise DimensionMismatchError("dimension mismatch")
         return any(a.intersects(b) for a in self.boxes for b in other.boxes)
 
-    def bounding_box(self) -> Box:
-        if not self.boxes:
-            raise DomainError("empty union has no bounding box")
-        lo = tuple(min(b.lower[i] for b in self.boxes) for i in range(self.dim))
-        hi = tuple(max(b.upper[i] for b in self.boxes) for i in range(self.dim))
-        return Box(lo, hi)
-
     def to_json(self) -> dict:
         return {"dim": self.dim, "boxes": [b.to_json() for b in self.boxes]}
 

@@ -45,12 +45,10 @@ class SystemDef:
     u_set: BoxUnion
     eta: float
 
+    @functools.cached_property
     def compiled(self):
-        fn = getattr(self, "_compiled", None)
-        if fn is None:
-            fn = exprs.compile_forest(self.f_nodes)
-            object.__setattr__(self, "_compiled", fn)
-        return fn
+        """The scalar forest: (x, u) float tuples in, successor tuple out."""
+        return exprs.compile_forest(self.f_nodes)
 
     @functools.cached_property
     def compiled_np(self):
@@ -80,7 +78,7 @@ def step(sysdef: SystemDef, x, u):
     """One step of the dynamics; raises NumericError on non-finite results.
     Numpy scalars are read as Python floats, so they fail like floats."""
     x, u = tuple(map(float, x)), tuple(map(float, u))
-    out = sysdef.compiled()(x, u)
+    out = sysdef.compiled(x, u)
     for v in out:
         if not math.isfinite(v):
             raise NumericError(f"non-finite state {out} from x={x}, u={u}")

@@ -38,7 +38,7 @@ def exact_ball(system: FiniteSystem, fault, rho) -> frozenset[int]:
 def successors_by_value(system: FiniteSystem, i: int) -> dict:
     """Input-erased successors of i grouped by their output value."""
     groups: dict = {}
-    for j in system.successors_any(i):
+    for j in system.successors_any[i]:
         groups.setdefault(system.outputs[j], []).append(j)
     return {out: tuple(js) for out, js in groups.items()}
 
@@ -191,8 +191,8 @@ def synchronized_product(s: FiniteSystem) -> TwinProduct:
     initial = tuple(index[(i, j)] for i in s.initial for j in s.initial if ids[i] == ids[j])
     succ_rows = []
     for i, j in pairs:
-        si = s.successors_by_output(i)
-        sj = s.successors_by_output(j)
+        si = s.successors_by_output[i]
+        sj = s.successors_by_output[j]
         targets = sorted(
             index[(a, b)]
             for cls, alist in si.items()
@@ -230,7 +230,7 @@ def reference_build_abstraction(
     """Point-at-a-time BFS closure of the lattice abstraction (no parameter
     check), expanding each level state by state and input by input."""
     eta, mu = params.eta, params.mu
-    fn = sysdef.compiled()
+    fn = sysdef.compiled
     bound = cert.explore_bound
     input_points = lattice_image(sysdef.u_set, mu)
     input_coords = [pt.coords for pt in input_points]

@@ -101,6 +101,51 @@ def test_monitor_infeasible_exit_code(capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("stdin", ["[0.0]\nnot json\n", '["x"]\n', '{"a": 1}\n', "[0]\n[[2]]\n"])
+def test_monitor_malformed_line_is_precondition_failure(capsys, monkeypatch, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code = main(["monitor", D1, "--faults", "1", "--rho", "0"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.fixture
+def e1_fine_model(tmp_path, capsys):
+    """The e1 abstraction at eta 0.05 with faults at x1 >= 1.5, which the
+    diagnoser accepts at rho 0.1."""
+    model, faults = tmp_path / "e1.json", tmp_path / "faults.json"
+    faults.write_text(json.dumps({"boxes": [{"lower": [1.5, -4], "upper": [4, 4]}]}))
+    argv = ["abstract", E1, "--eta", "0.05", "--mu", "0.025", "--epsilon", "0.5", "-o", str(model)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    return ["monitor", str(model), "--faults", str(faults), "--rho", "0.1"]
+
+
+def test_monitor_on_e1_model(capsys, monkeypatch, e1_fine_model):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[1.0]\n[1.2]\n[1.5]\n[1.6]\n"))
+    assert main(e1_fine_model) == 0
+    assert capsys.readouterr().out.split() == ["0", "0", "1", "1"]
+
+
+def test_monitor_overflowing_observation_is_precondition_failure(capsys, monkeypatch, e1_fine_model):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[0.0]\n[1e308]\n"))
+    assert main(e1_fine_model) == 4
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["0"]
+    assert "overflows" in captured.err
+
+
+def test_abstract_overflowing_successor_is_precondition_failure(tmp_path, capsys):
+    config = json.loads(Path(E1).read_text())
+    config["f"][0] = "1.5e308*x1"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+    argv = ["abstract", str(path), "--eta", "0.05", "--mu", "0.5", "--epsilon", "100"]
+    code = main(argv + ["-o", str(tmp_path / "m.json")])
+    assert code == 4
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_check_prove(capsys):
     code, doc = run_json(
         capsys,

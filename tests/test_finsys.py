@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from approxdiag.abstraction import AbstractionParams, build_abstraction, solve_epsilon
-from approxdiag.errors import DomainError
+from approxdiag.errors import DimensionMismatchError, DomainError
 from approxdiag.finsys import FiniteSystem, observation_symbol
 from approxdiag.fixtures import d1, e1, nd1, random_finite_system
 from reference import synchronized_product
@@ -65,7 +65,7 @@ def enumerate_runs(s: FiniteSystem, length: int):
     """All state runs with `length` states, by brute expansion."""
     runs = [[i] for i in s.initial]
     for _ in range(length - 1):
-        runs = [r + [j] for r in runs for j in s.successors_any(r[-1])]
+        runs = [r + [j] for r in runs for j in s.successors_any[r[-1]]]
     return [tuple(r) for r in runs]
 
 
@@ -138,3 +138,53 @@ def test_observation_symbol_lattice_and_raw():
     raw = d1()
     assert observation_symbol(raw, [2]) == (Fraction(2),)
     assert observation_symbol(raw, ["4"]) == (Fraction(4),)
+
+
+@pytest.mark.parametrize(
+    "succ, error, message",
+    [
+        # A short row, alone and before a bad index in a later row.
+        ((((1,), (2,)), ((0,),), ((0,), (0,))), DimensionMismatchError, "cover every input"),
+        ((((1,), (2,)), ((0,),), ((0,), (3,))), DimensionMismatchError, "cover every input"),
+        # A short row that also holds a bad index: the length is checked first.
+        ((((1,), (2,)), ((-1,),), ((0,), (0,))), DimensionMismatchError, "cover every input"),
+        # A bad index before a short row in a later row.
+        ((((1,), (3,)), ((0,),), ((0,), (0,))), DomainError, "successor index 3 out of range"),
+        ((((-1,), (2,)), ((0,), (0,)), ((0,), (0,))), DomainError, "successor index -1 out of range"),
+        ((((1,), (2,)), ((0,), (0,)), ((0,), (3,))), DomainError, "successor index 3 out of range"),
+        # Both kinds in one row: the first in input order is reported, not
+        # the smallest or the largest.
+        ((((5,), (-1,)), ((0,), (0,)), ((0,), (0,))), DomainError, "successor index 5 out of range"),
+        ((((0, 4), (-2, 1)), ((0,), (0,)), ((0,), (0,))), DomainError, "successor index 4 out of range"),
+        ((((-3, 1), (9,)), ((0,), (0,)), ((0,), (0,))), DomainError, "successor index -3 out of range"),
+    ],
+)
+def test_construction_error_precedence(succ, error, message):
+    states = tuple((Fraction(v),) for v in range(3))
+    with pytest.raises(error) as exc:
+        FiniteSystem(states, (0,), ("a", "b"), succ, states, 1)
+    assert type(exc.value) is error
+    assert message in str(exc.value)
+
+
+def test_construction_derives_integer_tables():
+    s = nd1()
+    assert s.class_of == {out: k for k, out in enumerate(dict.fromkeys(s.outputs))}
+    assert s.output_ids == tuple(s.class_of[out] for out in s.outputs)
+    for i, row in enumerate(s.succ):
+        assert s.successors_any[i] == tuple(sorted({j for t in row for j in t}))
+        flat = [j for js in s.successors_by_output[i].values() for j in js]
+        assert sorted(flat) == list(s.successors_any[i])
+        for cls, js in s.successors_by_output[i].items():
+            assert all(s.output_ids[j] == cls for j in js)
+
+
+@pytest.mark.parametrize("values", [{"a": 1}, 5, None, "4", ["x"], [[1]], ["1/0"], [None]])
+def test_observation_symbol_rejects_malformed_input(values):
+    with pytest.raises(DomainError):
+        observation_symbol(d1(), values)
+    sysdef, cert = e1()
+    params = AbstractionParams(solve_epsilon(cert, 0.5, 0.5), 0.5, 0.5)
+    lattice = build_abstraction(sysdef, cert, params)
+    with pytest.raises(DomainError):
+        observation_symbol(lattice, values)

@@ -67,29 +67,29 @@ def test_successor_groups_follow_first_appearance():
     outputs = ((Fraction(0),), (Fraction(7),), (Fraction(3),), (Fraction(7),))
     succ = (((3, 1), (2,)), ((0,), (0,)), ((0,), (0,)), ((0,), (0,)))
     s = FiniteSystem(states, (0,), ("a", "b"), succ, outputs, 1)
-    assert s.successors_any(0) == (1, 2, 3)
-    assert list(s.successors_by_output(0).items()) == [(1, (1, 3)), (2, (2,))]
+    assert s.successors_any[0] == (1, 2, 3)
+    assert list(s.successors_by_output[0].items()) == [(1, (1, 3)), (2, (2,))]
 
 
 def test_replace_rebuilds_derived_tables():
     s = d1()
     spec = ad.FaultSpec.of(D1_FAULTS, 0)
-    assert check_diagnosability(s, spec).diagnosable  # warms every cache
-    assert s.successors_any(1) == (1,) and s.output_ids == (0, 1, 2)
+    assert check_diagnosability(s, spec).diagnosable  # fills the ball memo
+    assert s.successors_any[1] == (1,) and s.output_ids == (0, 1, 2)
     # State 1 may now move on to state 2, which shares its output.
     succ = (((1, 2),), ((1, 2),), ((2,),))
     outputs = ((Fraction(0),), (Fraction(2),), (Fraction(2),))
     copy = dataclasses.replace(s, succ=succ, outputs=outputs)
     fresh = FiniteSystem(s.states, s.initial, s.inputs, succ, outputs, s.p)
     for i in range(s.n_states):
-        assert copy.successors_any(i) == fresh.successors_any(i)
-        assert copy.successors_by_output(i) == fresh.successors_by_output(i)
+        assert copy.successors_any[i] == fresh.successors_any[i]
+        assert copy.successors_by_output[i] == fresh.successors_by_output[i]
     assert copy.output_ids == fresh.output_ids == (0, 1, 1)
     got, want = check_diagnosability(copy, spec), check_diagnosability(fresh, spec)
     assert not got.diagnosable
     assert_same_verdict(got, want)
     # The original keeps its own tables.
-    assert s.successors_any(1) == (1,) and s.output_ids == (0, 1, 2)
+    assert s.successors_any[1] == (1,) and s.output_ids == (0, 1, 2)
     assert check_diagnosability(s, spec).diagnosable
 
 

@@ -12,6 +12,7 @@ from approxdiag.lattice import (
     lattice_points_in,
     quantize,
     quantize_index,
+    quantize_indices,
 )
 from approxdiag.rational import to_rational
 from approxdiag.regions import Box, BoxUnion
@@ -278,3 +279,11 @@ def test_embed_exact_matches_embedding():
     # Decimal-intent rationals: theta = 0.1 means exactly 1/10.
     assert exact == (Fraction(3, 5), Fraction(-2, 5))
     assert all(abs(float(e) - v) < 1e-15 for e, v in zip(exact, q.embed()))
+
+
+@pytest.mark.parametrize("x", [1.5e308, -1.5e308, 1e308])
+def test_quantize_index_overflow_is_a_domain_error(x):
+    # Finite x whose index x / (2 theta) is not finite as a double.
+    with pytest.raises(DomainError):
+        quantize_index(x, 0.05)
+    assert not np.isfinite(quantize_indices(np.array([x]), 0.05)).any()
