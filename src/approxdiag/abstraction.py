@@ -20,7 +20,7 @@ reached state escapes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import BoundExceededError, InternalInvariantError, ParamCheckError
 from .finsys import FiniteSystem
 from .kfun import compose_inverse
 from .lattice import lattice_image, quantize, quantize_index, quantize_indices
-from .system import Certificate, SystemDef, _sample_union, step
+from .system import Certificate, SystemDef, _sample_union, _step_rows
 
 SOLVE_EPS_TOL = 1e-9
 # (state, input) rows evaluated at once while expanding a BFS level.
@@ -233,15 +233,7 @@ class RelationReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "threshold": self.threshold,
-            "max_v_next": self.max_v_next,
-            "violations_initial": self.violations_initial,
-            "violations_distance": self.violations_distance,
-            "violations_step": self.violations_step,
-            "verdict": "PASS" if self.passed else "FAIL",
-        }
+        return {**asdict(self), "verdict": "PASS" if self.passed else "FAIL"}
 
 
 def certify_relation(
@@ -266,47 +258,39 @@ def certify_relation(
     rng = np.random.default_rng(seed)
     coords_index = {c: i for i, c in enumerate(system.state_coords)}
     input_index = {c: i for i, c in enumerate(system.input_coords)}
-    state_embeds = [tuple(2.0 * params.eta * c for c in coords) for coords in system.state_coords]
-
-    viol_init = viol_dist = viol_step = 0
-    max_v_next = 0.0
+    state_embeds = (2.0 * params.eta) * np.array(system.state_coords, dtype=float)
 
     init_samples = _sample_union(rng, sysdef.x0, samples)
-    init_set = set(system.initial)
-    for x in init_samples:
-        x = tuple(x)
-        q = quantize(x, params.eta)
-        idx = coords_index.get(q.coords)
-        if idx is None or idx not in init_set:
-            viol_init += 1
-            continue
-        if cert.v(x, state_embeds[idx]) > threshold:
-            viol_init += 1
+    idx = _lookup(coords_index, init_samples, params.eta)
+    matched = np.isin(idx, system.initial)
+    far = cert.v(init_samples[matched], state_embeds[idx[matched]]) > threshold
+    viol_init = len(idx) - np.count_nonzero(matched) + np.count_nonzero(far)
 
     state_picks = rng.integers(0, system.n_states, size=samples)
     u_samples = _sample_union(rng, sysdef.u_set, samples)
     unit = rng.uniform(-1.0, 1.0, size=(samples, sysdef.n))
-    for k in range(samples):
-        s_idx = int(state_picks[k])
-        xi = state_embeds[s_idx]
-        x = tuple(
-            xi_i + unit[k][i] * threshold / cert.weights[i] for i, xi_i in enumerate(xi)
-        )
-        if max(abs(a - b) for a, b in zip(x, xi)) > eps:
-            viol_dist += 1
-        u = tuple(u_samples[k])
-        v_coords = quantize(u, params.mu).coords
-        u_idx = input_index.get(v_coords)
-        if u_idx is None:
-            viol_step += 1
-            continue
-        x_next = step(sysdef, x, u)
-        xi_next_idx = system.succ[s_idx][u_idx][0]
-        xi_next = state_embeds[xi_next_idx]
-        v_next = cert.v(x_next, xi_next)
-        max_v_next = max(max_v_next, v_next)
-        if v_next > threshold:
-            viol_step += 1
-        elif max(abs(a - b) for a, b in zip(x_next, xi_next)) > eps:
-            viol_dist += 1
-    return RelationReport(samples, threshold, float(max_v_next), viol_init, viol_dist, viol_step)
+    xi = state_embeds[state_picks]
+    x = xi + unit * threshold / np.array(cert.weights)
+    viol_dist = np.count_nonzero(np.abs(x - xi).max(axis=1) > eps)
+    u_idx = _lookup(input_index, u_samples, params.mu)
+    live = np.flatnonzero(u_idx >= 0)
+    x_next = _step_rows(sysdef, x[live], u_samples[live])
+    targets = [system.succ[s][u][0] for s, u in zip(state_picks[live], u_idx[live])]
+    xi_next = state_embeds[np.array(targets, dtype=np.int64)]
+    v_next = cert.v(x_next, xi_next)
+    broken = v_next > threshold
+    viol_dist += np.count_nonzero(np.abs(x_next - xi_next).max(axis=1)[~broken] > eps)
+    viol_step = samples - len(live) + np.count_nonzero(broken)
+    counts = (int(viol_init), int(viol_dist), int(viol_step))
+    return RelationReport(samples, threshold, float(np.max(v_next, initial=0.0)), *counts)
+
+
+def _lookup(index: dict, values: np.ndarray, theta: float) -> np.ndarray:
+    """Position in ``index`` of each row's quantized coordinates, -1 where
+    there is none; a row the scalar quantizer rejects is re-run through it."""
+    q = quantize_indices(values, theta)
+    bad = ~np.isfinite(q).all(axis=1)
+    if bad.any():
+        quantize(values[np.flatnonzero(bad)[0]], theta)
+    # Integer-valued float tuples hash and compare like the int coordinates.
+    return np.array([index.get(c, -1) for c in map(tuple, q.tolist())], dtype=np.int64)

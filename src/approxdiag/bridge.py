@@ -164,7 +164,6 @@ def conclude(
     k: int | None = None,
     rho: float | None = None,
     system: FiniteSystem | None = None,
-    config_digest: str | None = None,
 ) -> PlantVerdict:
     """Run the finite check and transfer its verdict to the plant.
 
@@ -182,7 +181,7 @@ def conclude(
     if fault_region.intersects(sysdef.x0):
         raise FaultSpecError("fault region meets the initial set")
     if system is None:
-        system = build_abstraction(sysdef, cert, params, config_digest=config_digest)
+        system = build_abstraction(sysdef, cert, params)
     bound = cert.explore_bound
     eps, eta = params.epsilon, params.eta
 

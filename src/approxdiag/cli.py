@@ -6,9 +6,9 @@ canonical serialization; reports embed a digest of the input config so
 model files and verdicts stay traceable to exact inputs.
 
 Exit codes: 0 verdict produced, 2 inconclusive, 3 infeasible observation
-(monitor), 4 precondition failure (a malformed monitor line included), 64
-usage error, 70 internal invariant breach.  Progress and diagnostics go
-to stderr, reports to stdout.
+(monitor), 4 precondition failure (a malformed monitor line or model file
+included), 64 usage error, 70 internal invariant breach.  Progress and
+diagnostics go to stderr, reports to stdout.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def _cmd_certify(args) -> int:
     params = _resolve_params(cert, args)
     timer = PhaseTimer()
     with timer.phase("build"):
-        system = build_abstraction(sysdef, cert, params, config_digest=digest)
+        system = build_abstraction(sysdef, cert, params)
     with timer.phase("certify"):
         rep = certify_relation(sysdef, cert, params, system, samples=args.samples, seed=args.seed)
     _emit(
@@ -246,7 +246,6 @@ def _cmd_check(args) -> int:
                     args.mode,
                     k=args.k,
                     rho=args.rho,
-                    config_digest=digest,
                 )
         except EmptyErosionError:
             # Coarse accuracy can erode the fault region away entirely;

@@ -36,14 +36,6 @@ _BALL_CHUNK = 1 << 15
 _COORD_LIMIT = 1 << 62
 
 
-def _to_fraction(v) -> Fraction:
-    # Decimal intent: 0.4 in a JSON file means 2/5, not the binary float.
-    try:
-        return to_rational(v)
-    except TypeError as exc:
-        raise DomainError(str(exc)) from exc
-
-
 def _fraction_json(v: Fraction):
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
@@ -128,12 +120,6 @@ class FiniteSystem:
         if not run or run[0] not in self.initial:
             return False
         return all(b in self.successors_any[a] for a, b in zip(run, run[1:]))
-
-    def output_run(self, run) -> tuple:
-        """Pointwise outputs of a state run; the run must be a valid path."""
-        if not self.is_run(run):
-            raise DomainError(f"not a run of this system: {run}")
-        return tuple(self.outputs[i] for i in run)
 
     def distance(self, i: int, j: int) -> Fraction:
         return max(abs(a - b) for a, b in zip(self.states[i], self.states[j]))
@@ -233,61 +219,74 @@ class FiniteSystem:
 
     @staticmethod
     def from_json(doc: dict) -> "FiniteSystem":
-        kind = doc.get("kind")
-        if kind == "abstraction-model":
-            meta = {
-                k: doc[k]
-                for k in ("config_digest", "epsilon")
-                if k in doc and doc[k] is not None
-            }
-            return FiniteSystem.on_lattice(
-                tuple(tuple(int(c) for c in row) for row in doc["states"]),
-                float(doc["state_theta"]),
-                tuple(tuple(int(c) for c in row) for row in doc["inputs"]),
-                float(doc["input_theta"]),
-                tuple(int(i) for i in doc["initial"]),
-                tuple(tuple((int(j),) for j in row) for row in doc["successors"]),
-                int(doc["p"]),
-                meta,
-            )
-        if kind == "finite-system":
-            # Equal int or string values share one Fraction and equal target
-            # lists one tuple: fewer objects per model, and equal outputs
-            # intern by identity.
-            fractions: dict = {}
-            targets: dict = {}
+        """Model from its JSON document; malformed content raises DomainError."""
+        try:
+            kind = doc.get("kind")
+            if kind == "abstraction-model":
+                meta = {
+                    k: doc[k]
+                    for k in ("config_digest", "epsilon")
+                    if k in doc and doc[k] is not None
+                }
+                return FiniteSystem.on_lattice(
+                    tuple(tuple(int(c) for c in row) for row in doc["states"]),
+                    float(doc["state_theta"]),
+                    tuple(tuple(int(c) for c in row) for row in doc["inputs"]),
+                    float(doc["input_theta"]),
+                    tuple(int(i) for i in doc["initial"]),
+                    tuple(tuple((int(j),) for j in row) for row in doc["successors"]),
+                    int(doc["p"]),
+                    meta,
+                )
+            if kind == "finite-system":
+                # Equal int or string values share one Fraction and equal target
+                # lists one tuple: fewer objects per model, and equal outputs
+                # intern by identity.
+                fractions: dict = {}
+                targets: dict = {}
 
-            def fraction(v):
-                if type(v) not in (int, str):
-                    return _to_fraction(v)
-                if v not in fractions:
-                    fractions[v] = _to_fraction(v)
-                return fractions[v]
+                def fraction(v):
+                    # Decimal intent: 0.4 in a JSON file means 2/5, not the binary float.
+                    if type(v) not in (int, str):
+                        return to_rational(v)
+                    if v not in fractions:
+                        fractions[v] = to_rational(v)
+                    return fractions[v]
 
-            states = tuple(tuple(map(fraction, row)) for row in doc["raw_states"])
-            outputs = tuple(tuple(map(fraction, row)) for row in doc["raw_outputs"])
-            inputs = tuple(doc["inputs"])
-            n_states, n_inputs = len(states), len(inputs)
-            table = [[set() for _ in range(n_inputs)] for _ in range(n_states)]
-            for i, u, j in doc["transitions"]:
-                table[int(i)][int(u)].add(int(j))
-            succ = tuple(
-                tuple(targets.setdefault(t, t) for t in map(tuple, map(sorted, row))) for row in table
-            )
-            return FiniteSystem(
-                states,
-                tuple(int(i) for i in doc["initial"]),
-                inputs,
-                succ,
-                outputs,
-                int(doc["p"]),
-            )
-        raise DomainError(f"unknown model kind {kind!r}")
+                states = tuple(tuple(map(fraction, row)) for row in doc["raw_states"])
+                outputs = tuple(tuple(map(fraction, row)) for row in doc["raw_outputs"])
+                inputs = tuple(doc["inputs"])
+                n_states, n_inputs = len(states), len(inputs)
+                table = [[set() for _ in range(n_inputs)] for _ in range(n_states)]
+                for i, u, j in doc["transitions"]:
+                    i, u = int(i), int(u)
+                    if not (0 <= i < n_states and 0 <= u < n_inputs):
+                        raise DomainError(f"transition {[i, u, j]} out of range")
+                    table[i][u].add(int(j))
+                succ = tuple(
+                    tuple(targets.setdefault(t, t) for t in map(tuple, map(sorted, row)))
+                    for row in table
+                )
+                return FiniteSystem(
+                    states,
+                    tuple(int(i) for i in doc["initial"]),
+                    inputs,
+                    succ,
+                    outputs,
+                    int(doc["p"]),
+                )
+            raise DomainError(f"unknown model kind {kind!r}")
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"malformed model file: {exc}") from exc
 
     @staticmethod
     def load(path: str) -> "FiniteSystem":
         with open(path) as fh:
-            return FiniteSystem.from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"model file {path} is not JSON: {exc}") from exc
+        return FiniteSystem.from_json(doc)
 
 
 def _to_rho(rho) -> Fraction:

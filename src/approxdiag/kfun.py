@@ -136,11 +136,6 @@ class KFunction:
         raise DomainError(f"unknown comparison-function form {form!r}")
 
 
-def compose_eval(f: KFunction, g: KFunction, r: float) -> float:
-    """f(g(r)); used for the composed decrease gain in the accuracy check."""
-    return f(g(r))
-
-
 def compose_inverse(f: KFunction, g: KFunction, y: float) -> float:
     """(f o g)^-1 (y) = g^-1(f^-1(y))."""
     return g.inverse(f.inverse(y))

@@ -110,13 +110,6 @@ class Box:
                 return False
         return True
 
-    def inflate(self, eps: float) -> "Box":
-        """Minkowski sum with the closed eps-ball; result is closed."""
-        return Box(
-            tuple(a - eps for a in self.lower),
-            tuple(b + eps for b in self.upper),
-        )
-
     def intersects(self, other: "Box") -> bool:
         if other.dim != self.dim:
             raise DimensionMismatchError("dimension mismatch")
@@ -189,10 +182,6 @@ class BoxUnion:
             raise DomainError("use BoxUnion((), dim) for an explicit empty union")
         return BoxUnion(tuple(boxes), boxes[0].dim)
 
-    @staticmethod
-    def empty(dim: int) -> "BoxUnion":
-        return BoxUnion((), dim)
-
     def is_empty(self) -> bool:
         return all(b.is_empty() for b in self.boxes)
 
@@ -227,12 +216,6 @@ class BoxUnion:
             out |= (points == b.lower) & b.lower_open | (points == b.upper) & b.upper_open
             inside |= ~out.any(axis=-1)
         return inside
-
-    def dilate(self, eps: float) -> "BoxUnion":
-        """Minkowski sum with the closed eps-ball (per-axis inflation)."""
-        if eps < 0:
-            raise DomainError("dilation radius must be nonnegative")
-        return BoxUnion(tuple(b.inflate(eps) for b in self.boxes if not b.is_empty()), self.dim)
 
     def distance_to(self, x) -> float:
         if not self.boxes:

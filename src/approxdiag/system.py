@@ -17,12 +17,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import exprs
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, InternalInvariantError, NumericError
 from .kfun import KFunction
 from .lattice import LatticePoint, quantize
 from .regions import Box, BoxUnion
@@ -70,8 +70,9 @@ class Certificate:
     weights: tuple[float, ...]
     explore_bound: Box
 
-    def v(self, a, b) -> float:
-        return max(w * abs(x - y) for w, x, y in zip(self.weights, a, b))
+    def v(self, a, b):
+        """V of each row pair: max over the last axis of w * |a - b|."""
+        return np.multiply(self.weights, np.abs(np.subtract(a, b))).max(axis=-1)
 
 
 def step(sysdef: SystemDef, x, u):
@@ -82,6 +83,20 @@ def step(sysdef: SystemDef, x, u):
     for v in out:
         if not math.isfinite(v):
             raise NumericError(f"non-finite state {out} from x={x}, u={u}")
+    return out
+
+
+def _step_rows(sysdef: SystemDef, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """``step`` of every row of (xs, us) in one numpy forest call.  The first
+    row the forest flags, or whose image is non-finite, is re-run through
+    ``step``, so it raises exactly the scalar exception."""
+    cols, bad = sysdef.compiled_np(list(xs.T), list(us.T))
+    out = np.column_stack(cols)
+    bad |= ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        r = int(np.flatnonzero(bad)[0])
+        step(sysdef, xs[r], us[r])
+        raise InternalInvariantError(f"row {r} flagged but steps")
     return out
 
 
@@ -218,27 +233,6 @@ def _parse_certificate(doc: dict, n: int) -> Certificate:
     return Certificate(alpha_lo, alpha_hi, lam, sigma, lipschitz, weights, bound)
 
 
-def system_to_json(sysdef: SystemDef, cert: Certificate) -> dict:
-    return {
-        "n": sysdef.n,
-        "m": sysdef.m,
-        "p": sysdef.p,
-        "f": list(sysdef.f_sources),
-        "eta": sysdef.eta,
-        "X0": sysdef.x0.to_json(),
-        "U": sysdef.u_set.to_json(),
-        "certificate": {
-            "alpha_lo": cert.alpha_lo.to_json(),
-            "alpha_hi": cert.alpha_hi.to_json(),
-            "lambda": cert.lam.to_json(),
-            "sigma": cert.sigma.to_json(),
-            "L": cert.lipschitz,
-            "V_weights": list(cert.weights),
-            "explore_bound": cert.explore_bound.to_json(),
-        },
-    }
-
-
 # -- certificate validation ------------------------------------------------
 
 
@@ -262,13 +256,7 @@ class CertificateReport:
         return worst <= CERT_VIOLATION_TOL
 
     def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "violation_bounds": self.violation_bounds,
-            "violation_decrease": self.violation_decrease,
-            "violation_lipschitz": self.violation_lipschitz,
-            "verdict": "PASS" if self.passed else "FAIL",
-        }
+        return {**asdict(self), "verdict": "PASS" if self.passed else "FAIL"}
 
 
 def _sample_union(rng: np.random.Generator, union: BoxUnion, count: int) -> np.ndarray:
@@ -308,24 +296,25 @@ def validate_certificate(
     us = _sample_union(rng, sysdef.u_set, samples)
     ups = _sample_union(rng, sysdef.u_set, samples)
 
-    worst_bounds = -math.inf
-    worst_decrease = -math.inf
-    worst_lip = -math.inf
-    prev_pair = None
-    for x, xp, u, up in zip(xs, xps, us, ups):
-        x, xp, u, up = tuple(x), tuple(xp), tuple(u), tuple(up)
-        d = max(abs(a - b) for a, b in zip(x, xp))
-        v = cert.v(x, xp)
-        worst_bounds = max(worst_bounds, cert.alpha_lo(d) - v, v - cert.alpha_hi(d))
-        du = max(abs(a - b) for a, b in zip(u, up))
-        v_next = cert.v(step(sysdef, x, u), step(sysdef, xp, up))
-        worst_decrease = max(worst_decrease, v_next - v + cert.lam(v) - cert.sigma(du))
-        if prev_pair is not None:
-            a, b = prev_pair
-            dprod = max(
-                max(abs(p - q) for p, q in zip(a, x)),
-                max(abs(p - q) for p, q in zip(b, xp)),
-            )
-            worst_lip = max(worst_lip, abs(cert.v(a, b) - v) - cert.lipschitz * dprod)
-        prev_pair = (x, xp)
-    return CertificateReport(samples, worst_bounds, worst_decrease, worst_lip)
+    d = np.abs(xs - xps).max(axis=1)
+    v = cert.v(xs, xps)
+    bounds = np.concatenate([_gains(cert.alpha_lo, d) - v, v - _gains(cert.alpha_hi, d)])
+    # Row 2k steps x_k and row 2k + 1 steps x'_k, so a failing row raises in
+    # sample order.
+    rows = _step_rows(
+        sysdef, np.hstack([xs, xps]).reshape(-1, sysdef.n), np.hstack([us, ups]).reshape(-1, sysdef.m)
+    )
+    du = np.abs(us - ups).max(axis=1)
+    decrease = cert.v(rows[0::2], rows[1::2]) - v + _gains(cert.lam, v) - _gains(cert.sigma, du)
+    # Each sample pair against the one drawn before it.
+    dprod = np.maximum(np.abs(xs[:-1] - xs[1:]).max(axis=1), np.abs(xps[:-1] - xps[1:]).max(axis=1))
+    lip = np.abs(v[:-1] - v[1:]) - cert.lipschitz * dprod
+    # fmax skips NaNs, as the builtin max does.
+    worst = (float(np.fmax.reduce(a, initial=-math.inf)) for a in (bounds, decrease, lip))
+    return CertificateReport(samples, *worst)
+
+
+def _gains(k: KFunction, r: np.ndarray) -> np.ndarray:
+    """k of each entry, one scalar call per numpy float: numpy's array
+    power need not round like the scalar one."""
+    return np.array([k(x) for x in r], dtype=float)

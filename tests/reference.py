@@ -5,24 +5,33 @@ integer output classes: outputs are compared as exact Fraction tuples and
 the ball is taken from exact rational distances.  Expressions are
 evaluated by walking the tree, and the abstraction BFS, the falsifier and
 the sampler run one point, one trial and one row at a time through the
-scalar forest.  They are oracles, not library code.
+scalar forest, as do the certificate and relation checks, one sample at
+a time.  They are oracles, not library code.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from approxdiag import exprs
-from approxdiag.abstraction import AbstractionParams
+from approxdiag.abstraction import AbstractionParams, RelationReport
 from approxdiag.bridge import Counterexample
 from approxdiag.diagnosis import Diagnoser, FaultSpec, Verdict, _unroll_witness
 from approxdiag.errors import BoundExceededError
 from approxdiag.finsys import FiniteSystem, _to_rho
-from approxdiag.lattice import lattice_image, quantize_index
+from approxdiag.lattice import lattice_image, quantize, quantize_index
 from approxdiag.regions import BoxUnion
-from approxdiag.system import Certificate, SystemDef, quantized_output_trace, step
+from approxdiag.system import (
+    Certificate,
+    CertificateReport,
+    SystemDef,
+    _sample_union,
+    quantized_output_trace,
+    step,
+)
 
 
 def exact_ball(system: FiniteSystem, fault, rho) -> frozenset[int]:
@@ -314,6 +323,110 @@ def reference_falsify(
             trial, fault_time, x0f, x0s, inputs, tuple(traj_f), tuple(traj_s), coords
         )
     return None
+
+
+def cert_v(cert: Certificate, a, b) -> float:
+    """V(a, b) of one point pair, as a generator max."""
+    return max(w * abs(x - y) for w, x, y in zip(cert.weights, a, b))
+
+
+def reference_validate_certificate(
+    sysdef: SystemDef, cert: Certificate, samples: int = 10_000, seed: int = 0
+) -> CertificateReport:
+    """Sample-at-a-time certificate check: two scalar steps per sample and
+    running maxima of the three violations."""
+    if samples <= 0:
+        return CertificateReport(0, -math.inf, -math.inf, -math.inf)
+    rng = np.random.default_rng(seed)
+    bound = BoxUnion.of(cert.explore_bound)
+    xs = _sample_union(rng, bound, samples)
+    xps = _sample_union(rng, bound, samples)
+    us = _sample_union(rng, sysdef.u_set, samples)
+    ups = _sample_union(rng, sysdef.u_set, samples)
+
+    worst_bounds = -math.inf
+    worst_decrease = -math.inf
+    worst_lip = -math.inf
+    prev_pair = None
+    for x, xp, u, up in zip(xs, xps, us, ups):
+        x, xp, u, up = tuple(x), tuple(xp), tuple(u), tuple(up)
+        d = max(abs(a - b) for a, b in zip(x, xp))
+        v = cert_v(cert, x, xp)
+        worst_bounds = max(worst_bounds, cert.alpha_lo(d) - v, v - cert.alpha_hi(d))
+        du = max(abs(a - b) for a, b in zip(u, up))
+        v_next = cert_v(cert, step(sysdef, x, u), step(sysdef, xp, up))
+        worst_decrease = max(worst_decrease, v_next - v + cert.lam(v) - cert.sigma(du))
+        if prev_pair is not None:
+            a, b = prev_pair
+            dprod = max(
+                max(abs(p - q) for p, q in zip(a, x)),
+                max(abs(p - q) for p, q in zip(b, xp)),
+            )
+            worst_lip = max(worst_lip, abs(cert_v(cert, a, b) - v) - cert.lipschitz * dprod)
+        prev_pair = (x, xp)
+    return CertificateReport(samples, worst_bounds, worst_decrease, worst_lip)
+
+
+def reference_certify_relation(
+    sysdef: SystemDef,
+    cert: Certificate,
+    params: AbstractionParams,
+    system: FiniteSystem,
+    samples: int = 10_000,
+    seed: int = 0,
+) -> RelationReport:
+    """Sample-at-a-time relation check: one scalar quantization per
+    sample and one scalar step per sample whose input quantizes into the
+    alphabet."""
+    threshold = cert.alpha_lo(params.epsilon)
+    eps = params.epsilon
+    rng = np.random.default_rng(seed)
+    coords_index = {c: i for i, c in enumerate(system.state_coords)}
+    input_index = {c: i for i, c in enumerate(system.input_coords)}
+    state_embeds = [tuple(2.0 * params.eta * c for c in coords) for coords in system.state_coords]
+
+    viol_init = viol_dist = viol_step = 0
+    max_v_next = 0.0
+
+    init_samples = _sample_union(rng, sysdef.x0, samples)
+    init_set = set(system.initial)
+    for x in init_samples:
+        x = tuple(x)
+        q = quantize(x, params.eta)
+        idx = coords_index.get(q.coords)
+        if idx is None or idx not in init_set:
+            viol_init += 1
+            continue
+        if cert_v(cert, x, state_embeds[idx]) > threshold:
+            viol_init += 1
+
+    state_picks = rng.integers(0, system.n_states, size=samples)
+    u_samples = _sample_union(rng, sysdef.u_set, samples)
+    unit = rng.uniform(-1.0, 1.0, size=(samples, sysdef.n))
+    for k in range(samples):
+        s_idx = int(state_picks[k])
+        xi = state_embeds[s_idx]
+        x = tuple(
+            xi_i + unit[k][i] * threshold / cert.weights[i] for i, xi_i in enumerate(xi)
+        )
+        if max(abs(a - b) for a, b in zip(x, xi)) > eps:
+            viol_dist += 1
+        u = tuple(u_samples[k])
+        v_coords = quantize(u, params.mu).coords
+        u_idx = input_index.get(v_coords)
+        if u_idx is None:
+            viol_step += 1
+            continue
+        x_next = step(sysdef, x, u)
+        xi_next_idx = system.succ[s_idx][u_idx][0]
+        xi_next = state_embeds[xi_next_idx]
+        v_next = cert_v(cert, x_next, xi_next)
+        max_v_next = max(max_v_next, v_next)
+        if v_next > threshold:
+            viol_step += 1
+        elif max(abs(a - b) for a, b in zip(x_next, xi_next)) > eps:
+            viol_dist += 1
+    return RelationReport(samples, threshold, float(max_v_next), viol_init, viol_dist, viol_step)
 
 
 def eval_expr(node: exprs.Node, x, u) -> float:

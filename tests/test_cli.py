@@ -109,6 +109,19 @@ def test_monitor_malformed_line_is_precondition_failure(capsys, monkeypatch, std
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["check-fts", "monitor"])
+def test_malformed_model_file_is_precondition_failure(tmp_path, capsys, monkeypatch, command):
+    model = tmp_path / "d1.json"
+    doc = json.loads(Path(D1).read_text())
+    doc["transitions"].append([-1, 0, 0])
+    model.write_text(json.dumps(doc))
+    monkeypatch.setattr("sys.stdin", io.StringIO("[0]\n"))
+    assert main([command, str(model), "--faults", "1", "--rho", "0"]) == 4
+    assert "out of range" in capsys.readouterr().err
+    model.write_text("not json")
+    assert main([command, str(model), "--faults", "1", "--rho", "0"]) == 4
+
+
 @pytest.fixture
 def e1_fine_model(tmp_path, capsys):
     """The e1 abstraction at eta 0.05 with faults at x1 >= 1.5, which the

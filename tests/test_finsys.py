@@ -7,8 +7,15 @@ import pytest
 from approxdiag.abstraction import AbstractionParams, build_abstraction, solve_epsilon
 from approxdiag.errors import DimensionMismatchError, DomainError
 from approxdiag.finsys import FiniteSystem, observation_symbol
-from approxdiag.fixtures import d1, e1, nd1, random_finite_system
+from approxdiag.fixtures import d1, d1_doc, e1, nd1, random_finite_system
 from reference import synchronized_product
+
+
+def output_run(s: FiniteSystem, run) -> tuple:
+    """Pointwise outputs of a state run; the run must be a valid path."""
+    if not s.is_run(run):
+        raise DomainError(f"not a run of this system: {run}")
+    return tuple(s.outputs[i] for i in run)
 
 
 def test_ball_states_examples():
@@ -32,12 +39,12 @@ def test_ball_states_monotone_in_rho():
 
 def test_output_run():
     s = d1()
-    assert s.output_run((0,)) == ((Fraction(0),),)
-    assert s.output_run((0, 1, 1)) == ((Fraction(0),), (Fraction(2),), (Fraction(2),))
+    assert output_run(s, (0,)) == ((Fraction(0),),)
+    assert output_run(s, (0, 1, 1)) == ((Fraction(0),), (Fraction(2),), (Fraction(2),))
     with pytest.raises(DomainError):
-        s.output_run((0, 0))  # no self-loop at the initial state
+        output_run(s, (0, 0))  # no self-loop at the initial state
     with pytest.raises(DomainError):
-        s.output_run((1, 1))  # not anchored at an initial state
+        output_run(s, (1, 1))  # not anchored at an initial state
 
 
 def test_product_diagonal_when_outputs_distinct():
@@ -83,7 +90,7 @@ def test_product_soundness_by_enumeration():
         }
         for run_a, run_b in itertools.islice(decoded, 200):
             assert s.is_run(run_a) and s.is_run(run_b)
-            assert s.output_run(run_a) == s.output_run(run_b)
+            assert output_run(s, run_a) == output_run(s, run_b)
         # Conversely, equal-output run pairs lift into the product.
         runs = enumerate_runs(s, horizon)
         by_out = {}
@@ -188,3 +195,19 @@ def test_observation_symbol_rejects_malformed_input(values):
     lattice = build_abstraction(sysdef, cert, params)
     with pytest.raises(DomainError):
         observation_symbol(lattice, values)
+
+
+BAD_TRANSITIONS = {"source 9": [9, 0, 1], "input 5": [0, 5, 1], "source -1": [-1, 0, 0], "input -1": [0, -1, 0]}
+
+
+@pytest.mark.parametrize("case", ["raw value", "initial state", *BAD_TRANSITIONS])
+def test_from_json_rejects_malformed_file(case):
+    doc = d1_doc()
+    if case == "raw value":
+        doc["raw_states"][1] = ["x"]
+    elif case == "initial state":
+        doc["initial"] = ["q"]
+    else:
+        doc["transitions"].append(BAD_TRANSITIONS[case])
+    with pytest.raises(DomainError):
+        FiniteSystem.from_json(doc)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from approxdiag.errors import DomainError, RangeError
-from approxdiag.kfun import KFunction, compose_eval, compose_inverse
+from approxdiag.kfun import KFunction, compose_inverse
+
+
+def compose_eval(f: KFunction, g: KFunction, r: float) -> float:
+    """f(g(r)); used for the composed decrease gain in the accuracy check."""
+    return f(g(r))
 
 
 def bisect_inverse(f, y, lo=0.0, hi=None, iters=200):

