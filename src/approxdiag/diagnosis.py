@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -43,6 +44,17 @@ from .finsys import FiniteSystem, _to_rho
 
 BRUTE_MAX_STATES = 64
 BRUTE_MAX_HORIZON = 24
+
+# Twin-plant BFS levels of at least this many pairs are expanded as one numpy
+# join; smaller levels (every level of a desk-scale system) run the scalar
+# `moves` loop, which is faster there.
+_BATCH_MIN = 64
+# Left rows (frontier pair x successor of its left state) joined at once, so
+# the join's arrays stay small whatever the level size.
+_JOIN_CHUNK = 1 << 12
+# Largest pair space n*n that gets a dense visited bitmap; above it every
+# level stays scalar.
+_PAIR_CAP = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -153,6 +165,18 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
                     out.append(base + b)
         return out
 
+    # The same relation as flat index arrays, built the first time a level
+    # is large enough to expand in one join.
+    tables = None
+
+    def batched(frontier) -> _PairJoin | None:
+        nonlocal tables
+        if len(frontier) < _BATCH_MIN or n * n > _PAIR_CAP:
+            return None
+        if tables is None:
+            tables = _PairJoin(system, ball, spec.faults)
+        return tables
+
     # Phase A: pairs with no fault seen on the left and no ball visit on the
     # right, reached from output-matched initial pairs.
     same_class: dict[int, list[int]] = {}
@@ -167,16 +191,32 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
             if j not in ball and code not in a_parent:
                 a_parent[code] = None
                 frontier.append(code)
+    seen = None
     while frontier:
         nxt = []
-        for code in frontier:
-            for tgt in moves(code):
-                if faulty[tgt // n]:
-                    if tgt not in entries:
-                        entries[tgt] = code
-                elif tgt not in a_parent:
-                    a_parent[tgt] = code
-                    nxt.append(tgt)
+        join = batched(frontier)
+        if join is not None:
+            if seen is None:
+                seen = join.bitmap(a_parent, entries)
+            for tgt, par in join.level(frontier, seen):
+                hit = join.faulty[tgt // n]
+                entries.update(zip(tgt[hit].tolist(), par[hit].tolist()))
+                kept = tgt[~hit].tolist()
+                a_parent.update(zip(kept, par[~hit].tolist()))
+                nxt += kept
+        else:
+            fresh = []
+            for code in frontier:
+                for tgt in moves(code):
+                    if faulty[tgt // n]:
+                        if tgt not in entries:
+                            entries[tgt] = code
+                            fresh.append(tgt)
+                    elif tgt not in a_parent:
+                        a_parent[tgt] = code
+                        nxt.append(tgt)
+            if seen is not None:
+                seen[fresh + nxt] = True
         frontier = nxt
 
     if not entries:
@@ -186,13 +226,25 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
     # entries; within the region only the ball constraint remains.
     b_parent: dict[int, int | None] = {code: None for code in entries}
     frontier = list(entries)
+    seen = None
     while frontier:
         nxt = []
-        for code in frontier:
-            for tgt in moves(code):
-                if tgt not in b_parent:
-                    b_parent[tgt] = code
-                    nxt.append(tgt)
+        join = batched(frontier)
+        if join is not None:
+            if seen is None:
+                seen = join.bitmap(b_parent)
+            for tgt, par in join.level(frontier, seen):
+                kept = tgt.tolist()
+                b_parent.update(zip(kept, par.tolist()))
+                nxt += kept
+        else:
+            for code in frontier:
+                for tgt in moves(code):
+                    if tgt not in b_parent:
+                        b_parent[tgt] = code
+                        nxt.append(tgt)
+            if seen is not None:
+                seen[nxt] = True
         frontier = nxt
     region = b_parent.keys()
 
@@ -244,6 +296,86 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
         delta=delta,
         stats={"region_states": len(b_parent), "phase_a_pairs": len(a_parent)},
     )
+
+
+class _PairJoin:
+    """The twin-plant move relation as flat index arrays, so that a whole
+    BFS level expands at once and in exactly the order of the scalar loop
+    `for code in frontier: for tgt in moves(code)`.
+
+    Left side: per state i, the (class, successor) rows of
+    ``successors_by_output[i]`` in its iteration order (CSR over states).
+    Right side: the ball-free successors of every state, sorted by
+    ``state * C + class`` and then by successor, with a dense start table
+    over those keys, so a left row's matching right range is two lookups."""
+
+    def __init__(self, system: FiniteSystem, ball: frozenset[int], faults: frozenset[int]):
+        n = self.n = system.n_states
+        n_classes = self.n_classes = len(system.class_of)
+        counts = np.fromiter(map(len, system.successors_any), dtype=np.int64, count=n)
+        self.ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.ptr[1:])
+        flat = np.fromiter(
+            chain.from_iterable(system.successors_any), dtype=np.int64, count=int(self.ptr[-1])
+        )
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n_classes, counts)
+        keys += np.array(system.output_ids, dtype=np.int64)[flat]
+        # Within a state, the class groups of successors_by_output come in the
+        # order of their first (smallest) member, and members ascend.
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first[group], kind="stable")
+        self.succ = flat[order]
+        self.cls = keys[order] % n_classes
+        in_ball = np.zeros(n, dtype=bool)
+        in_ball[list(ball)] = True
+        self.faulty = np.zeros(n, dtype=bool)
+        self.faulty[list(faults)] = True
+        safe = ~in_ball[flat]
+        keys = keys[safe]
+        self.right = flat[safe][np.argsort(keys, kind="stable")]
+        self.start = np.zeros(n * n_classes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys, minlength=n * n_classes), out=self.start[1:])
+
+    def bitmap(self, *visited) -> np.ndarray:
+        """Dense n*n visited flags, set for the keys of the given dicts."""
+        seen = np.zeros(self.n * self.n, dtype=bool)
+        for codes in visited:
+            seen[np.fromiter(codes, dtype=np.int64, count=len(codes))] = True
+        return seen
+
+    def level(self, frontier, seen: np.ndarray):
+        """Yield, one chunk of at most _JOIN_CHUNK left rows at a time, the
+        (target, parent) arrays of the pairs the scalar loop over `frontier`
+        reaches first, in its order, skipping and then marking `seen`."""
+        n = self.n
+        codes = np.array(frontier, dtype=np.int64)
+        lo = self.ptr[codes // n]
+        counts = self.ptr[codes // n + 1] - lo
+        ends = np.cumsum(counts)
+        shift = lo - (ends - counts)  # left row = shift[pair] + row number
+        j_keys = (codes % n) * self.n_classes
+        total = int(ends[-1])
+        for first in range(0, total, _JOIN_CHUNK):
+            last = min(first + _JOIN_CHUNK, total)
+            # The pairs owning rows first .. last-1, one entry per row.
+            p0, p1 = np.searchsorted(ends, (first, last - 1), side="right").tolist()
+            pair = np.repeat(np.arange(p0, p1 + 1), counts[p0 : p1 + 1])
+            skip = first - int(ends[p0] - counts[p0])
+            pair = pair[skip : skip + last - first]
+            left = shift[pair] + np.arange(first, last)
+            keys = j_keys[pair] + self.cls[left]
+            r_lo = self.start[keys]
+            r_counts = self.start[keys + 1] - r_lo
+            row = np.repeat(np.arange(len(left)), r_counts)
+            right = self.right[r_lo[row] + np.arange(len(row)) - (np.cumsum(r_counts) - r_counts)[row]]
+            tgt = self.succ[left][row] * n + right
+            new = ~seen[tgt]
+            tgt, par = tgt[new], codes[pair[row[new]]]
+            _, firsts = np.unique(tgt, return_index=True)
+            firsts.sort()
+            tgt, par = tgt[firsts], par[firsts]
+            seen[tgt] = True
+            yield tgt, par
 
 
 def _unroll_witness(system, a_parent, entries, b_parent, cycle, n):

@@ -36,6 +36,13 @@ _BALL_CHUNK = 1 << 15
 _COORD_LIMIT = 1 << 62
 
 
+def _index(v) -> int:
+    """A JSON integer field: int() would truncate 1.7 and accept true."""
+    if type(v) is not int:
+        raise DomainError(f"expected an integer, got {v!r}")
+    return v
+
+
 def _fraction_json(v: Fraction):
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
@@ -229,13 +236,13 @@ class FiniteSystem:
                     if k in doc and doc[k] is not None
                 }
                 return FiniteSystem.on_lattice(
-                    tuple(tuple(int(c) for c in row) for row in doc["states"]),
+                    tuple(tuple(map(_index, row)) for row in doc["states"]),
                     float(doc["state_theta"]),
-                    tuple(tuple(int(c) for c in row) for row in doc["inputs"]),
+                    tuple(tuple(map(_index, row)) for row in doc["inputs"]),
                     float(doc["input_theta"]),
-                    tuple(int(i) for i in doc["initial"]),
-                    tuple(tuple((int(j),) for j in row) for row in doc["successors"]),
-                    int(doc["p"]),
+                    tuple(map(_index, doc["initial"])),
+                    tuple(tuple((_index(j),) for j in row) for row in doc["successors"]),
+                    _index(doc["p"]),
                     meta,
                 )
             if kind == "finite-system":
@@ -259,21 +266,21 @@ class FiniteSystem:
                 n_states, n_inputs = len(states), len(inputs)
                 table = [[set() for _ in range(n_inputs)] for _ in range(n_states)]
                 for i, u, j in doc["transitions"]:
-                    i, u = int(i), int(u)
+                    i, u, j = _index(i), _index(u), _index(j)
                     if not (0 <= i < n_states and 0 <= u < n_inputs):
                         raise DomainError(f"transition {[i, u, j]} out of range")
-                    table[i][u].add(int(j))
+                    table[i][u].add(j)
                 succ = tuple(
                     tuple(targets.setdefault(t, t) for t in map(tuple, map(sorted, row)))
                     for row in table
                 )
                 return FiniteSystem(
                     states,
-                    tuple(int(i) for i in doc["initial"]),
+                    tuple(map(_index, doc["initial"])),
                     inputs,
                     succ,
                     outputs,
-                    int(doc["p"]),
+                    _index(doc["p"]),
                 )
             raise DomainError(f"unknown model kind {kind!r}")
         except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

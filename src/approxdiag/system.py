@@ -256,7 +256,9 @@ class CertificateReport:
         return worst <= CERT_VIOLATION_TOL
 
     def to_json(self) -> dict:
-        return {**asdict(self), "verdict": "PASS" if self.passed else "FAIL"}
+        # A violation no sample measured is -inf, which JSON cannot carry: null.
+        doc = {k: None if v == -math.inf else v for k, v in asdict(self).items()}
+        return {**doc, "verdict": "PASS" if self.passed else "FAIL"}
 
 
 def _sample_union(rng: np.random.Generator, union: BoxUnion, count: int) -> np.ndarray:

@@ -31,6 +31,18 @@ def test_validate(capsys):
     assert doc["schema"] == "approxdiag/report/v1"
 
 
+@pytest.mark.parametrize("samples, unmeasured", [(0, 3), (1, 1), (-5, 3)])
+def test_validate_json_with_too_few_samples(capsys, samples, unmeasured):
+    # A violation no sample pair measured is written as null; the check passes vacuously.
+    code, doc = run_json(capsys, ["validate", E1, "--samples", str(samples), "--json"])
+    assert code == 0
+    verdict = doc["verdict"]
+    assert verdict["verdict"] == "PASS" and verdict["samples"] == max(samples, 0)
+    values = [v for k, v in verdict.items() if k.startswith("violation_")]
+    assert len(values) == 3 and values.count(None) == unmeasured
+    assert all(isinstance(v, float) for v in values if v is not None)
+
+
 def test_reports_reproducible_modulo_timings(capsys):
     _, a = run_json(capsys, ["validate", E1, "--samples", "500", "--json"])
     _, b = run_json(capsys, ["validate", E1, "--samples", "500", "--json"])

@@ -197,17 +197,57 @@ def test_observation_symbol_rejects_malformed_input(values):
         observation_symbol(lattice, values)
 
 
-BAD_TRANSITIONS = {"source 9": [9, 0, 1], "input 5": [0, 5, 1], "source -1": [-1, 0, 0], "input -1": [0, -1, 0]}
+BAD_TRANSITIONS = {
+    "source 9": [9, 0, 1],
+    "input 5": [0, 5, 1],
+    "source -1": [-1, 0, 0],
+    "input -1": [0, -1, 0],
+    "source 1.7": [1.7, 0, 0],
+    "target 2.0": [0, 0, 2.0],
+    "input true": [0, True, 1],
+}
+BAD_INITIAL = {"initial state": ["q"], "initial true": [True], "initial 0.0": [0.0]}
 
 
-@pytest.mark.parametrize("case", ["raw value", "initial state", *BAD_TRANSITIONS])
+@pytest.mark.parametrize("case", ["raw value", "p 1.0", *BAD_INITIAL, *BAD_TRANSITIONS])
 def test_from_json_rejects_malformed_file(case):
     doc = d1_doc()
     if case == "raw value":
         doc["raw_states"][1] = ["x"]
-    elif case == "initial state":
-        doc["initial"] = ["q"]
+    elif case == "p 1.0":
+        doc["p"] = 1.0
+    elif case in BAD_INITIAL:
+        doc["initial"] = BAD_INITIAL[case]
     else:
         doc["transitions"].append(BAD_TRANSITIONS[case])
     with pytest.raises(DomainError):
+        FiniteSystem.from_json(doc)
+
+
+def lattice_doc() -> dict:
+    return {
+        "kind": "abstraction-model", "schema": 1, "p": 1,
+        "state_theta": 0.03, "input_theta": 0.01,
+        "states": [[0, 0], [25, 10]], "inputs": [[0]],
+        "initial": [0], "successors": [[1], [1]],
+    }
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("states", [[0, 0], [25.5, 10]]),
+        ("states", [[0, False], [25, 10]]),
+        ("inputs", [[0.0]]),
+        ("initial", [True]),
+        ("successors", [[1.7], [1]]),
+        ("successors", [[True], [1]]),
+        ("p", True),
+    ],
+)
+def test_from_json_rejects_non_integer_lattice_fields(key, value):
+    assert FiniteSystem.from_json(lattice_doc()).succ == (((1,),), ((1,),))
+    doc = lattice_doc()
+    doc[key] = value
+    with pytest.raises(DomainError, match="expected an integer"):
         FiniteSystem.from_json(doc)

@@ -4,6 +4,7 @@ checked against their exact Fraction-valued forms in `reference.py`."""
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 import approxdiag as ad
-from approxdiag import bridge
+from approxdiag import bridge, diagnosis
 from approxdiag.diagnosis import check_diagnosability
 from approxdiag.finsys import FiniteSystem
-from approxdiag.fixtures import D1_FAULTS, d1, random_finite_system
+from approxdiag.fixtures import D1_FAULTS, ND1_FAULTS, d1, nd1, random_finite_system
 from approxdiag.rational import to_rational
 from reference import exact_ball, reference_check
 
@@ -125,12 +126,107 @@ def test_checker_matches_fraction_reference_on_random_suite():
         assert_same_verdict(check_diagnosability(system, spec), reference_check(system, spec))
 
 
+@pytest.fixture(scope="module")
+def e1_references(e1_checks):
+    return {mode: reference_check(*check) for mode, check in e1_checks.items()}
+
+
 @pytest.mark.parametrize("mode", sorted(E1_SCENARIOS))
-def test_checker_matches_fraction_reference_on_e1(e1_checks, mode):
+def test_checker_matches_fraction_reference_on_e1(e1_checks, e1_references, mode):
     system, spec = e1_checks[mode]
     got = check_diagnosability(system, spec)
     assert got.diagnosable == (mode == "prove")
-    assert_same_verdict(got, reference_check(system, spec))
+    assert_same_verdict(got, e1_references[mode])
+
+
+def scalar_check(system, spec):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagnosis, "_BATCH_MIN", math.inf)
+        return check_diagnosability(system, spec)
+
+
+def widening_system():
+    """One output class; both twin-plant phases have levels of 1, 2 or 4
+    pairs that alternate, so at _BATCH_MIN 2 a scalar level runs after
+    the visited bitmap exists and is followed by a join."""
+    succ = [(1, 2), (3,), (3,), (4, 5, 8), (6,), (6,), (9, 10), (7,), (8,), (6,), (6,)]
+    states = tuple((Fraction(i),) for i in range(len(succ)))
+    outputs = ((Fraction(0),),) * len(succ)
+    system = FiniteSystem(states, (0,), ("u",), tuple((t,) for t in succ), outputs, 1)
+    return system, ad.FaultSpec.of({8}, 0)
+
+
+def desk_cases():
+    rng = np.random.default_rng(SUITE_SEED)
+    cases = [random_finite_system(rng) for _ in range(200)]
+    return cases + [
+        (d1(), ad.FaultSpec.of(D1_FAULTS, 0)),
+        (nd1(), ad.FaultSpec.of(ND1_FAULTS, 5)),
+        widening_system(),
+    ]
+
+
+@pytest.mark.parametrize("batch_min", [1, 2])
+def test_batched_levels_match_scalar_and_reference(monkeypatch, batch_min):
+    # At 1 every level runs the numpy join; at 2 single-pair levels stay
+    # scalar, so the two paths alternate within one search.  Three left rows
+    # per chunk put chunk boundaries inside the rows of one pair.
+    monkeypatch.setattr(diagnosis, "_BATCH_MIN", batch_min)
+    monkeypatch.setattr(diagnosis, "_JOIN_CHUNK", 3)
+    joins = []
+    monkeypatch.setattr(diagnosis._PairJoin, "level", counting(diagnosis._PairJoin.level, joins))
+    for system, spec in desk_cases():
+        got = check_diagnosability(system, spec)
+        assert_same_verdict(got, scalar_check(system, spec))
+        assert_same_verdict(got, reference_check(system, spec))
+    assert len(joins) > 200
+
+
+@pytest.mark.parametrize("mode", sorted(E1_SCENARIOS))
+def test_batched_levels_match_scalar_and_reference_on_e1(e1_checks, e1_references, mode, monkeypatch):
+    # 97 left rows per chunk: thousands of chunk boundaries at a tier-1 cost
+    # (a 3-row chunk makes about half a million chunks here).
+    monkeypatch.setattr(diagnosis, "_BATCH_MIN", 1)
+    monkeypatch.setattr(diagnosis, "_JOIN_CHUNK", 97)
+    system, spec = e1_checks[mode]
+    got = check_diagnosability(system, spec)
+    assert_same_verdict(got, scalar_check(system, spec))
+    assert_same_verdict(got, e1_references[mode])
+
+
+def test_pair_cap_keeps_every_level_scalar(e1_checks, monkeypatch):
+    monkeypatch.setattr(diagnosis, "_BATCH_MIN", 1)
+    cases = desk_cases() + [e1_checks[mode] for mode in sorted(E1_SCENARIOS)]
+    batched = [check_diagnosability(*case) for case in cases]
+    monkeypatch.setattr(diagnosis, "_PAIR_CAP", 0)
+    monkeypatch.setattr(diagnosis, "_PairJoin", None)  # any use would raise
+    for case, want in zip(cases, batched):
+        assert_same_verdict(check_diagnosability(*case), want)
+
+
+def test_batched_check_memory_stays_flat(e1_checks):
+    # About 10 MB with 4,096-row chunks (4 MB scalar); without the chunk
+    # bound the join's arrays take about 96 MB.
+    system, spec = e1_checks["refute"]
+    system.ball_states(spec.faults, spec.rho)
+    tracemalloc.start()
+    try:
+        check_diagnosability(system, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
+def counting(level, calls):
+    def wrapped(self, frontier, seen):
+        # Every frontier pair was admitted earlier, by either path, so the
+        # visited bitmap must already hold it.
+        assert seen[frontier].all()
+        calls.append(len(frontier))
+        yield from level(self, frontier, seen)
+
+    return wrapped
 
 
 @pytest.mark.parametrize("mode", sorted(E1_SCENARIOS))
