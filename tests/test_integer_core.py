@@ -145,6 +145,22 @@ def scalar_check(system, spec):
         return check_diagnosability(system, spec)
 
 
+def watched_levels(monkeypatch):
+    """Sizes of the levels that run the join, each checked on entry: every
+    frontier pair was admitted earlier, by either path, so the visited
+    bitmap must already hold it."""
+    sizes = []
+    level = diagnosis._PairJoin.level
+
+    def watched(self, frontier, seen):
+        assert seen[frontier].all()
+        sizes.append(len(frontier))
+        yield from level(self, frontier, seen)
+
+    monkeypatch.setattr(diagnosis._PairJoin, "level", watched)
+    return sizes
+
+
 def widening_system():
     """One output class; both twin-plant phases have levels of 1, 2 or 4
     pairs that alternate, so at _BATCH_MIN 2 a scalar level runs after
@@ -173,8 +189,7 @@ def test_batched_levels_match_scalar_and_reference(monkeypatch, batch_min):
     # per chunk put chunk boundaries inside the rows of one pair.
     monkeypatch.setattr(diagnosis, "_BATCH_MIN", batch_min)
     monkeypatch.setattr(diagnosis, "_JOIN_CHUNK", 3)
-    joins = []
-    monkeypatch.setattr(diagnosis._PairJoin, "level", counting(diagnosis._PairJoin.level, joins))
+    joins = watched_levels(monkeypatch)
     for system, spec in desk_cases():
         got = check_diagnosability(system, spec)
         assert_same_verdict(got, scalar_check(system, spec))
@@ -188,8 +203,10 @@ def test_batched_levels_match_scalar_and_reference_on_e1(e1_checks, e1_reference
     # (a 3-row chunk makes about half a million chunks here).
     monkeypatch.setattr(diagnosis, "_BATCH_MIN", 1)
     monkeypatch.setattr(diagnosis, "_JOIN_CHUNK", 97)
+    joins = watched_levels(monkeypatch)
     system, spec = e1_checks[mode]
     got = check_diagnosability(system, spec)
+    assert max(joins) > 10_000
     assert_same_verdict(got, scalar_check(system, spec))
     assert_same_verdict(got, e1_references[mode])
 
@@ -216,17 +233,6 @@ def test_batched_check_memory_stays_flat(e1_checks):
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
-
-
-def counting(level, calls):
-    def wrapped(self, frontier, seen):
-        # Every frontier pair was admitted earlier, by either path, so the
-        # visited bitmap must already hold it.
-        assert seen[frontier].all()
-        calls.append(len(frontier))
-        yield from level(self, frontier, seen)
-
-    return wrapped
 
 
 @pytest.mark.parametrize("mode", sorted(E1_SCENARIOS))
