@@ -184,10 +184,6 @@ def build_abstraction(
         succ_ids.append(row_ids.reshape(len(level), n_in))
         level = fresh
 
-    singles = [(i,) for i in range(len(index))]
-    succ = tuple(
-        tuple(map(singles.__getitem__, row)) for row in np.concatenate(succ_ids).tolist()
-    )
     meta = {"epsilon": params.epsilon}
     if config_digest is not None:
         meta["config_digest"] = config_digest
@@ -197,7 +193,7 @@ def build_abstraction(
         tuple(input_coords),
         mu,
         initial,
-        succ,
+        np.concatenate(succ_ids),
         sysdef.p,
         meta,
     )
@@ -275,8 +271,7 @@ def certify_relation(
     u_idx = _lookup(input_index, u_samples, params.mu)
     live = np.flatnonzero(u_idx >= 0)
     x_next = _step_rows(sysdef, x[live], u_samples[live])
-    targets = [system.succ[s][u][0] for s, u in zip(state_picks[live], u_idx[live])]
-    xi_next = state_embeds[np.array(targets, dtype=np.int64)]
+    xi_next = state_embeds[system.successor_matrix[state_picks[live], u_idx[live]]]
     v_next = cert.v(x_next, xi_next)
     broken = v_next > threshold
     viol_dist += np.count_nonzero(np.abs(x_next - xi_next).max(axis=1)[~broken] > eps)

@@ -54,6 +54,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _sample_count(text: str) -> int:
+    """--samples: a nonnegative integer (0 passes vacuously)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"sample count must be nonnegative, got {value}")
+    return value
+
+
 def _emit(args, doc: dict):
     if args.json:
         print(canonical_json(doc))
@@ -346,7 +354,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("validate", parents=[], help="validate a config and its certificate")
     sub.add_argument("config")
-    sub.add_argument("--samples", type=int, default=10_000)
+    sub.add_argument("--samples", type=_sample_count, default=10_000)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_validate)
@@ -362,7 +370,7 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("certify", help="sample the accuracy relation on a built abstraction")
     sub.add_argument("config")
     _add_params_flags(sub)
-    sub.add_argument("--samples", type=int, default=10_000)
+    sub.add_argument("--samples", type=_sample_count, default=10_000)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--threads", type=int, help="accepted and ignored")
     sub.add_argument("--json", action="store_true")

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -169,9 +168,9 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
     # is large enough to expand in one join.
     tables = None
 
-    def batched(frontier) -> _PairJoin | None:
+    def batched(size: int) -> _PairJoin | None:
         nonlocal tables
-        if len(frontier) < _BATCH_MIN or n * n > _PAIR_CAP:
+        if size < _BATCH_MIN or n * n > _PAIR_CAP:
             return None
         if tables is None:
             tables = _PairJoin(system, ball, spec.faults)
@@ -182,19 +181,23 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
     same_class: dict[int, list[int]] = {}
     for j in system.initial:
         same_class.setdefault(ids[j], []).append(j)
-    a_parent: dict[int, int | None] = {}
     entries: dict[int, int | None] = {}  # region entry -> predecessor in phase A
-    frontier = []
-    for i in system.initial:
-        for j in same_class[ids[i]]:
-            code = i * n + j
-            if j not in ball and code not in a_parent:
-                a_parent[code] = None
-                frontier.append(code)
+    join = batched(sum(len(same_class[ids[i]]) for i in system.initial))
+    if join is not None:
+        frontier = join.initial_pairs(system.initial)
+        a_parent: dict[int, int | None] = dict.fromkeys(frontier)
+    else:
+        frontier, a_parent = [], {}
+        for i in system.initial:
+            for j in same_class[ids[i]]:
+                code = i * n + j
+                if j not in ball and code not in a_parent:
+                    a_parent[code] = None
+                    frontier.append(code)
     seen = None
     while frontier:
         nxt = []
-        join = batched(frontier)
+        join = batched(len(frontier))
         if join is not None:
             if seen is None:
                 seen = join.bitmap(a_parent, entries)
@@ -229,7 +232,7 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
     seen = None
     while frontier:
         nxt = []
-        join = batched(frontier)
+        join = batched(len(frontier))
         if join is not None:
             if seen is None:
                 seen = join.bitmap(b_parent)
@@ -312,29 +315,41 @@ class _PairJoin:
     def __init__(self, system: FiniteSystem, ball: frozenset[int], faults: frozenset[int]):
         n = self.n = system.n_states
         n_classes = self.n_classes = len(system.class_of)
-        counts = np.fromiter(map(len, system.successors_any), dtype=np.int64, count=n)
-        self.ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.ptr[1:])
-        flat = np.fromiter(
-            chain.from_iterable(system.successors_any), dtype=np.int64, count=int(self.ptr[-1])
-        )
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n_classes, counts)
-        keys += np.array(system.output_ids, dtype=np.int64)[flat]
+        self.ptr, flat = system.successor_csr
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n_classes, np.diff(self.ptr))
+        self.ids = np.array(system.output_ids, dtype=np.int64)
+        keys += self.ids[flat]
         # Within a state, the class groups of successors_by_output come in the
         # order of their first (smallest) member, and members ascend.
         _, first, group = np.unique(keys, return_index=True, return_inverse=True)
         order = np.argsort(first[group], kind="stable")
         self.succ = flat[order]
         self.cls = keys[order] % n_classes
-        in_ball = np.zeros(n, dtype=bool)
-        in_ball[list(ball)] = True
+        self.in_ball = np.zeros(n, dtype=bool)
+        self.in_ball[list(ball)] = True
         self.faulty = np.zeros(n, dtype=bool)
         self.faulty[list(faults)] = True
-        safe = ~in_ball[flat]
+        safe = ~self.in_ball[flat]
         keys = keys[safe]
         self.right = flat[safe][np.argsort(keys, kind="stable")]
         self.start = np.zeros(n * n_classes + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys, minlength=n * n_classes), out=self.start[1:])
+
+    def initial_pairs(self, initial) -> list[int]:
+        """Codes of the output-matched initial pairs whose right side avoids
+        the ball, in the scalar order (i in `initial` order, then j in
+        `initial` order within the class of i), each at its first occurrence."""
+        init = np.array(initial, dtype=np.int64)
+        cls = self.ids[init]
+        order = np.argsort(cls, kind="stable")
+        keys, start, size = np.unique(cls[order], return_index=True, return_counts=True)
+        slot = np.searchsorted(keys, cls)
+        reps = size[slot]
+        ends = np.cumsum(reps)
+        right = init[order][np.repeat(start[slot] - (ends - reps), reps) + np.arange(ends[-1])]
+        codes = (np.repeat(init, reps) * self.n + right)[~self.in_ball[right]]
+        _, first = np.unique(codes, return_index=True)
+        return codes[np.sort(first)].tolist()
 
     def bitmap(self, *visited) -> np.ndarray:
         """Dense n*n visited flags, set for the keys of the given dicts."""

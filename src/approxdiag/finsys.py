@@ -17,8 +17,10 @@ precisely so that case stays unambiguous.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -47,15 +49,31 @@ def _fraction_json(v: Fraction):
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
+class _View:
+    """An attribute computed by ``_VIEWS[name]`` on first read and then kept
+    in the instance dict, which shadows this non-data descriptor.  Read on
+    the class it raises AttributeError, so a dataclass field declared with
+    it has no default."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, system, owner=None):
+        if system is None:
+            raise AttributeError(self.name)
+        value = system.__dict__[self.name] = _VIEWS[self.name](system)
+        return value
+
+
 @dataclass(frozen=True)
 class FiniteSystem:
     """Finite system S = (X, X0, U, ->, Y, H) with infinity-norm metric."""
 
-    states: tuple[tuple[Fraction, ...], ...]
+    states: tuple[tuple[Fraction, ...], ...] = _View()
     initial: tuple[int, ...]
-    inputs: tuple
-    succ: tuple[tuple[tuple[int, ...], ...], ...]  # succ[state][input] sorted
-    outputs: tuple[tuple[Fraction, ...], ...]
+    inputs: tuple = _View()
+    succ: tuple[tuple[tuple[int, ...], ...], ...] = _View()  # succ[state][input] sorted
+    outputs: tuple[tuple[Fraction, ...], ...] = _View()
     p: int
     # Lattice provenance, present when built by the abstraction engine.
     state_theta: float | None = None
@@ -79,16 +97,11 @@ class FiniteSystem:
         ns = len(self.states)
         if len(self.succ) != ns or len(self.outputs) != ns:
             raise DimensionMismatchError("states, succ and outputs must align")
-        for i in self.initial:
-            if not 0 <= i < ns:
-                raise DomainError(f"initial state index {i} out of range")
+        _check_initial(self.initial, ns)
         class_of: dict = {}
         ids = tuple(class_of.setdefault(out, len(class_of)) for out in self.outputs)
         n_inputs = len(self.inputs)
-        # States with equal successor sets share one group dict.
-        tables: dict = {}
-        succ_any = []
-        by_output = []
+        rows = []
         for row in self.succ:
             if len(row) != n_inputs:
                 raise DimensionMismatchError("successor rows must cover every input")
@@ -96,6 +109,15 @@ class FiniteSystem:
             if succs and not (0 <= succs[0] and succs[-1] < ns):
                 bad = next(j for targets in row for j in targets if not 0 <= j < ns)
                 raise DomainError(f"successor index {bad} out of range")
+            rows.append(succs)
+        self._set_tables(class_of, ids, rows)
+
+    def _set_tables(self, class_of: dict, ids: tuple, rows: list):
+        """Store the integer tables, given each state's sorted distinct
+        successors; states with equal successor sets share one group dict."""
+        tables: dict = {}
+        by_output = []
+        for succs in rows:
             groups = tables.get(succs)
             if groups is None:
                 groups = tables[succs] = {}
@@ -103,19 +125,23 @@ class FiniteSystem:
                     groups.setdefault(ids[j], []).append(j)
                 for c, js in groups.items():
                     groups[c] = succs if len(groups) == 1 else tuple(js)
-            succ_any.append(succs)
             by_output.append(groups)
         self.__dict__.update(
             class_of=class_of,
             output_ids=ids,
-            successors_any=tuple(succ_any),
+            successors_any=tuple(rows),
             successors_by_output=tuple(by_output),
             _balls={},
         )
 
+    # Views a lattice-backed model stores and other systems derive on use.
+    successor_matrix = _View()
+    successor_csr = _View()
+    _coords = _View()
+
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.output_ids)
 
     @property
     def deterministic(self) -> bool:
@@ -133,28 +159,65 @@ class FiniteSystem:
 
     @staticmethod
     def on_lattice(
-        state_coords, state_theta, input_coords, input_theta, initial, succ, p, meta
+        state_coords, state_theta, input_coords, input_theta, initial, successors, p, meta
     ) -> "FiniteSystem":
-        """Lattice-backed model: every state embeds exactly as
+        """Lattice-backed model from its integer form: ``successors`` is the
+        (states x inputs) successor matrix.  Every state embeds exactly as
         2*state_theta*coords (Fractions), outputs are the first p state
-        components and inputs embed as 2*input_theta*coords.  The lattice
-        ball below relies on this embedding."""
-        two_theta = 2 * to_rational(state_theta)
-        states = tuple(tuple(two_theta * c for c in row) for row in state_coords)
-        two_mu = 2 * to_rational(input_theta)
-        return FiniteSystem(
-            states,
-            initial,
-            tuple(tuple(two_mu * c for c in row) for row in input_coords),
-            succ,
-            tuple(s[:p] for s in states),
-            p,
+        components and inputs embed as 2*input_theta*coords; the lattice
+        ball below relies on this embedding.
+
+        The integer tables are derived with numpy from the matrix and the
+        int64 coordinate array.  ``states``, ``inputs``, ``outputs`` and
+        ``succ`` are computed from them only when read."""
+        coords = _coord_array(state_coords)
+        ns, n_inputs = len(coords), len(input_coords)
+        try:
+            matrix = np.asarray(successors, dtype=np.int64)
+        except OverflowError as exc:
+            raise DomainError(f"successor index out of range: {exc}") from exc
+        if len(matrix) != ns:
+            raise DimensionMismatchError("states, succ and outputs must align")
+        if ns and matrix.shape != (ns, n_inputs):
+            raise DimensionMismatchError("successor rows must cover every input")
+        matrix = matrix.reshape(ns, n_inputs)
+        _check_initial(initial, ns)
+        if matrix.size and not (0 <= matrix.min() and matrix.max() < ns):
+            bad = matrix[(matrix < 0) | (matrix >= ns)][0]
+            raise DomainError(f"successor index {bad} out of range")
+        system = object.__new__(FiniteSystem)
+        system.__dict__.update(
+            initial=initial,
+            p=p,
             state_theta=state_theta,
             input_theta=input_theta,
             state_coords=state_coords,
             input_coords=input_coords,
             meta=meta,
+            successor_matrix=matrix,
+            _coords=coords,
         )
+        # Output classes in order of first appearance, keyed by the exact
+        # output value of their first member.
+        _, first, inverse = np.unique(
+            coords[:, :p], axis=0, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.argsort(order)
+        two_theta = 2 * to_rational(state_theta)
+        class_of = {
+            tuple(two_theta * c for c in coords[i, :p].tolist()): k
+            for k, i in enumerate(first[order].tolist())
+        }
+        ranked = np.sort(matrix, axis=1)
+        keep = np.diff(ranked, axis=1, prepend=-1) != 0
+        ptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+        flat = ranked[keep]
+        system.__dict__["successor_csr"] = (ptr, flat)
+        cut, targets = ptr.tolist(), flat.tolist()
+        rows = [tuple(targets[a:b]) for a, b in zip(cut, cut[1:])]
+        system._set_tables(class_of, tuple(rank[inverse.reshape(-1)].tolist()), rows)
+        return system
 
     def ball_states(self, fault: frozenset[int] | set[int], rho) -> frozenset[int]:
         """States within infinity-norm distance rho of the fault set
@@ -173,7 +236,7 @@ class FiniteSystem:
                 ball = frozenset()
             elif self.state_coords is not None and self.state_theta is not None:
                 k = r // (2 * to_rational(self.state_theta))
-                ball = _lattice_ball(self.state_coords, fault, k)
+                ball = _lattice_ball(self._coords, fault, k)
             if ball is None:
                 ball = frozenset(
                     i
@@ -187,7 +250,6 @@ class FiniteSystem:
 
     def to_json(self) -> dict:
         if self.state_coords is not None:
-            assert self.deterministic
             return {
                 "kind": "abstraction-model",
                 "schema": SCHEMA_VERSION,
@@ -199,7 +261,7 @@ class FiniteSystem:
                 "states": [list(c) for c in self.state_coords],
                 "inputs": [list(c) for c in self.input_coords],
                 "initial": list(self.initial),
-                "successors": [[t[0] for t in row] for row in self.succ],
+                "successors": self.successor_matrix.tolist(),
                 **self.meta,
             }
         return {
@@ -237,11 +299,11 @@ class FiniteSystem:
                 }
                 return FiniteSystem.on_lattice(
                     tuple(tuple(map(_index, row)) for row in doc["states"]),
-                    float(doc["state_theta"]),
+                    _theta(doc["state_theta"]),
                     tuple(tuple(map(_index, row)) for row in doc["inputs"]),
-                    float(doc["input_theta"]),
+                    _theta(doc["input_theta"]),
                     tuple(map(_index, doc["initial"])),
-                    tuple(tuple((_index(j),) for j in row) for row in doc["successors"]),
+                    [list(map(_index, row)) for row in doc["successors"]],
                     _index(doc["p"]),
                     meta,
                 )
@@ -303,15 +365,11 @@ def _to_rho(rho) -> Fraction:
     return r
 
 
-def _lattice_ball(coords, fault: frozenset[int], k: int) -> frozenset[int] | None:
+def _lattice_ball(pts, fault: frozenset[int], k: int) -> frozenset[int] | None:
     """Indices of the coordinate rows within Chebyshev distance k of some
-    fault row, compared in chunks of fault rows; None when the coordinates
-    do not form an int64 array whose differences fit in int64."""
-    try:
-        pts = np.array(coords, dtype=np.int64)
-    except (OverflowError, ValueError):
-        return None
-    if pts.size and not -_COORD_LIMIT < pts.min() <= pts.max() < _COORD_LIMIT:
+    fault row, compared in chunks of fault rows; None when there is no int64
+    coordinate array or its differences might not fit in int64."""
+    if pts is None or pts.size and not -_COORD_LIMIT < pts.min() <= pts.max() < _COORD_LIMIT:
         return None
     centers = pts[sorted(fault)]
     k = min(k, np.iinfo(np.int64).max)
@@ -321,6 +379,77 @@ def _lattice_ball(coords, fault: frozenset[int], k: int) -> frozenset[int] | Non
         gaps = np.abs(pts[:, None, :] - centers[None, lo : lo + step, :]).max(axis=2)
         hit |= (gaps <= k).any(axis=1)
     return frozenset(np.flatnonzero(hit).tolist())
+
+
+def _check_initial(initial, n_states: int):
+    for i in initial:
+        if not 0 <= i < n_states:
+            raise DomainError(f"initial state index {i} out of range")
+
+
+def _theta(v) -> float:
+    """A lattice spacing field: a finite, positive JSON number."""
+    if type(v) not in (int, float) or not (math.isfinite(v) and v > 0):
+        raise DomainError(f"expected a finite positive number, got {v!r}")
+    return float(v)
+
+
+def _coord_array(rows) -> np.ndarray:
+    """Integer coordinate rows as an (n, dim) int64 array."""
+    try:
+        pts = np.array(rows, dtype=np.int64)
+    except OverflowError as exc:
+        raise DomainError(f"lattice coordinates do not fit int64: {exc}") from exc
+    except ValueError as exc:
+        raise DimensionMismatchError("lattice coordinate rows differ in length") from exc
+    return pts if len(rows) else pts.reshape(0, 0)
+
+
+def _embed(coords, theta) -> tuple[tuple[Fraction, ...], ...]:
+    two_theta = 2 * to_rational(theta)
+    return tuple(tuple(two_theta * c for c in row) for row in coords)
+
+
+def _succ_view(s: FiniteSystem):
+    singles = [(j,) for j in range(s.n_states)]
+    return tuple(tuple(map(singles.__getitem__, row)) for row in s.successor_matrix.tolist())
+
+
+def _matrix_view(s: FiniteSystem) -> np.ndarray:
+    assert all(len(t) == 1 for row in s.succ for t in row), "one successor per input"
+    flat = [t[0] for row in s.succ for t in row]
+    return np.array(flat, dtype=np.int64).reshape(s.n_states, len(s.inputs))
+
+
+def _csr_view(s: FiniteSystem) -> tuple[np.ndarray, np.ndarray]:
+    counts = np.fromiter(map(len, s.successors_any), dtype=np.int64, count=s.n_states)
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    flat = np.fromiter(chain.from_iterable(s.successors_any), dtype=np.int64, count=int(ptr[-1]))
+    return ptr, flat
+
+
+def _coords_view(s: FiniteSystem) -> np.ndarray | None:
+    try:
+        return _coord_array(s.state_coords)
+    except (DomainError, DimensionMismatchError):
+        return None
+
+
+# How each _View attribute of FiniteSystem is computed.  The four fields are
+# views only on lattice-backed models, which hold their integer form instead;
+# every other system has them from its constructor.
+_VIEWS = {
+    "states": lambda s: _embed(s.state_coords, s.state_theta),
+    "inputs": lambda s: _embed(s.input_coords, s.input_theta),
+    "outputs": lambda s: tuple(x[: s.p] for x in s.states),
+    "succ": _succ_view,
+    # (states x inputs) successor matrix of a deterministic system.
+    "successor_matrix": _matrix_view,
+    # Successor CSR: ptr[i]:ptr[i+1] slices the flat successors_any of i.
+    "successor_csr": _csr_view,
+    # int64 state coordinates, or None when they overflow.
+    "_coords": _coords_view,
+}
 
 
 def observation_symbol(s: FiniteSystem, values) -> tuple[Fraction, ...]:

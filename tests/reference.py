@@ -274,7 +274,7 @@ def reference_build_abstraction(
             admit(coords, *fresh[coords])
         level = ordered
     coords_list = sorted(index, key=index.get)
-    succ = tuple(tuple((index[tgt],) for tgt in succ_rows[c]) for c in coords_list)
+    succ = [[index[tgt] for tgt in succ_rows[c]] for c in coords_list]
     initial = tuple(range(len(init_points)))
     meta = {"epsilon": params.epsilon}
     return FiniteSystem.on_lattice(

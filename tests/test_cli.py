@@ -31,16 +31,32 @@ def test_validate(capsys):
     assert doc["schema"] == "approxdiag/report/v1"
 
 
-@pytest.mark.parametrize("samples, unmeasured", [(0, 3), (1, 1), (-5, 3)])
+@pytest.mark.parametrize("samples, unmeasured", [(0, 3), (1, 1)])
 def test_validate_json_with_too_few_samples(capsys, samples, unmeasured):
     # A violation no sample pair measured is written as null; the check passes vacuously.
     code, doc = run_json(capsys, ["validate", E1, "--samples", str(samples), "--json"])
     assert code == 0
     verdict = doc["verdict"]
-    assert verdict["verdict"] == "PASS" and verdict["samples"] == max(samples, 0)
+    assert verdict["verdict"] == "PASS" and verdict["samples"] == samples
+    assert doc["parameters"]["samples"] == samples
     values = [v for k, v in verdict.items() if k.startswith("violation_")]
     assert len(values) == 3 and values.count(None) == unmeasured
     assert all(isinstance(v, float) for v in values if v is not None)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate", E1],
+        ["certify", E1, "--eta", "0.04", "--mu", "0.005", "--epsilon", "0.4"],
+    ],
+    ids=["validate", "certify"],
+)
+def test_negative_samples_is_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--samples", "-5", "--json"])
+    assert exc.value.code == 64
+    assert "nonnegative" in capsys.readouterr().err
 
 
 def test_reports_reproducible_modulo_timings(capsys):

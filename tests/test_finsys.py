@@ -251,3 +251,45 @@ def test_from_json_rejects_non_integer_lattice_fields(key, value):
     doc[key] = value
     with pytest.raises(DomainError, match="expected an integer"):
         FiniteSystem.from_json(doc)
+
+
+@pytest.mark.parametrize("key", ["state_theta", "input_theta"])
+@pytest.mark.parametrize(
+    "value", [True, "0.01", -0.5, 0, 0.0, None, [0.03], float("inf"), float("nan")]
+)
+def test_from_json_rejects_bad_lattice_spacing(key, value):
+    doc = lattice_doc()
+    doc[key] = value
+    with pytest.raises(DomainError, match="finite positive number"):
+        FiniteSystem.from_json(doc)
+
+
+def test_from_json_accepts_integer_lattice_spacing():
+    doc = lattice_doc()
+    doc["state_theta"] = 1
+    system = FiniteSystem.from_json(doc)
+    assert system.state_theta == 1.0 and system.states[1] == (Fraction(50), Fraction(20))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("states", [[0, 0], [1 << 63, 10]]),
+        ("states", [[0, -(1 << 63) - 1], [25, 10]]),
+        ("successors", [[1 << 64], [1]]),
+    ],
+)
+def test_from_json_rejects_coordinates_beyond_int64(key, value):
+    doc = lattice_doc()
+    doc[key] = value
+    with pytest.raises(DomainError, match="int64|out of range"):
+        FiniteSystem.from_json(doc)
+
+
+def test_from_json_keeps_int64_edge_coordinates():
+    doc = lattice_doc()
+    doc["states"] = [[0, 0], [(1 << 63) - 1, -(1 << 63)]]
+    system = FiniteSystem.from_json(doc)
+    assert system.state_coords[1] == ((1 << 63) - 1, -(1 << 63))
+    # Differences of these coordinates overflow int64: the ball is exact.
+    assert system.ball_states({1}, 0) == {1}

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import approxdiag as ad
-from approxdiag import bridge, diagnosis
+from approxdiag import bridge, diagnosis, finsys
 from approxdiag.diagnosis import check_diagnosability
 from approxdiag.finsys import FiniteSystem
 from approxdiag.fixtures import D1_FAULTS, ND1_FAULTS, d1, nd1, random_finite_system
 from approxdiag.rational import to_rational
+from approxdiag.report import canonical_json
 from reference import exact_ball, reference_check
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -161,6 +162,29 @@ def watched_levels(monkeypatch):
     return sizes
 
 
+def scalar_initial_pairs(initial, ids, in_ball, n):
+    """The scalar phase-A seed: i in `initial` order, then j in `initial`
+    order among the states of i's output class, ball-free j, first occurrence."""
+    codes = [i * n + j for i in initial for j in initial if ids[i] == ids[j] and not in_ball[j]]
+    return list(dict.fromkeys(codes))
+
+
+def watched_initial_pairs(monkeypatch):
+    """Sizes of the initial-pair sets formed as arrays, each checked against
+    the scalar double loop."""
+    sizes = []
+    initial_pairs = diagnosis._PairJoin.initial_pairs
+
+    def watched(self, initial):
+        got = initial_pairs(self, initial)
+        assert got == scalar_initial_pairs(initial, self.ids, self.in_ball, self.n)
+        sizes.append(len(got))
+        return got
+
+    monkeypatch.setattr(diagnosis._PairJoin, "initial_pairs", watched)
+    return sizes
+
+
 def widening_system():
     """One output class; both twin-plant phases have levels of 1, 2 or 4
     pairs that alternate, so at _BATCH_MIN 2 a scalar level runs after
@@ -172,10 +196,24 @@ def widening_system():
     return system, ad.FaultSpec.of({8}, 0)
 
 
+def many_initial_cases(rng, count):
+    """Random systems whose initial list repeats states, mixes output
+    classes and may hold ball states, so the output-matched initial pairs
+    have duplicates and dropped right sides."""
+    cases = []
+    while len(cases) < count:
+        system, spec = random_finite_system(rng)
+        free = [i for i in range(system.n_states) if i not in spec.faults]
+        initial = tuple(int(i) for i in rng.choice(free, size=int(rng.integers(1, 9))))
+        system = dataclasses.replace(system, initial=initial)
+        cases.append((system, spec))
+    return cases
+
+
 def desk_cases():
     rng = np.random.default_rng(SUITE_SEED)
     cases = [random_finite_system(rng) for _ in range(200)]
-    return cases + [
+    return cases + many_initial_cases(rng, 50) + [
         (d1(), ad.FaultSpec.of(D1_FAULTS, 0)),
         (nd1(), ad.FaultSpec.of(ND1_FAULTS, 5)),
         widening_system(),
@@ -190,11 +228,15 @@ def test_batched_levels_match_scalar_and_reference(monkeypatch, batch_min):
     monkeypatch.setattr(diagnosis, "_BATCH_MIN", batch_min)
     monkeypatch.setattr(diagnosis, "_JOIN_CHUNK", 3)
     joins = watched_levels(monkeypatch)
+    pairs = watched_initial_pairs(monkeypatch)
     for system, spec in desk_cases():
         got = check_diagnosability(system, spec)
         assert_same_verdict(got, scalar_check(system, spec))
         assert_same_verdict(got, reference_check(system, spec))
     assert len(joins) > 200
+    # Every system with at least batch_min output-matched initial pairs formed
+    # them as arrays, equal to the scalar double loop.
+    assert len(pairs) > (200 if batch_min == 1 else 40)
 
 
 @pytest.mark.parametrize("mode", sorted(E1_SCENARIOS))
@@ -204,9 +246,11 @@ def test_batched_levels_match_scalar_and_reference_on_e1(e1_checks, e1_reference
     monkeypatch.setattr(diagnosis, "_BATCH_MIN", 1)
     monkeypatch.setattr(diagnosis, "_JOIN_CHUNK", 97)
     joins = watched_levels(monkeypatch)
+    pairs = watched_initial_pairs(monkeypatch)
     system, spec = e1_checks[mode]
     got = check_diagnosability(system, spec)
     assert max(joins) > 10_000
+    assert len(pairs) == 1 and pairs[0] > 10_000
     assert_same_verdict(got, scalar_check(system, spec))
     assert_same_verdict(got, e1_references[mode])
 
@@ -256,3 +300,63 @@ def test_lattice_ball_matches_exact_ball_on_e1(e1_checks, mode):
             assert system.ball_states(faults, rho) == want
             if rho == 0:
                 assert want == faults  # lattice embeddings are injective
+
+
+def integer_tables(system):
+    ptr, flat = system.successor_csr
+    return (
+        list(system.class_of.items()),
+        system.output_ids,
+        system.successors_any,
+        [list(groups.items()) for groups in system.successors_by_output],
+        ptr.tolist(),
+        flat.tolist(),
+    )
+
+
+@pytest.mark.parametrize("mode", sorted(E1_SCENARIOS))
+def test_array_native_model_matches_general_constructor_on_e1(e1_checks, e1_references, mode):
+    system, spec = e1_checks[mode]
+    general = FiniteSystem(
+        system.states,
+        system.initial,
+        system.inputs,
+        system.succ,
+        system.outputs,
+        system.p,
+        state_theta=system.state_theta,
+        input_theta=system.input_theta,
+        state_coords=system.state_coords,
+        input_coords=system.input_coords,
+        meta=system.meta,
+    )
+    assert general == system
+    assert len(system.class_of) < system.n_states  # one key per class, not per state
+    assert integer_tables(system) == integer_tables(general)
+    assert canonical_json(system.to_json()) == canonical_json(general.to_json())
+    back = FiniteSystem.from_json(json.loads(canonical_json(system.to_json())))
+    assert "succ" not in back.__dict__
+    assert integer_tables(back) == integer_tables(system)
+    assert back == system
+    assert_same_verdict(check_diagnosability(general, spec), e1_references[mode])
+    assert_same_verdict(check_diagnosability(back, spec), e1_references[mode])
+
+
+@pytest.mark.parametrize("mode", sorted(E1_SCENARIOS))
+def test_conclude_keeps_lattice_model_on_arrays(monkeypatch, mode):
+    """The check path reads the integer tables only: building the successor
+    tuples or the exact state embeddings would undo the array-native model."""
+
+    def forbidden(system):
+        raise AssertionError("a lattice model view was materialized")
+
+    for view in ("succ", "states", "inputs", "outputs"):
+        monkeypatch.setitem(finsys._VIEWS, view, forbidden)
+    sysdef, cert = ad.parse_system((CONFIGS / "e1.json").read_text())
+    fault_file, params, rho = E1_SCENARIOS[mode]
+    region = ad.BoxUnion.from_json(json.loads((CONFIGS / fault_file).read_text()))
+    params = ad.AbstractionParams(*params)
+    system = ad.build_abstraction(sysdef, cert, params)
+    verdict = ad.conclude(sysdef, cert, params, region, mode, rho=rho, system=system)
+    assert verdict.finite.diagnosable == (mode == "prove")
+    assert not {"succ", "states", "inputs", "outputs"} & system.__dict__.keys()
