@@ -55,11 +55,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sample_count(text: str) -> int:
-    """--samples: a nonnegative integer (0 passes vacuously)."""
+    """A nonnegative integer count, such as --samples (0 passes vacuously)."""
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"sample count must be nonnegative, got {value}")
+        raise argparse.ArgumentTypeError(f"count must be nonnegative, got {value}")
     return value
+
+
+def _dims(text: str) -> list[int]:
+    """--dims: comma-separated positive integers, or empty for none."""
+    parts = text.split(",") if text else []
+    if not all(part.isdecimal() and int(part) > 0 for part in parts):
+        raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
+    return [int(part) for part in parts]
 
 
 def _emit(args, doc: dict):
@@ -322,8 +330,7 @@ def _cmd_falsify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    dims = [int(d) for d in args.dims.split(",")] if args.dims else []
-    rows = bench_mod.bench_scaling(dims, args.width, eta=args.eta)
+    rows = bench_mod.bench_scaling(args.dims, args.width, eta=args.eta)
     if args.json:
         print(canonical_json({"schema": "approxdiag/bench/v1", "rows": rows}))
     else:
@@ -407,14 +414,14 @@ def build_parser() -> _Parser:
     sub.add_argument("config")
     sub.add_argument("--faults", required=True, help="fault region JSON path")
     sub.add_argument("--rho", type=float, required=True)
-    sub.add_argument("--trials", type=int, default=10_000)
-    sub.add_argument("--horizon", type=int, default=30)
+    sub.add_argument("--trials", type=_sample_count, default=10_000)
+    sub.add_argument("--horizon", type=_sample_count, default=30)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_falsify)
 
     sub = subs.add_parser("bench", help="abstraction scaling study across dimensions")
-    sub.add_argument("--dims", default="", help="comma-separated dimensions, e.g. 1,2,3")
+    sub.add_argument("--dims", type=_dims, default="", help="comma-separated dimensions, e.g. 1,2,3")
     sub.add_argument("--width", type=int, default=5, help="cells per axis")
     sub.add_argument("--eta", type=float, default=0.5)
     sub.add_argument("--threads", type=int, help="accepted and ignored")

@@ -176,6 +176,40 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
             tables = _PairJoin(system, ball, spec.faults)
         return tables
 
+    # Breadth-first search from `frontier`, recording in `parent` the
+    # predecessor of each pair first reached.  Pairs whose left state is
+    # faulty go to `stop` instead, when given, and are not expanded.
+    def explore(frontier, parent, stop=None):
+        seen = None
+        while frontier:
+            nxt = []
+            join = batched(len(frontier))
+            if join is not None:
+                if seen is None:
+                    seen = join.bitmap(parent, stop or {})
+                for tgt, par in join.level(frontier, seen):
+                    if stop is not None:
+                        hit = join.faulty[tgt // n]
+                        stop.update(zip(tgt[hit].tolist(), par[hit].tolist()))
+                        tgt, par = tgt[~hit], par[~hit]
+                    kept = tgt.tolist()
+                    parent.update(zip(kept, par.tolist()))
+                    nxt += kept
+            else:
+                fresh = []
+                for code in frontier:
+                    for tgt in moves(code):
+                        if stop is not None and faulty[tgt // n]:
+                            if tgt not in stop:
+                                stop[tgt] = code
+                                fresh.append(tgt)
+                        elif tgt not in parent:
+                            parent[tgt] = code
+                            nxt.append(tgt)
+                if seen is not None:  # mark only what this level admitted
+                    seen[fresh + nxt] = True
+            frontier = nxt
+
     # Phase A: pairs with no fault seen on the left and no ball visit on the
     # right, reached from output-matched initial pairs.
     same_class: dict[int, list[int]] = {}
@@ -194,111 +228,47 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
                 if j not in ball and code not in a_parent:
                     a_parent[code] = None
                     frontier.append(code)
-    seen = None
-    while frontier:
-        nxt = []
-        join = batched(len(frontier))
-        if join is not None:
-            if seen is None:
-                seen = join.bitmap(a_parent, entries)
-            for tgt, par in join.level(frontier, seen):
-                hit = join.faulty[tgt // n]
-                entries.update(zip(tgt[hit].tolist(), par[hit].tolist()))
-                kept = tgt[~hit].tolist()
-                a_parent.update(zip(kept, par[~hit].tolist()))
-                nxt += kept
-        else:
-            fresh = []
-            for code in frontier:
-                for tgt in moves(code):
-                    if faulty[tgt // n]:
-                        if tgt not in entries:
-                            entries[tgt] = code
-                            fresh.append(tgt)
-                    elif tgt not in a_parent:
-                        a_parent[tgt] = code
-                        nxt.append(tgt)
-            if seen is not None:
-                seen[fresh + nxt] = True
-        frontier = nxt
-
+    explore(frontier, a_parent, entries)
     if not entries:
         return Verdict(True, delta=1, stats={"region_states": 0, "phase_a_pairs": len(a_parent)})
 
     # Phase B: region = fault-seen x safe-so-far pairs, explored from the
     # entries; within the region only the ball constraint remains.
-    b_parent: dict[int, int | None] = {code: None for code in entries}
-    frontier = list(entries)
-    seen = None
-    while frontier:
-        nxt = []
-        join = batched(len(frontier))
-        if join is not None:
-            if seen is None:
-                seen = join.bitmap(b_parent)
-            for tgt, par in join.level(frontier, seen):
-                kept = tgt.tolist()
-                b_parent.update(zip(kept, par.tolist()))
-                nxt += kept
-        else:
-            for code in frontier:
-                for tgt in moves(code):
-                    if tgt not in b_parent:
-                        b_parent[tgt] = code
-                        nxt.append(tgt)
-            if seen is not None:
-                seen[nxt] = True
-        frontier = nxt
-    region = b_parent.keys()
+    b_parent: dict[int, int | None] = dict.fromkeys(entries)
+    explore(list(entries), b_parent)
+    stats = {"region_states": len(b_parent), "phase_a_pairs": len(a_parent)}
 
-    # Iterative DFS: a back edge exposes a region cycle (not diagnosable);
-    # otherwise the reverse postorder supports a longest-path pass.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {code: WHITE for code in region}
-    postorder: list[int] = []
+    # Iterative DFS: a pair met again while on the stack closes a region
+    # cycle (not diagnosable).  Otherwise each pair gets its height, the
+    # longest region path leaving it, when it is finished.
+    height: dict[int, int] = {}
     for start in entries:
-        if color[start] != WHITE:
+        if start in height:
             continue
-        stack = [(start, iter(moves(start)))]
-        color[start] = GRAY
+        stack = [[start, iter(moves(start)), 0]]  # pair, its moves, height so far
+        on_stack = {start: 0}  # pair -> stack position
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for tgt in it:
-                if color[tgt] == GRAY:
-                    cycle_start = next(k for k, (c, _) in enumerate(stack) if c == tgt)
-                    cycle = [c for c, _ in stack[cycle_start:]]
+            top = stack[-1]
+            for tgt in top[1]:
+                if tgt in on_stack:
+                    cycle = [code for code, _, _ in stack[on_stack[tgt] :]]
                     witness = _unroll_witness(system, a_parent, entries, b_parent, cycle, n)
-                    return Verdict(
-                        False,
-                        witness=witness,
-                        stats={"region_states": len(b_parent), "phase_a_pairs": len(a_parent)},
-                    )
-                if color[tgt] == WHITE:
-                    color[tgt] = GRAY
-                    stack.append((tgt, iter(moves(tgt))))
-                    advanced = True
+                    return Verdict(False, witness=witness, stats=stats)
+                h = height.get(tgt)
+                if h is None:
+                    on_stack[tgt] = len(stack)
+                    stack.append([tgt, iter(moves(tgt)), 0])
                     break
-            if not advanced:
-                color[node] = BLACK
-                postorder.append(node)
+                top[2] = max(top[2], h + 1)
+            else:
                 stack.pop()
+                del on_stack[top[0]]
+                height[top[0]] = top[2]
+                if stack:
+                    stack[-1][2] = max(stack[-1][2], top[2] + 1)
 
     # Acyclic region: the delay is the longest entry-anchored path plus one.
-    dist = {code: 0 for code in entries}
-    for node in reversed(postorder):
-        base = dist.get(node)
-        if base is None:
-            continue
-        for tgt in moves(node):
-            if dist.get(tgt, -1) < base + 1:
-                dist[tgt] = base + 1
-    delta = max(dist.values()) + 1
-    return Verdict(
-        True,
-        delta=delta,
-        stats={"region_states": len(b_parent), "phase_a_pairs": len(a_parent)},
-    )
+    return Verdict(True, delta=max(height[e] for e in entries) + 1, stats=stats)
 
 
 class _PairJoin:
@@ -599,39 +569,18 @@ def _find_run(system, stream, start_set, end_state, upto, *, forbidden=frozenset
     return None
 
 
-def _find_loop(system, stream, k, d, state, *, forbidden=frozenset()):
-    """Path state -> state over stream[k+1..d] (output class ids), avoiding
-    forbidden states."""
-
-    groups = system.successors_by_output
-
-    def rec(t, cur, path):
-        if t == d:
-            return list(path) if cur == state else None
-        for nxt in groups[cur].get(stream[t + 1], ()):
-            if nxt in forbidden:
-                continue
-            path.append(nxt)
-            got = rec(t + 1, nxt, path)
-            if got is not None:
-                return got
-            path.pop()
-        return None
-
-    return rec(k, state, [])
-
-
 def _reconstruct_pump_witness(system, spec, ball, pump):
     stream = pump["stream"]
     k, d = pump["k"], pump["d"]
     i, j = pump["fault_state"], pump["safe_state"]
     base_f = _find_run(system, stream, system.initial, i, k, need_fault=spec.faults)
     base_s = _find_run(system, stream, system.initial, j, k, forbidden=ball)
-    loop_f = _find_loop(system, stream, k, d, i)
-    loop_s = _find_loop(system, stream, k, d, j, forbidden=ball)
-    assert base_f and base_s and loop_f is not None and loop_s is not None
-    run_f = tuple(base_f + loop_f + loop_f)
-    run_s = tuple(base_s + loop_s + loop_s)
+    # The pump loops: runs i -> i and j -> j over stream[k..d].
+    loop_f = _find_run(system, stream[k:], (i,), i, d - k)
+    loop_s = _find_run(system, stream[k:], (j,), j, d - k, forbidden=ball)
+    assert base_f and base_s and loop_f and loop_s
+    run_f = tuple(base_f + loop_f[1:] + loop_f[1:])
+    run_s = tuple(base_s + loop_s[1:] + loop_s[1:])
     return run_f, run_s
 
 

@@ -106,6 +106,24 @@ def test_check_fts_brute_force(capsys):
     assert len(doc["verdict"]["witness"][0]) >= 4
 
 
+def test_check_fts_brute_force_report_is_pinned(capsys):
+    # The bounded oracle's pump witness: fork at 0, then f=1 and c=2 loop.
+    _, doc = run_json(
+        capsys, ["check-fts", ND1, "--faults", "1", "--rho", "1", "--brute-force", "6", "--json"]
+    )
+    assert strip_timings(doc) == {
+        "command": "check-fts",
+        "config_digest": "454ec0ff6f2bcffe10e5df81325f929622f268796348e8d01c184a6e17d08ccd",
+        "parameters": {"faults": [1], "rho": 1.0},
+        "schema": "approxdiag/report/v1",
+        "verdict": {
+            "diagnosable": False,
+            "method": "bounded-enumeration(T=6)",
+            "witness": [[0, 1, 1, 1], [0, 2, 2, 2]],
+        },
+    }
+
+
 def test_check_fts_region_faults(tmp_path, capsys):
     region = tmp_path / "region.json"
     region.write_text(json.dumps({"boxes": [{"lower": [2], "upper": [2]}]}))
@@ -251,6 +269,14 @@ def test_falsify(capsys):
     assert doc["verdict"]["counterexample"]["fault_time"] >= 1
 
 
+@pytest.mark.parametrize("flag, value", [("--trials", "-5"), ("--horizon", "-1")])
+def test_falsify_negative_count_is_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["falsify", E1, "--faults", FAULT_X2, "--rho", "0.05", flag, value, "--json"])
+    assert exc.value.code == 64
+    assert "nonnegative" in capsys.readouterr().err
+
+
 def test_bench_counts(capsys):
     code, doc = run_json(capsys, ["bench", "--dims", "1,2,3", "--width", "4", "--json"])
     assert code == 0
@@ -261,6 +287,14 @@ def test_bench_empty_dims(capsys):
     code, doc = run_json(capsys, ["bench", "--json"])
     assert code == 0
     assert doc["rows"] == []
+
+
+@pytest.mark.parametrize("dims", ["a", "0", "1,,2", "-1"])
+def test_bench_bad_dims_is_usage_error(capsys, dims):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--dims", dims, "--json"])
+    assert exc.value.code == 64
+    assert "positive integers" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -21,7 +21,7 @@ from approxdiag.errors import (
 )
 from approxdiag.finsys import FiniteSystem
 from approxdiag.fixtures import D1_FAULTS, ND1_FAULTS, d1, nd1, random_finite_system
-from reference import diagnoser_step
+from reference import diagnoser_step, reference_check
 
 
 def test_d1_diagnosable_delta_one():
@@ -78,6 +78,41 @@ def test_brute_force_vacuous_at_horizon_one():
     s = FiniteSystem(states, (0,), ("go",), succ, outputs, 1)
     v = brute_force_check(s, FaultSpec.of([2], 0), 1)
     assert v.diagnosable and v.delta == 1
+
+
+def test_delay_counts_paths_through_an_earlier_entry():
+    # Outputs A=0, B=1, C=2, D=3.  Phase A enters the region first at (3, 1)
+    # and then at (4, 2), which moves on to (3, 1): the longest region path,
+    # (4, 2) (3, 1) (5, 2), starts at the entry found second.
+    outs = [0, 1, 2, 1, 2, 2, 3]
+    succ = [(1, 3), (2, 4), (1,), (5,), (3,), (6,), (6,)]
+    states = tuple((Fraction(i),) for i in range(len(outs)))
+    outputs = tuple((Fraction(v),) for v in outs)
+    s = FiniteSystem(states, (0,), ("u",), tuple((t,) for t in succ), outputs, 1)
+    spec = FaultSpec.of([3, 4], 0)
+    v = check_diagnosability(s, spec)
+    assert v.diagnosable and v.delta == 3 and v.stats["region_states"] == 3
+    assert v == reference_check(s, spec)
+    assert brute_force_check(s, spec, 10).delta == v.delta
+
+
+# Bounded-oracle witnesses of the first three non-diagnosable systems drawn
+# from default_rng(7), at horizon 10, keyed by draw index.
+PINNED_PUMP_WITNESSES = {
+    0: ((0, 0, 5, 3, 5, 3, 5), (0, 1, 4, 3, 4, 3, 4)),
+    5: ((0, 3, 3, 3, 3, 3, 3, 3, 1, 2, 1, 2, 1), (0, 3, 3, 3, 3, 3, 3, 3, 2, 0, 2, 0, 2)),
+    12: ((0, 4, 3, 4, 3, 4), (0, 1, 0, 1, 0, 1)),
+}
+
+
+def test_brute_force_pump_witnesses_are_pinned():
+    rng = np.random.default_rng(7)
+    cases = [random_finite_system(rng) for _ in range(max(PINNED_PUMP_WITNESSES) + 1)]
+    for index, witness in PINNED_PUMP_WITNESSES.items():
+        s, spec = cases[index]
+        v = brute_force_check(s, spec, 10)
+        assert not v.diagnosable and v.witness == witness
+        assert validate_witness(s, spec, v.witness)
 
 
 def test_brute_force_resource_guard():
