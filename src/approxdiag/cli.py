@@ -62,12 +62,16 @@ def _sample_count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """A positive decimal integer, such as bench --width or one of --dims."""
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"takes positive integers only, got {text!r}")
+    return int(text)
+
+
 def _dims(text: str) -> list[int]:
     """--dims: comma-separated positive integers, or empty for none."""
-    parts = text.split(",") if text else []
-    if not all(part.isdecimal() and int(part) > 0 for part in parts):
-        raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
-    return [int(part) for part in parts]
+    return [_positive(part) for part in text.split(",")] if text else []
 
 
 def _emit(args, doc: dict):
@@ -422,7 +426,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("bench", help="abstraction scaling study across dimensions")
     sub.add_argument("--dims", type=_dims, default="", help="comma-separated dimensions, e.g. 1,2,3")
-    sub.add_argument("--width", type=int, default=5, help="cells per axis")
+    sub.add_argument("--width", type=_positive, default=5, help="cells per axis")
     sub.add_argument("--eta", type=float, default=0.5)
     sub.add_argument("--threads", type=int, help="accepted and ignored")
     sub.add_argument("--json", action="store_true")

@@ -134,9 +134,9 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
     ball = system.ball_states(spec.faults, spec.rho)
     n = system.n_states
     ids = system.output_ids
-    by_output = system.successors_by_output
-    # Right-hand successors must stay outside the ball: the groups of j
-    # without ball states, filled in on first use.
+    ptr, cls, succ = system.successor_groups
+    # Right-hand successors must stay outside the ball: the ball-free
+    # successors of j by class id, filled in on first use.
     safe_groups: list = [None] * n
     faulty = [False] * n
     for i in spec.faults:
@@ -148,18 +148,15 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
         i, j = divmod(code, n)
         gj = safe_groups[j]
         if gj is None:
-            gj = by_output[j]
-            if not ball.isdisjoint(system.successors_any[j]):
-                kept = {c: tuple(b for b in js if b not in ball) for c, js in gj.items()}
-                gj = {c: js for c, js in kept.items() if js}
-            safe_groups[j] = gj
+            gj = safe_groups[j] = {}
+            for k in range(ptr[j], ptr[j + 1]):
+                if succ[k] not in ball:
+                    gj.setdefault(cls[k], []).append(succ[k])
         out = []
-        for cls, ilist in by_output[i].items():
-            jlist = gj.get(cls)
-            if jlist is None:
-                continue
-            for a in ilist:
-                base = a * n
+        for k in range(ptr[i], ptr[i + 1]):
+            jlist = gj.get(cls[k])
+            if jlist is not None:
+                base = succ[k] * n
                 for b in jlist:
                     out.append(base + b)
         return out
@@ -276,8 +273,8 @@ class _PairJoin:
     BFS level expands at once and in exactly the order of the scalar loop
     `for code in frontier: for tgt in moves(code)`.
 
-    Left side: per state i, the (class, successor) rows of
-    ``successors_by_output[i]`` in its iteration order (CSR over states).
+    Left side: the system's class-grouped successor CSR ``(ptr, cls,
+    succ)`` as int64 arrays, rows in the order the scalar `moves` reads them.
     Right side: the ball-free successors of every state, sorted by
     ``state * C + class`` and then by successor, with a dense start table
     over those keys, so a left row's matching right range is two lookups."""
@@ -285,23 +282,17 @@ class _PairJoin:
     def __init__(self, system: FiniteSystem, ball: frozenset[int], faults: frozenset[int]):
         n = self.n = system.n_states
         n_classes = self.n_classes = len(system.class_of)
-        self.ptr, flat = system.successor_csr
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n_classes, np.diff(self.ptr))
+        self.ptr, self.cls, self.succ = (np.array(a, dtype=np.int64) for a in system.successor_groups)
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n_classes, np.diff(self.ptr)) + self.cls
         self.ids = np.array(system.output_ids, dtype=np.int64)
-        keys += self.ids[flat]
-        # Within a state, the class groups of successors_by_output come in the
-        # order of their first (smallest) member, and members ascend.
-        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first[group], kind="stable")
-        self.succ = flat[order]
-        self.cls = keys[order] % n_classes
         self.in_ball = np.zeros(n, dtype=bool)
         self.in_ball[list(ball)] = True
         self.faulty = np.zeros(n, dtype=bool)
         self.faulty[list(faults)] = True
-        safe = ~self.in_ball[flat]
+        safe = ~self.in_ball[self.succ]
         keys = keys[safe]
-        self.right = flat[safe][np.argsort(keys, kind="stable")]
+        # A stable sort keeps each (state, class) group's members ascending.
+        self.right = self.succ[safe][np.argsort(keys, kind="stable")]
         self.start = np.zeros(n * n_classes + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys, minlength=n * n_classes), out=self.start[1:])
 
@@ -423,9 +414,11 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
     class_of = system.class_of
     out_classes = [class_of[out] for out in sorted(class_of, key=repr)]
 
-    succ_by_out = [
-        {cls: _mask(js) for cls, js in groups.items()} for groups in system.successors_by_output
-    ]
+    ptr, cls, succ = system.successor_groups
+    succ_by_out = [{} for _ in range(n)]
+    for i, row in enumerate(succ_by_out):
+        for k in range(ptr[i], ptr[i + 1]):
+            row[cls[k]] = row.get(cls[k], 0) | 1 << succ[k]
 
     # States from which the fault set is reachable (any number of steps).
     can_reach_fault = set(spec.faults)
@@ -434,7 +427,7 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
         changed = False
         for i in range(n):
             if i not in can_reach_fault and any(
-                j in can_reach_fault for j in system.successors_any[i]
+                j in can_reach_fault for j in succ[ptr[i] : ptr[i + 1]]
             ):
                 can_reach_fault.add(i)
                 changed = True
@@ -542,7 +535,7 @@ def _find_run(system, stream, start_set, end_state, upto, *, forbidden=frozenset
     ``forbidden`` and, when need_fault is given, visits it at least once.
     Desk-scale helper for witness assembly."""
 
-    groups = system.successors_by_output
+    ptr, cls, succ = system.successor_groups
 
     def rec(t, state, seen_fault, path):
         if state in forbidden:
@@ -554,10 +547,11 @@ def _find_run(system, stream, start_set, end_state, upto, *, forbidden=frozenset
                 return list(path)
             path.pop()
             return None
-        for nxt in groups[state].get(stream[t + 1], ()):
-            got = rec(t + 1, nxt, seen, path)
-            if got is not None:
-                return got
+        for k in range(ptr[state], ptr[state + 1]):
+            if cls[k] == stream[t + 1]:
+                got = rec(t + 1, succ[k], seen, path)
+                if got is not None:
+                    return got
         path.pop()
         return None
 
@@ -628,11 +622,16 @@ class Diagnoser:
     def _step(self, belief: Belief, cls: int | None, y) -> tuple[Belief, int]:
         if not belief:
             raise InfeasibleObservationError("empty belief")
-        groups = self.system.successors_by_output
+        ptr, classes, succ = self.system.successor_groups
+        ball = self.ball
         members = set()
         for s, visited in belief:
-            for j in groups[s].get(cls, ()):
-                members.add((j, visited or j in self.ball))
+            k, end = ptr[s], ptr[s + 1]
+            while k < end:  # cheaper than a range over these short rows
+                if classes[k] == cls:
+                    j = succ[k]
+                    members.add((j, visited or j in ball))
+                k += 1
         if not members:
             raise InfeasibleObservationError(f"no consistent run produces output {y}")
         members = frozenset(members)
@@ -695,13 +694,15 @@ def monte_carlo_contract(
     delta = diag.delta
     horizon = horizon if horizon is not None else delta + 2 * system.n_states + 4
     ids = system.output_ids
+    ptr, cls, succ = system.successor_groups
+    rows = [sorted(succ[a:b]) for a, b in zip(ptr, ptr[1:])]  # ascending successors
     checked_alarm = checked_window = viol_alarm = viol_window = 0
 
     for _ in range(n_runs):
         s = int(rng.choice(system.initial))
         run = [s]
         for _ in range(horizon):
-            succs = system.successors_any[run[-1]]
+            succs = rows[run[-1]]
             if not succs:
                 break
             run.append(int(succs[rng.integers(0, len(succs))]))
@@ -726,12 +727,12 @@ def monte_carlo_contract(
             lo = max(alarm_at - delta, 0)
             consistent = [frozenset(s for s, _ in b) for b in beliefs[: alarm_at + 1]]
             for t in range(alarm_at - 1, -1, -1):
-                keep = set()
-                for s in consistent[t]:
-                    nxt = system.successors_by_output[s].get(ids[run[t + 1]], ())
-                    if any(j in consistent[t + 1] for j in nxt):
-                        keep.add(s)
-                consistent[t] = frozenset(keep)
+                c, nxt = ids[run[t + 1]], consistent[t + 1]
+                consistent[t] = frozenset(
+                    s
+                    for s in consistent[t]
+                    if any(cls[k] == c and succ[k] in nxt for k in range(ptr[s], ptr[s + 1]))
+                )
             if not any(consistent[t] & ball for t in range(lo, alarm_at + 1)):
                 viol_window += 1
     return ContractReport(n_runs, checked_alarm, checked_window, viol_alarm, viol_window)

@@ -20,7 +20,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -90,10 +89,10 @@ class FiniteSystem:
         * ``class_of``: output value -> class id, numbered in order of
           first appearance (interning by exact equality);
         * ``output_ids``: the class id of every state;
-        * ``successors_any``: per state, its sorted distinct successors
-          under any input;
-        * ``successors_by_output``: per state, those successors grouped by
-          class id, groups in the order of their first member."""
+        * ``successor_groups``: the class-grouped successor CSR ``(ptr, cls,
+          succ)`` of Python-int lists: row i, ``ptr[i]:ptr[i+1]``, holds the
+          distinct successors of i and their class ids, grouped by class,
+          groups in order of their smallest member, members ascending."""
         ns = len(self.states)
         if len(self.succ) != ns or len(self.outputs) != ns:
             raise DimensionMismatchError("states, succ and outputs must align")
@@ -101,42 +100,26 @@ class FiniteSystem:
         class_of: dict = {}
         ids = tuple(class_of.setdefault(out, len(class_of)) for out in self.outputs)
         n_inputs = len(self.inputs)
-        rows = []
+        ptr, flat = [0], []
         for row in self.succ:
             if len(row) != n_inputs:
                 raise DimensionMismatchError("successor rows must cover every input")
-            succs = tuple(sorted(set().union(*row)))
+            succs = sorted(set().union(*row))
             if succs and not (0 <= succs[0] and succs[-1] < ns):
                 bad = next(j for targets in row for j in targets if not 0 <= j < ns)
                 raise DomainError(f"successor index {bad} out of range")
-            rows.append(succs)
-        self._set_tables(class_of, ids, rows)
-
-    def _set_tables(self, class_of: dict, ids: tuple, rows: list):
-        """Store the integer tables, given each state's sorted distinct
-        successors; states with equal successor sets share one group dict."""
-        tables: dict = {}
-        by_output = []
-        for succs in rows:
-            groups = tables.get(succs)
-            if groups is None:
-                groups = tables[succs] = {}
-                for j in succs:
-                    groups.setdefault(ids[j], []).append(j)
-                for c, js in groups.items():
-                    groups[c] = succs if len(groups) == 1 else tuple(js)
-            by_output.append(groups)
+            groups: dict = {}
+            for j in succs:
+                groups.setdefault(ids[j], []).append(j)
+            flat += [j for js in groups.values() for j in js]
+            ptr.append(len(flat))
+        cls = [ids[j] for j in flat]
         self.__dict__.update(
-            class_of=class_of,
-            output_ids=ids,
-            successors_any=tuple(rows),
-            successors_by_output=tuple(by_output),
-            _balls={},
+            class_of=class_of, output_ids=ids, successor_groups=(ptr, cls, flat), _balls={}
         )
 
     # Views a lattice-backed model stores and other systems derive on use.
     successor_matrix = _View()
-    successor_csr = _View()
     _coords = _View()
 
     @property
@@ -152,7 +135,8 @@ class FiniteSystem:
     def is_run(self, run) -> bool:
         if not run or run[0] not in self.initial:
             return False
-        return all(b in self.successors_any[a] for a, b in zip(run, run[1:]))
+        ptr, _, succ = self.successor_groups
+        return all(b in succ[ptr[a] : ptr[a + 1]] for a, b in zip(run, run[1:]))
 
     def distance(self, i: int, j: int) -> Fraction:
         return max(abs(a - b) for a, b in zip(self.states[i], self.states[j]))
@@ -203,20 +187,30 @@ class FiniteSystem:
             coords[:, :p], axis=0, return_index=True, return_inverse=True
         )
         order = np.argsort(first)
-        rank = np.argsort(order)
+        ids = np.argsort(order)[inverse.reshape(-1)]
         two_theta = 2 * to_rational(state_theta)
         class_of = {
             tuple(two_theta * c for c in coords[i, :p].tolist()): k
             for k, i in enumerate(first[order].tolist())
         }
+        # Distinct successors of each row, ascending.  A stable sort on
+        # (row, class) gives each entry the smallest member of its class
+        # group, and a stable sort on (row, that member) orders the groups.
         ranked = np.sort(matrix, axis=1)
         keep = np.diff(ranked, axis=1, prepend=-1) != 0
-        ptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-        flat = ranked[keep]
-        system.__dict__["successor_csr"] = (ptr, flat)
-        cut, targets = ptr.tolist(), flat.tolist()
-        rows = [tuple(targets[a:b]) for a, b in zip(cut, cut[1:])]
-        system._set_tables(class_of, tuple(rank[inverse.reshape(-1)].tolist()), rows)
+        counts = keep.sum(axis=1)
+        key = np.repeat(np.arange(ns) * len(class_of), counts) + ids[ranked[keep]]
+        by_class = np.argsort(key, kind="stable")
+        key, flat = key[by_class], ranked[keep][by_class]
+        at = np.maximum.accumulate(np.where(np.diff(key, prepend=-1) != 0, np.arange(len(key)), 0))
+        succ = flat[np.argsort(key // len(class_of) * ns + flat[at], kind="stable")]
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        system.__dict__.update(
+            class_of=class_of,
+            output_ids=tuple(ids.tolist()),
+            successor_groups=(ptr.tolist(), ids[succ].tolist(), succ.tolist()),
+            _balls={},
+        )
         return system
 
     def ball_states(self, fault: frozenset[int] | set[int], rho) -> frozenset[int]:
@@ -292,19 +286,23 @@ class FiniteSystem:
         try:
             kind = doc.get("kind")
             if kind == "abstraction-model":
+                states = tuple(tuple(map(_index, row)) for row in doc["states"])
+                p = _index(doc["p"])
+                if p < 0 or any(len(row) < p for row in states):
+                    raise DomainError(f"output dimension p = {p} does not fit the state rows")
                 meta = {
                     k: doc[k]
                     for k in ("config_digest", "epsilon")
                     if k in doc and doc[k] is not None
                 }
                 return FiniteSystem.on_lattice(
-                    tuple(tuple(map(_index, row)) for row in doc["states"]),
+                    states,
                     _theta(doc["state_theta"]),
                     tuple(tuple(map(_index, row)) for row in doc["inputs"]),
                     _theta(doc["input_theta"]),
                     tuple(map(_index, doc["initial"])),
                     [list(map(_index, row)) for row in doc["successors"]],
-                    _index(doc["p"]),
+                    p,
                     meta,
                 )
             if kind == "finite-system":
@@ -324,6 +322,9 @@ class FiniteSystem:
 
                 states = tuple(tuple(map(fraction, row)) for row in doc["raw_states"])
                 outputs = tuple(tuple(map(fraction, row)) for row in doc["raw_outputs"])
+                p = _index(doc["p"])
+                if p < 0 or any(len(row) != p for row in outputs):
+                    raise DomainError(f"output rows must have p = {p} components")
                 inputs = tuple(doc["inputs"])
                 n_states, n_inputs = len(states), len(inputs)
                 table = [[set() for _ in range(n_inputs)] for _ in range(n_states)]
@@ -342,7 +343,7 @@ class FiniteSystem:
                     inputs,
                     succ,
                     outputs,
-                    _index(doc["p"]),
+                    p,
                 )
             raise DomainError(f"unknown model kind {kind!r}")
         except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -421,13 +422,6 @@ def _matrix_view(s: FiniteSystem) -> np.ndarray:
     return np.array(flat, dtype=np.int64).reshape(s.n_states, len(s.inputs))
 
 
-def _csr_view(s: FiniteSystem) -> tuple[np.ndarray, np.ndarray]:
-    counts = np.fromiter(map(len, s.successors_any), dtype=np.int64, count=s.n_states)
-    ptr = np.concatenate(([0], np.cumsum(counts)))
-    flat = np.fromiter(chain.from_iterable(s.successors_any), dtype=np.int64, count=int(ptr[-1]))
-    return ptr, flat
-
-
 def _coords_view(s: FiniteSystem) -> np.ndarray | None:
     try:
         return _coord_array(s.state_coords)
@@ -445,8 +439,6 @@ _VIEWS = {
     "succ": _succ_view,
     # (states x inputs) successor matrix of a deterministic system.
     "successor_matrix": _matrix_view,
-    # Successor CSR: ptr[i]:ptr[i+1] slices the flat successors_any of i.
-    "successor_csr": _csr_view,
     # int64 state coordinates, or None when they overflow.
     "_coords": _coords_view,
 }

@@ -45,9 +45,10 @@ def exact_ball(system: FiniteSystem, fault, rho) -> frozenset[int]:
 
 
 def successors_by_value(system: FiniteSystem, i: int) -> dict:
-    """Input-erased successors of i grouped by their output value."""
+    """Input-erased successors of i grouped by their output value, read
+    from the successor field ``succ`` and the output values."""
     groups: dict = {}
-    for j in system.successors_any[i]:
+    for j in sorted({j for targets in system.succ[i] for j in targets}):
         groups.setdefault(system.outputs[j], []).append(j)
     return {out: tuple(js) for out, js in groups.items()}
 
@@ -192,22 +193,22 @@ def synchronized_product(s: FiniteSystem) -> TwinProduct:
     agree.  Desk scale only; the checker explores the same product
     implicitly.
     """
-    ids = s.output_ids
+    out = s.outputs
     pairs = [
-        (i, j) for i in range(s.n_states) for j in range(s.n_states) if ids[i] == ids[j]
+        (i, j) for i in range(s.n_states) for j in range(s.n_states) if out[i] == out[j]
     ]
     index = {pair: k for k, pair in enumerate(pairs)}
-    initial = tuple(index[(i, j)] for i in s.initial for j in s.initial if ids[i] == ids[j])
+    initial = tuple(index[(i, j)] for i in s.initial for j in s.initial if out[i] == out[j])
     succ_rows = []
     for i, j in pairs:
-        si = s.successors_by_output[i]
-        sj = s.successors_by_output[j]
+        si = successors_by_value(s, i)
+        sj = successors_by_value(s, j)
         targets = sorted(
             index[(a, b)]
-            for cls, alist in si.items()
-            if cls in sj
+            for value, alist in si.items()
+            if value in sj
             for a in alist
-            for b in sj[cls]
+            for b in sj[value]
         )
         succ_rows.append((tuple(targets),))
     states = tuple(s.states[i] + s.states[j] for i, j in pairs)

@@ -297,6 +297,14 @@ def test_bench_bad_dims_is_usage_error(capsys, dims):
     assert "positive integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width", ["0", "-2", "x"])
+def test_bench_bad_width_is_usage_error(capsys, width):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--dims", "1", "--width", width, "--json"])
+    assert exc.value.code == 64
+    assert "--width" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["abstract", "--definitely-not-a-flag"])

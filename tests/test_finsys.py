@@ -72,7 +72,7 @@ def enumerate_runs(s: FiniteSystem, length: int):
     """All state runs with `length` states, by brute expansion."""
     runs = [[i] for i in s.initial]
     for _ in range(length - 1):
-        runs = [r + [j] for r in runs for j in s.successors_any[r[-1]]]
+        runs = [r + [j] for r in runs for j in sorted({j for t in s.succ[r[-1]] for j in t})]
     return [tuple(r) for r in runs]
 
 
@@ -174,16 +174,38 @@ def test_construction_error_precedence(succ, error, message):
     assert message in str(exc.value)
 
 
+def random_lattice_model(rng) -> FiniteSystem:
+    """Array-native model whose output classes (the first coordinate, of
+    three values) hold several successors of one state."""
+    n, m = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+    coords = tuple((int(rng.integers(0, 3)), k) for k in range(n))
+    inputs = tuple((u,) for u in range(m))
+    return FiniteSystem.on_lattice(coords, 0.5, inputs, 0.5, (0,), rng.integers(0, n, (n, m)), 1, {})
+
+
 def test_construction_derives_integer_tables():
-    s = nd1()
-    assert s.class_of == {out: k for k, out in enumerate(dict.fromkeys(s.outputs))}
-    assert s.output_ids == tuple(s.class_of[out] for out in s.outputs)
-    for i, row in enumerate(s.succ):
-        assert s.successors_any[i] == tuple(sorted({j for t in row for j in t}))
-        flat = [j for js in s.successors_by_output[i].values() for j in js]
-        assert sorted(flat) == list(s.successors_any[i])
-        for cls, js in s.successors_by_output[i].items():
-            assert all(s.output_ids[j] == cls for j in js)
+    rng = np.random.default_rng(20260810)
+    systems = [random_finite_system(rng)[0] for _ in range(200)] + [d1(), nd1()]
+    for s in systems + [random_lattice_model(rng) for _ in range(50)]:
+        assert s.class_of == {out: k for k, out in enumerate(dict.fromkeys(s.outputs))}
+        assert s.output_ids == tuple(s.class_of[out] for out in s.outputs)
+        ptr, cls, succ = s.successor_groups
+        assert ptr[0] == 0 and len(ptr) == s.n_states + 1
+        assert len(cls) == len(succ) == ptr[-1]
+        for i, row in enumerate(s.succ):
+            members, classes = succ[ptr[i] : ptr[i + 1]], cls[ptr[i] : ptr[i + 1]]
+            # The row holds the distinct successors of i under any input.
+            assert sorted(members) == sorted({j for t in row for j in t})
+            assert classes == [s.output_ids[j] for j in members]
+            # Groups are contiguous and come in the order of their first
+            # member, and members ascend within a group.
+            groups = list(dict.fromkeys(classes))
+            assert classes == sorted(classes, key=groups.index)
+            firsts = [members[classes.index(c)] for c in groups]
+            assert firsts == sorted(firsts)
+            for c in groups:
+                js = [j for j, k in zip(members, classes) if k == c]
+                assert js == sorted(js)
 
 
 @pytest.mark.parametrize("values", [{"a": 1}, 5, None, "4", ["x"], [[1]], ["1/0"], [None]])
@@ -209,13 +231,25 @@ BAD_TRANSITIONS = {
 BAD_INITIAL = {"initial state": ["q"], "initial true": [True], "initial 0.0": [0.0]}
 
 
-@pytest.mark.parametrize("case", ["raw value", "p 1.0", *BAD_INITIAL, *BAD_TRANSITIONS])
+BAD_P = {
+    "p 3": ("finite", 3),
+    "p 0": ("finite", 0),
+    "lattice p -1": ("lattice", -1),
+    "lattice p 3": ("lattice", 3),
+}
+
+
+@pytest.mark.parametrize("case", ["raw value", "p 1.0", *BAD_P, *BAD_INITIAL, *BAD_TRANSITIONS])
 def test_from_json_rejects_malformed_file(case):
     doc = d1_doc()
     if case == "raw value":
         doc["raw_states"][1] = ["x"]
     elif case == "p 1.0":
         doc["p"] = 1.0
+    elif case in BAD_P:
+        kind, p = BAD_P[case]
+        doc = lattice_doc() if kind == "lattice" else doc
+        doc["p"] = p
     elif case in BAD_INITIAL:
         doc["initial"] = BAD_INITIAL[case]
     else:

@@ -69,29 +69,32 @@ def test_successor_groups_follow_first_appearance():
     outputs = ((Fraction(0),), (Fraction(7),), (Fraction(3),), (Fraction(7),))
     succ = (((3, 1), (2,)), ((0,), (0,)), ((0,), (0,)), ((0,), (0,)))
     s = FiniteSystem(states, (0,), ("a", "b"), succ, outputs, 1)
-    assert s.successors_any[0] == (1, 2, 3)
-    assert list(s.successors_by_output[0].items()) == [(1, (1, 3)), (2, (2,))]
+    ptr, cls, flat = s.successor_groups
+    assert ptr == [0, 3, 4, 5, 6]
+    # State 0's successors 1 and 3 share class 1, which 1 reaches first.
+    assert (cls[:3], flat[:3]) == ([1, 1, 2], [1, 3, 2])
 
 
 def test_replace_rebuilds_derived_tables():
     s = d1()
     spec = ad.FaultSpec.of(D1_FAULTS, 0)
     assert check_diagnosability(s, spec).diagnosable  # fills the ball memo
-    assert s.successors_any[1] == (1,) and s.output_ids == (0, 1, 2)
+    assert s.successor_groups == ([0, 2, 3, 4], [1, 2, 1, 2], [1, 2, 1, 2])
+    assert s.output_ids == (0, 1, 2)
     # State 1 may now move on to state 2, which shares its output.
     succ = (((1, 2),), ((1, 2),), ((2,),))
     outputs = ((Fraction(0),), (Fraction(2),), (Fraction(2),))
     copy = dataclasses.replace(s, succ=succ, outputs=outputs)
     fresh = FiniteSystem(s.states, s.initial, s.inputs, succ, outputs, s.p)
-    for i in range(s.n_states):
-        assert copy.successors_any[i] == fresh.successors_any[i]
-        assert copy.successors_by_output[i] == fresh.successors_by_output[i]
+    groups = ([0, 2, 4, 5], [1, 1, 1, 1, 1], [1, 2, 1, 2, 2])
+    assert copy.successor_groups == fresh.successor_groups == groups
     assert copy.output_ids == fresh.output_ids == (0, 1, 1)
     got, want = check_diagnosability(copy, spec), check_diagnosability(fresh, spec)
     assert not got.diagnosable
     assert_same_verdict(got, want)
     # The original keeps its own tables.
-    assert s.successors_any[1] == (1,) and s.output_ids == (0, 1, 2)
+    assert s.successor_groups == ([0, 2, 3, 4], [1, 2, 1, 2], [1, 2, 1, 2])
+    assert s.output_ids == (0, 1, 2)
     assert check_diagnosability(s, spec).diagnosable
 
 
@@ -303,15 +306,7 @@ def test_lattice_ball_matches_exact_ball_on_e1(e1_checks, mode):
 
 
 def integer_tables(system):
-    ptr, flat = system.successor_csr
-    return (
-        list(system.class_of.items()),
-        system.output_ids,
-        system.successors_any,
-        [list(groups.items()) for groups in system.successors_by_output],
-        ptr.tolist(),
-        flat.tolist(),
-    )
+    return list(system.class_of.items()), system.output_ids, system.successor_groups
 
 
 @pytest.mark.parametrize("mode", sorted(E1_SCENARIOS))
