@@ -273,11 +273,31 @@ def _draw_trial(sysdef: SystemDef, horizon: int, seed: int, trial: int):
     return x0f, _sample_union(rng, sysdef.x0, 1)[0], _sample_union(rng, sysdef.u_set, horizon)
 
 
-def _check_trial(sysdef, fault_region, rho, horizon, seed, trial) -> Counterexample | None:
-    """Scalar check of one trial: its counterexample, None, or the exception
-    its simulation raises."""
+def _draw_chunk(sysdef: SystemDef, horizon: int, seed: int, chunk: range):
+    """``_draw_trial`` of each trial of the chunk, stacked into one row per
+    trial.  When X0 and U are each one box with no degenerate axis, a
+    trial's draws are the first 2n + horizon*m doubles of its stream, all
+    derived in one pass.  Other unions draw trial by trial: their draws
+    skip zero-width axes and pick boxes with numpy's bounded-integer
+    sampler."""
+    (xlo, xw, x_box), (ulo, uw, u_box) = sysdef.x0.member_arrays, sysdef.u_set.member_arrays
+    if not (x_box and u_box):
+        return tuple(np.array(a) for a in zip(*(_draw_trial(sysdef, horizon, seed, t) for t in chunk)))
+    # Imported on first use: only the falsifier reads streams.py, so
+    # `import approxdiag` does not load it for commands that never falsify.
+    from .streams import trial_doubles
+
+    n, m = sysdef.n, sysdef.m
+    r = trial_doubles(seed, np.arange(chunk.start, chunk.stop, dtype=np.uint64), 2 * n + horizon * m)
+    us = ulo + uw * r[:, 2 * n :].reshape(len(chunk), horizon, m)
+    return xlo + xw * r[:, :n], xlo + xw * r[:, n : 2 * n], us
+
+
+def _check_trial(sysdef, fault_region, rho, x0f, x0s_raw, us, trial) -> Counterexample | None:
+    """Scalar check of one trial from its drawn rows: its counterexample,
+    None, or the exception its simulation raises."""
     p = sysdef.p
-    x0f, x0s_raw, us = (tuple(a.tolist()) for a in _draw_trial(sysdef, horizon, seed, trial))
+    x0f, x0s_raw, us = (tuple(a.tolist()) for a in (x0f, x0s_raw, us))
     x0s = x0f[:p] + x0s_raw[p:]
     if not sysdef.x0.contains(x0s):
         x0s = x0s_raw
@@ -297,21 +317,20 @@ def _check_trial(sysdef, fault_region, rho, horizon, seed, trial) -> Counterexam
     )
 
 
-def _screen_trials(sysdef, fault_region, rho, horizon, seed, chunk: range) -> list[int]:
-    """Trials of the chunk the scalar check must see, in trial order: those
-    whose simulation may fail and those that pass every screen.
+def _screen_trials(sysdef, fault_region, rho, x0f, raw, us) -> np.ndarray:
+    """Rows of a drawn chunk the scalar check must see, in trial order:
+    those whose simulation may fail and those that pass every screen.
 
     Both trajectories of each trial are simulated as numpy rows, and the
     screens make the scalar check's comparisons on the same floats, so a
     trial left out is one the scalar check returns None for.
     """
-    p, c = sysdef.p, len(chunk)
-    x0f, raw, us = (np.array(a) for a in zip(*(_draw_trial(sysdef, horizon, seed, t) for t in chunk)))
+    p, c = sysdef.p, len(x0f)
     mixed = np.concatenate([x0f[:, :p], raw[:, p:]], axis=1)
     x = np.concatenate([x0f, np.where(sysdef.x0.contains_rows(mixed)[:, None], mixed, raw)])
     us = np.concatenate([us, us])
     traj, bad = [x], np.zeros(2 * c, dtype=bool)
-    for t in range(horizon):
+    for t in range(us.shape[1]):
         cols, failed = sysdef.compiled_np(list(x.T), list(us[:, t].T))
         x = np.column_stack(cols)
         bad |= failed
@@ -323,7 +342,7 @@ def _screen_trials(sysdef, fault_region, rho, horizon, seed, chunk: range) -> li
     entered = hit.any(axis=1) & ~hit[:, 0]
     near = (fault_region.distance_rows(traj[c:]) <= rho).any(axis=1)
     same = (q[:c] == q[c:]).all(axis=(1, 2))
-    return [chunk[i] for i in np.flatnonzero(bad[:c] | bad[c:] | (entered & ~near & same))]
+    return np.flatnonzero(bad[:c] | bad[c:] | (entered & ~near & same))
 
 
 def falsify_plant(
@@ -344,9 +363,10 @@ def falsify_plant(
     streams are derived from (seed, trial), so the outcome is reproducible
     for a given seed and trial count regardless of chunking.
 
-    Trials are simulated _TRIAL_CHUNK at a time as numpy rows; the trials
-    that fail or pass the screens go, in trial order, to the scalar check,
-    which returns the first counterexample or raises the first error.
+    Trials are drawn and simulated _TRIAL_CHUNK at a time as numpy rows;
+    the trials that fail or pass the screens go, in trial order and with
+    the rows their chunk drew, to the scalar check, which returns the first
+    counterexample or raises the first error.
     """
     if fault_region.is_empty():
         return None
@@ -355,8 +375,9 @@ def falsify_plant(
         raise FaultSpecError("fault region meets the initial set")
     for lo in range(0, trials, _TRIAL_CHUNK):
         chunk = range(lo, min(trials, lo + _TRIAL_CHUNK))
-        for trial in _screen_trials(sysdef, fault_region, rho, horizon, seed, chunk):
-            found = _check_trial(sysdef, fault_region, rho, horizon, seed, trial)
+        rows = _draw_chunk(sysdef, horizon, seed, chunk)
+        for i in _screen_trials(sysdef, fault_region, rho, *rows):
+            found = _check_trial(sysdef, fault_region, rho, *(a[i] for a in rows), chunk[i])
             if found is not None:
                 return found
     return None

@@ -55,10 +55,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sample_count(text: str) -> int:
-    """A nonnegative integer count, such as --samples (0 passes vacuously)."""
+    """A nonnegative integer, such as --samples (0 passes vacuously) or a
+    --seed."""
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"count must be nonnegative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
 
 
@@ -366,7 +367,7 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("validate", parents=[], help="validate a config and its certificate")
     sub.add_argument("config")
     sub.add_argument("--samples", type=_sample_count, default=10_000)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_sample_count, default=0)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_validate)
 
@@ -382,7 +383,7 @@ def build_parser() -> _Parser:
     sub.add_argument("config")
     _add_params_flags(sub)
     sub.add_argument("--samples", type=_sample_count, default=10_000)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_sample_count, default=0)
     sub.add_argument("--threads", type=int, help="accepted and ignored")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_certify)
@@ -420,7 +421,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--rho", type=float, required=True)
     sub.add_argument("--trials", type=_sample_count, default=10_000)
     sub.add_argument("--horizon", type=_sample_count, default=30)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_sample_count, default=0)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_falsify)
 

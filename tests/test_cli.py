@@ -277,6 +277,32 @@ def test_falsify_negative_count_is_usage_error(capsys, flag, value):
     assert "nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", E1],
+        ["certify", E1, "--eta", "0.04", "--mu", "0.005", "--epsilon", "0.4"],
+        ["falsify", E1, "--faults", FAULT_X2, "--rho", "0.05"],
+    ],
+    ids=["validate", "certify", "falsify"],
+)
+def test_negative_seed_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1", "--json"])
+    assert exc.value.code == 64
+    assert "nonnegative" in capsys.readouterr().err
+
+
+def test_falsify_accepts_seeds_past_64_bits(capsys):
+    for seed in (2**64, 2**128 + 1):
+        code, doc = run_json(
+            capsys,
+            ["falsify", E1, "--faults", FAULT_X2, "--rho", "0.05", "--trials", "300",
+             "--seed", str(seed), "--json"],
+        )
+        assert code == 0 and doc["parameters"]["seed"] == seed
+
+
 def test_bench_counts(capsys):
     code, doc = run_json(capsys, ["bench", "--dims", "1,2,3", "--width", "4", "--json"])
     assert code == 0

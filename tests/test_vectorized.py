@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import approxdiag as ad
-from approxdiag import bridge, exprs
+from approxdiag import bridge, exprs, streams
 from approxdiag.bench import chain_system
 from approxdiag.cli import main
 from approxdiag.errors import BoundExceededError, DomainError, EvaluationError, NumericError
@@ -305,14 +305,52 @@ def test_falsify_equals_reference_on_e1(region, rho, trials):
 def test_falsify_equals_reference_on_two_box_x0_and_nonlinear_plant():
     x0 = BoxUnion.of(Box((-1.0, -1.0), (1.0, 1.0)), Box((0.5, 1.5), (0.9, 1.5)))
     two_box, _ = plant(["0.5*x1 + u1", "0.25*x1 + 0.5*x2"], x0=x0)
+    # One box, but x1 has zero width: its draws take the per-trial path.
+    flat, _ = plant(["0.5*x1 + u1", "0.25*x1 + 0.5*x2"], x0=BoxUnion.of(Box((0.2, -1.0), (0.2, 1.0))))
+    assert not flat.x0.member_arrays[2]
     nonlinear, _ = plant(NONLINEAR)
-    for sysdef, region in ((two_box, FAULT_X2), (two_box, BAND), (nonlinear, FAULT_X2)):
+    cases = ((two_box, FAULT_X2), (two_box, BAND), (flat, FAULT_X2), (nonlinear, FAULT_X2))
+    for sysdef, region in cases:
         found = 0
         for seed in range(6):
             got, want = falsify_outcomes(sysdef, region, 0.05, 300, 20, seed)
             assert got == want, seed
             found += got is not None
         assert found > 0
+
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 + 1]  # the last: 5 words, past the pool
+STREAM_TRIALS = [0, 1, 255, 256, 2**32 - 1, 2**32, 2**40 + 3]  # the last two: two words
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_streams_equal_numpy(seed):
+    trials = np.array(STREAM_TRIALS, dtype=np.uint64)
+    hi, lo, inc_hi, inc_lo = streams.pcg_states(seed, trials)
+    doubles = streams.trial_doubles(seed, trials, 40)
+    for i, t in enumerate(STREAM_TRIALS):
+        want = np.random.PCG64(np.random.SeedSequence((seed, t))).state["state"]
+        got = {"state": int(hi[i]) << 64 | int(lo[i]), "inc": int(inc_hi[i]) << 64 | int(inc_lo[i])}
+        assert got == want, t
+        assert (bits(doubles[i]) == bits(np.random.default_rng((seed, t)).random(40))).all(), t
+
+
+def test_trial_streams_reject_negative_seeds():
+    with pytest.raises(ValueError, match="non-negative"):
+        np.random.default_rng((-1, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        streams.trial_doubles(-1, np.arange(3, dtype=np.uint64), 2)
+
+
+@pytest.mark.parametrize("start", [0, 2**32 - 100])  # the second chunk crosses two-word indices
+def test_one_box_chunk_draws_equal_per_trial_draws(start):
+    sysdef, _ = e1()
+    assert sysdef.x0.member_arrays[2] and sysdef.u_set.member_arrays[2]
+    chunk = range(start, start + bridge._TRIAL_CHUNK)
+    got = bridge._draw_chunk(sysdef, 30, 11, chunk)
+    want = [np.array(a) for a in zip(*(bridge._draw_trial(sysdef, 30, 11, t) for t in chunk))]
+    assert [a.shape for a in got] == [a.shape for a in want]
+    assert all((bits(a) == bits(b)).all() for a, b in zip(got, want))
 
 
 def test_falsify_errors_surface_only_before_the_first_counterexample():
@@ -364,23 +402,22 @@ def test_falsify_memory_is_flat_in_trials():
 def test_early_counterexample_simulates_one_chunk(monkeypatch):
     sysdef, _ = e1()
     drawn, checked = [], []
-    draw, check = bridge._draw_trial, bridge._check_trial
+    draw, check = bridge._draw_chunk, bridge._check_trial
 
     def counting_draw(*args):
-        drawn.append(args[-1])
+        drawn.extend(args[-1])
         return draw(*args)
 
     def counting_check(*args):
         checked.append(args[-1])
         return check(*args)
 
-    monkeypatch.setattr(bridge, "_draw_trial", counting_draw)
+    monkeypatch.setattr(bridge, "_draw_chunk", counting_draw)
     monkeypatch.setattr(bridge, "_check_trial", counting_check)
     found = bridge.falsify_plant(sysdef, FAULT_X2, 0.05, 10_000, 30, seed=3)
     assert found is not None and found.trial < 30
     assert checked[-1] == found.trial and checked == sorted(checked)
-    assert len(drawn) <= bridge._TRIAL_CHUNK + len(checked)
-    assert max(drawn) < bridge._TRIAL_CHUNK
+    assert drawn == list(range(bridge._TRIAL_CHUNK))
 
 
 # Power and piecewise-linear gains, so every comparison-function form is
