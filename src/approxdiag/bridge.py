@@ -33,10 +33,10 @@ from .errors import (
     ParamCheckError,
 )
 from .finsys import FiniteSystem
-from .lattice import _index_points, lattice_points_in, quantize_indices
+from .lattice import _index_points, lattice_points_in, quantize, quantize_indices
 from .rational import to_rational
 from .regions import Box, BoxUnion, ball_in_union
-from .system import Certificate, SystemDef, _sample_union, quantized_output_trace, step
+from .system import Certificate, SystemDef, _sample_union, output, step
 
 # Falsifier trials simulated at once: a counterexample early on costs one
 # chunk, and memory stays flat in the trial count.
@@ -309,8 +309,8 @@ def _check_trial(sysdef, fault_region, rho, x0f, x0s_raw, us, trial) -> Countere
     fault_time = next((t for t, x in enumerate(traj_f) if fault_region.contains(x)), None)
     if not fault_time or any(fault_region.distance_to(x) <= rho for x in traj_s):
         return None
-    trace_f = [pt.coords for pt in quantized_output_trace(sysdef, x0f, inputs)]
-    if trace_f != [pt.coords for pt in quantized_output_trace(sysdef, x0s, inputs)]:
+    trace_f = [quantize(output(sysdef, x), sysdef.eta).coords for x in traj_f]
+    if trace_f != [quantize(output(sysdef, x), sysdef.eta).coords for x in traj_s]:
         return None
     return Counterexample(
         trial, fault_time, x0f, x0s, inputs, tuple(traj_f), tuple(traj_s), tuple(trace_f)

@@ -205,11 +205,10 @@ def _cmd_check_fts(args) -> int:
     model = FiniteSystem.load(args.model)
     spec = _fault_spec_for_model(model, args.faults, args.rho)
     timer = PhaseTimer()
-    if args.brute_force is not None:
-        with timer.phase("check"):
+    with timer.phase("check"):
+        if args.brute_force is not None:
             verdict = brute_force_check(model, spec, args.brute_force)
-    else:
-        with timer.phase("check"):
+        else:
             verdict = check_diagnosability(model, spec)
     _emit(
         args,

@@ -163,25 +163,19 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
 
     # The same relation as flat index arrays, built the first time a level
     # is large enough to expand in one join.
-    tables = None
-
-    def batched(size: int) -> _PairJoin | None:
-        nonlocal tables
-        if size < _BATCH_MIN or n * n > _PAIR_CAP:
-            return None
-        if tables is None:
-            tables = _PairJoin(system, ball, spec.faults)
-        return tables
+    join = None
 
     # Breadth-first search from `frontier`, recording in `parent` the
     # predecessor of each pair first reached.  Pairs whose left state is
     # faulty go to `stop` instead, when given, and are not expanded.
     def explore(frontier, parent, stop=None):
+        nonlocal join
         seen = None
         while frontier:
             nxt = []
-            join = batched(len(frontier))
-            if join is not None:
+            if len(frontier) >= _BATCH_MIN and n * n <= _PAIR_CAP:
+                if join is None:
+                    join = _PairJoin(system, ball, spec.faults)
                 if seen is None:
                     seen = join.bitmap(parent, stop or {})
                 for tgt, par in join.level(frontier, seen):
@@ -209,23 +203,16 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
 
     # Phase A: pairs with no fault seen on the left and no ball visit on the
     # right, reached from output-matched initial pairs.
-    same_class: dict[int, list[int]] = {}
+    safe_initial: dict[int, list[int]] = {}  # class id -> ball-free initial states
     for j in system.initial:
-        same_class.setdefault(ids[j], []).append(j)
+        if j not in ball:
+            safe_initial.setdefault(ids[j], []).append(j)
+    a_parent: dict[int, int | None] = {}
+    for i in system.initial:
+        for j in safe_initial.get(ids[i], ()):
+            a_parent.setdefault(i * n + j)
     entries: dict[int, int | None] = {}  # region entry -> predecessor in phase A
-    join = batched(sum(len(same_class[ids[i]]) for i in system.initial))
-    if join is not None:
-        frontier = join.initial_pairs(system.initial)
-        a_parent: dict[int, int | None] = dict.fromkeys(frontier)
-    else:
-        frontier, a_parent = [], {}
-        for i in system.initial:
-            for j in same_class[ids[i]]:
-                code = i * n + j
-                if j not in ball and code not in a_parent:
-                    a_parent[code] = None
-                    frontier.append(code)
-    explore(frontier, a_parent, entries)
+    explore(list(a_parent), a_parent, entries)
     if not entries:
         return Verdict(True, delta=1, stats={"region_states": 0, "phase_a_pairs": len(a_parent)})
 
@@ -284,33 +271,16 @@ class _PairJoin:
         n_classes = self.n_classes = len(system.class_of)
         self.ptr, self.cls, self.succ = (np.array(a, dtype=np.int64) for a in system.successor_groups)
         keys = np.repeat(np.arange(n, dtype=np.int64) * n_classes, np.diff(self.ptr)) + self.cls
-        self.ids = np.array(system.output_ids, dtype=np.int64)
-        self.in_ball = np.zeros(n, dtype=bool)
-        self.in_ball[list(ball)] = True
+        in_ball = np.zeros(n, dtype=bool)
+        in_ball[list(ball)] = True
         self.faulty = np.zeros(n, dtype=bool)
         self.faulty[list(faults)] = True
-        safe = ~self.in_ball[self.succ]
+        safe = ~in_ball[self.succ]
         keys = keys[safe]
         # A stable sort keeps each (state, class) group's members ascending.
         self.right = self.succ[safe][np.argsort(keys, kind="stable")]
         self.start = np.zeros(n * n_classes + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys, minlength=n * n_classes), out=self.start[1:])
-
-    def initial_pairs(self, initial) -> list[int]:
-        """Codes of the output-matched initial pairs whose right side avoids
-        the ball, in the scalar order (i in `initial` order, then j in
-        `initial` order within the class of i), each at its first occurrence."""
-        init = np.array(initial, dtype=np.int64)
-        cls = self.ids[init]
-        order = np.argsort(cls, kind="stable")
-        keys, start, size = np.unique(cls[order], return_index=True, return_counts=True)
-        slot = np.searchsorted(keys, cls)
-        reps = size[slot]
-        ends = np.cumsum(reps)
-        right = init[order][np.repeat(start[slot] - (ends - reps), reps) + np.arange(ends[-1])]
-        codes = (np.repeat(init, reps) * self.n + right)[~self.in_ball[right]]
-        _, first = np.unique(codes, return_index=True)
-        return codes[np.sort(first)].tolist()
 
     def bitmap(self, *visited) -> np.ndarray:
         """Dense n*n visited flags, set for the keys of the given dicts."""

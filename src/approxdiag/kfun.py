@@ -79,18 +79,7 @@ class KFunction:
             return self.a * r
         if self.form == "power":
             return self.a * r ** self.b
-        return self._pwl_eval(r)
-
-    def _pwl_eval(self, r: float) -> float:
-        pts = self.points
-        if r >= pts[-1][0]:
-            r0, y0 = pts[-2]
-            r1, y1 = pts[-1]
-            return y1 + (r - r1) * (y1 - y0) / (r1 - r0)
-        for (r0, y0), (r1, y1) in zip(pts, pts[1:]):
-            if r < r1:
-                return y0 + (r - r0) * (y1 - y0) / (r1 - r0)
-        raise AssertionError("unreachable")
+        return _pwl(self.points, r)
 
     def inverse(self, y: float) -> float:
         """Exact inverse; defined on y >= 0 since every form is K-infinity."""
@@ -102,18 +91,7 @@ class KFunction:
             return y / self.a
         if self.form == "power":
             return (y / self.a) ** (1.0 / self.b)
-        return self._pwl_inverse(y)
-
-    def _pwl_inverse(self, y: float) -> float:
-        pts = self.points
-        if y >= pts[-1][1]:
-            r0, y0 = pts[-2]
-            r1, y1 = pts[-1]
-            return r1 + (y - y1) * (r1 - r0) / (y1 - y0)
-        for (r0, y0), (r1, y1) in zip(pts, pts[1:]):
-            if y < y1:
-                return r0 + (y - y0) * (r1 - r0) / (y1 - y0)
-        raise AssertionError("unreachable")
+        return _pwl(tuple((y1, r1) for r1, y1 in self.points), y)
 
     # -- serialization --------------------------------------------------
 
@@ -134,6 +112,18 @@ class KFunction:
         if form == "pwl":
             return KFunction.piecewise_linear(tuple(map(tuple, doc["points"])))
         raise DomainError(f"unknown comparison-function form {form!r}")
+
+
+def _pwl(points, r: float) -> float:
+    """The curve through `points` at r, extended past the last breakpoint
+    with the final segment slope.  On swapped breakpoints it is the inverse."""
+    if r >= points[-1][0]:
+        (r0, y0), (r1, y1) = points[-2:]
+        return y1 + (r - r1) * (y1 - y0) / (r1 - r0)
+    for (r0, y0), (r1, y1) in zip(points, points[1:]):
+        if r < r1:
+            return y0 + (r - r0) * (y1 - y0) / (r1 - r0)
+    raise AssertionError("unreachable")
 
 
 def compose_inverse(f: KFunction, g: KFunction, y: float) -> float:

@@ -8,6 +8,7 @@ one intentionally non-reproducible section; golden comparisons strip them.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import time
@@ -33,21 +34,15 @@ class PhaseTimer:
     def __init__(self):
         self.timings_ms: dict[str, float] = {}
 
+    @contextlib.contextmanager
     def phase(self, name: str):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc):
-                timer.timings_ms[name] = timer.timings_ms.get(name, 0.0) + (
-                    (time.perf_counter() - self.t0) * 1000.0
-                )
-                return False
-
-        return _Ctx()
+        """Add the block's wall time to ``name``, also when it raises."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = (time.perf_counter() - t0) * 1000.0
+            self.timings_ms[name] = self.timings_ms.get(name, 0.0) + elapsed
 
 
 def run_report(

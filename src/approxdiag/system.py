@@ -266,11 +266,9 @@ def _sample_union(rng: np.random.Generator, union: BoxUnion, count: int) -> np.n
     inside.  One ``integers`` pick call, then one ``random`` draw per row
     and non-degenerate axis in row order: ``lo + (hi - lo) * r`` is
     ``rng.uniform(lo, hi)`` bit for bit, so the stream is the per-row one."""
-    lower, width, one_full_box = union.member_arrays
+    lower, width, _ = union.member_arrays
     if not len(lower):
         raise ConfigError("", "cannot sample from an empty union")
-    if one_full_box:  # its pick call, integers(0, 1), would draw nothing
-        return lower + width * rng.random((count, width.shape[1]))
     picks = rng.integers(0, len(lower), size=count)
     lo, span = lower[picks], width[picks]
     live = span > 0

@@ -4,11 +4,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from approxdiag import report
 from approxdiag.cli import main
-from approxdiag.report import strip_timings
+from approxdiag.errors import EmptyErosionError
+from approxdiag.report import PhaseTimer, strip_timings
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 E1 = str(CONFIGS / "e1.json")
@@ -22,6 +25,22 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out.strip()
     return code, json.loads(out) if out else None
+
+
+def test_phase_timer_adds_per_name_and_times_a_raising_block(monkeypatch):
+    # The check command's retry after EmptyErosionError keeps the time of
+    # the failed attempt, so a block that raises must still be recorded.
+    clock = iter([1.0, 1.5, 2.0, 2.25, 3.0, 3.125])
+    monkeypatch.setattr(report, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    timer = PhaseTimer()
+    with timer.phase("conclude"):
+        pass
+    with timer.phase("conclude"):
+        pass
+    with pytest.raises(EmptyErosionError):
+        with timer.phase("retry"):
+            raise EmptyErosionError("eroded away")
+    assert timer.timings_ms == {"conclude": 750.0, "retry": 125.0}
 
 
 def test_validate(capsys):

@@ -165,29 +165,6 @@ def watched_levels(monkeypatch):
     return sizes
 
 
-def scalar_initial_pairs(initial, ids, in_ball, n):
-    """The scalar phase-A seed: i in `initial` order, then j in `initial`
-    order among the states of i's output class, ball-free j, first occurrence."""
-    codes = [i * n + j for i in initial for j in initial if ids[i] == ids[j] and not in_ball[j]]
-    return list(dict.fromkeys(codes))
-
-
-def watched_initial_pairs(monkeypatch):
-    """Sizes of the initial-pair sets formed as arrays, each checked against
-    the scalar double loop."""
-    sizes = []
-    initial_pairs = diagnosis._PairJoin.initial_pairs
-
-    def watched(self, initial):
-        got = initial_pairs(self, initial)
-        assert got == scalar_initial_pairs(initial, self.ids, self.in_ball, self.n)
-        sizes.append(len(got))
-        return got
-
-    monkeypatch.setattr(diagnosis._PairJoin, "initial_pairs", watched)
-    return sizes
-
-
 def widening_system():
     """One output class; both twin-plant phases have levels of 1, 2 or 4
     pairs that alternate, so at _BATCH_MIN 2 a scalar level runs after
@@ -231,15 +208,11 @@ def test_batched_levels_match_scalar_and_reference(monkeypatch, batch_min):
     monkeypatch.setattr(diagnosis, "_BATCH_MIN", batch_min)
     monkeypatch.setattr(diagnosis, "_JOIN_CHUNK", 3)
     joins = watched_levels(monkeypatch)
-    pairs = watched_initial_pairs(monkeypatch)
     for system, spec in desk_cases():
         got = check_diagnosability(system, spec)
         assert_same_verdict(got, scalar_check(system, spec))
         assert_same_verdict(got, reference_check(system, spec))
     assert len(joins) > 200
-    # Every system with at least batch_min output-matched initial pairs formed
-    # them as arrays, equal to the scalar double loop.
-    assert len(pairs) > (200 if batch_min == 1 else 40)
 
 
 @pytest.mark.parametrize("mode", sorted(E1_SCENARIOS))
@@ -249,11 +222,9 @@ def test_batched_levels_match_scalar_and_reference_on_e1(e1_checks, e1_reference
     monkeypatch.setattr(diagnosis, "_BATCH_MIN", 1)
     monkeypatch.setattr(diagnosis, "_JOIN_CHUNK", 97)
     joins = watched_levels(monkeypatch)
-    pairs = watched_initial_pairs(monkeypatch)
     system, spec = e1_checks[mode]
     got = check_diagnosability(system, spec)
     assert max(joins) > 10_000
-    assert len(pairs) == 1 and pairs[0] > 10_000
     assert_same_verdict(got, scalar_check(system, spec))
     assert_same_verdict(got, e1_references[mode])
 

@@ -53,6 +53,16 @@ def test_inverse_examples():
     assert abs(f.inverse(9.0) - bisect_inverse(f, 9.0)) < 1e-9
 
 
+def test_pwl_exact_values_both_directions():
+    # The ALL_FORMS curve at its breakpoints, between them and past the last
+    # one, where every value is exact in binary floating point.
+    f = ALL_FORMS[-1]
+    pairs = [(0.0, 0.0), (0.5, 0.25), (1.0, 0.5), (1.5, 1.75), (2.0, 3.0), (3.5, 6.5), (5.0, 10.0), (8.0, 17.0)]
+    for r, y in pairs:
+        assert f(r) == y
+        assert f.inverse(y) == r
+
+
 def test_inverse_rejects_negative():
     with pytest.raises(RangeError):
         KFunction.linear(1.0).inverse(-1.0)
