@@ -38,8 +38,10 @@ from .rational import to_rational
 from .regions import Box, BoxUnion, ball_in_union
 from .system import Certificate, SystemDef, _sample_union, output, step
 
-# Falsifier trials simulated at once: a counterexample early on costs one
-# chunk, and memory stays flat in the trial count.
+# Falsifier trials in the first chunk, so a counterexample early on costs
+# one small chunk.  Every later chunk is 8 times that, which spreads the
+# per-chunk numpy overhead of a long search; memory stays flat in the
+# trial count.
 _TRIAL_CHUNK = 256
 
 PROVE = "prove"
@@ -321,28 +323,36 @@ def _screen_trials(sysdef, fault_region, rho, x0f, raw, us) -> np.ndarray:
     """Rows of a drawn chunk the scalar check must see, in trial order:
     those whose simulation may fail and those that pass every screen.
 
-    Both trajectories of each trial are simulated as numpy rows, and the
-    screens make the scalar check's comparisons on the same floats, so a
-    trial left out is one the scalar check returns None for.
+    Both trajectories of each trial are simulated as numpy columns, one
+    time step at a time, and the screens make the scalar check's
+    comparisons on the same floats, so a trial left out is one the scalar
+    check returns None for.
     """
-    p, c = sysdef.p, len(x0f)
+    p, c, eta = sysdef.p, len(x0f), sysdef.eta
     mixed = np.concatenate([x0f[:, :p], raw[:, p:]], axis=1)
-    x = np.concatenate([x0f, np.where(sysdef.x0.contains_rows(mixed)[:, None], mixed, raw)])
-    us = np.concatenate([us, us])
-    traj, bad = [x], np.zeros(2 * c, dtype=bool)
-    for t in range(us.shape[1]):
-        cols, failed = sysdef.compiled_np(list(x.T), list(us[:, t].T))
-        x = np.column_stack(cols)
-        bad |= failed
-        traj.append(x)
-    traj = np.stack(traj, axis=1)
-    q = quantize_indices(traj[:, :, :p], sysdef.eta)
-    bad |= ~(np.isfinite(traj).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2)))
-    hit = fault_region.contains_rows(traj[:c])
-    entered = hit.any(axis=1) & ~hit[:, 0]
-    near = (fault_region.distance_rows(traj[c:]) <= rho).any(axis=1)
-    same = (q[:c] == q[c:]).all(axis=(1, 2))
-    return np.flatnonzero(bad[:c] | bad[c:] | (entered & ~near & same))
+    x0s = np.where(sysdef.x0.contains_columns(list(mixed.T))[:, None], mixed, raw)
+    # The state as contiguous columns, fault rows first, then safe rows; the
+    # inputs as contiguous columns per step, shared by both halves.
+    x = list(np.concatenate([x0f, x0s]).T.copy())
+    u = us.T.copy()
+    bad = np.zeros(2 * c, dtype=bool)
+    same, near, entered = np.ones(c, dtype=bool), np.zeros(c, dtype=bool), np.zeros(c, dtype=bool)
+    for t in range(us.shape[1] + 1):
+        if t:
+            x, failed = sysdef.compiled_np(x, [np.concatenate([col, col]) for col in u[:, t - 1]])
+            bad |= failed
+        q = [quantize_indices(col, eta) for col in x[:p]]
+        for col in (*x, *q):
+            bad |= ~np.isfinite(col)
+        for col in q:
+            same &= col[:c] == col[c:]
+        hit = fault_region.contains_columns([col[:c] for col in x])
+        if t:
+            entered |= hit
+        else:
+            hit0 = hit
+        near |= fault_region.distance_columns([col[c:] for col in x]) <= rho
+    return np.flatnonzero(bad[:c] | bad[c:] | (entered & ~hit0 & ~near & same))
 
 
 def falsify_plant(
@@ -363,7 +373,8 @@ def falsify_plant(
     streams are derived from (seed, trial), so the outcome is reproducible
     for a given seed and trial count regardless of chunking.
 
-    Trials are drawn and simulated _TRIAL_CHUNK at a time as numpy rows;
+    Trials are drawn and simulated a chunk at a time as numpy rows,
+    _TRIAL_CHUNK of them first and 8 times that in each later chunk;
     the trials that fail or pass the screens go, in trial order and with
     the rows their chunk drew, to the scalar check, which returns the first
     counterexample or raises the first error.
@@ -373,11 +384,13 @@ def falsify_plant(
     _require_closed(fault_region, "fault region")
     if fault_region.intersects(sysdef.x0):
         raise FaultSpecError("fault region meets the initial set")
-    for lo in range(0, trials, _TRIAL_CHUNK):
-        chunk = range(lo, min(trials, lo + _TRIAL_CHUNK))
+    lo, size = 0, _TRIAL_CHUNK
+    while lo < trials:
+        chunk = range(lo, min(trials, lo + size))
         rows = _draw_chunk(sysdef, horizon, seed, chunk)
         for i in _screen_trials(sysdef, fault_region, rho, *rows):
             found = _check_trial(sysdef, fault_region, rho, *(a[i] for a in rows), chunk[i])
             if found is not None:
                 return found
+        lo, size = chunk.stop, 8 * _TRIAL_CHUNK
     return None

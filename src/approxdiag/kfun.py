@@ -116,8 +116,9 @@ class KFunction:
 
 def _pwl(points, r: float) -> float:
     """The curve through `points` at r, extended past the last breakpoint
-    with the final segment slope.  On swapped breakpoints it is the inverse."""
-    if r >= points[-1][0]:
+    with the final segment slope; NaN for NaN.  On swapped breakpoints it
+    is the inverse."""
+    if not r < points[-1][0]:
         (r0, y0), (r1, y1) = points[-2:]
         return y1 + (r - r1) * (y1 - y0) / (r1 - r0)
     for (r0, y0), (r1, y1) in zip(points, points[1:]):

@@ -206,14 +206,21 @@ class BoxUnion:
             raise DimensionMismatchError(f"point dim {len(x)} != union dim {self.dim}")
         return any(b.contains_exact(x) for b in self.boxes)
 
-    def contains_rows(self, points: np.ndarray) -> np.ndarray:
-        """``contains`` of each point along the last axis of a float array,
-        by the same comparisons."""
-        inside = np.zeros(points.shape[:-1], dtype=bool)
+    def contains_columns(self, cols) -> np.ndarray:
+        """``contains`` of each point whose coordinates are the entries of
+        ``cols``, one float array per axis, all of one shape.  A NaN
+        coordinate fails every comparison, as in ``contains``."""
+        inside = np.zeros(np.shape(cols[0]), dtype=bool)
         for b in self.boxes:
-            out = (points < b.lower) | (points > b.upper)
-            out |= (points == b.lower) & b.lower_open | (points == b.upper) & b.upper_open
-            inside |= ~out.any(axis=-1)
+            out = np.zeros_like(inside)
+            for v, lo, hi, lo_open, hi_open in zip(cols, b.lower, b.upper, b.lower_open, b.upper_open):
+                out |= v < lo
+                out |= v > hi
+                if lo_open:
+                    out |= v == lo
+                if hi_open:
+                    out |= v == hi
+            inside |= ~out
         return inside
 
     def distance_to(self, x) -> float:
@@ -221,15 +228,17 @@ class BoxUnion:
             raise DomainError("distance to an empty union is undefined")
         return min(b.distance_to(x) for b in self.boxes)
 
-    def distance_rows(self, points: np.ndarray) -> np.ndarray:
-        """``distance_to`` of each point along the last axis (same floats)."""
+    def distance_columns(self, cols) -> np.ndarray:
+        """``distance_to`` of each point whose coordinates are the entries of
+        ``cols`` (same floats); a NaN coordinate gives NaN."""
         if not self.boxes:
             raise DomainError("distance to an empty union is undefined")
-        per_box = [
-            np.maximum(np.maximum(np.subtract(b.lower, points), points - b.upper), 0.0).max(-1)
-            for b in self.boxes
-        ]
-        return np.min(per_box, axis=0)
+
+        def gap(b):
+            axes = (np.maximum(lo - v, v - hi) for v, lo, hi in zip(cols, b.lower, b.upper))
+            return np.maximum(functools.reduce(np.maximum, axes), 0.0)
+
+        return functools.reduce(np.minimum, map(gap, self.boxes))
 
     def intersects(self, other: "BoxUnion") -> bool:
         if other.dim != self.dim:

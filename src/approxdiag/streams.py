@@ -119,4 +119,5 @@ def trial_doubles(seed: int, trials: np.ndarray, count: int) -> np.ndarray:
         hi, lo = _mul_add(hi, lo, inc_hi, inc_lo)
         x, r = hi ^ lo, hi >> 58
         out[:, k] = (x >> r | x << (64 - r & 63)) >> 11
-    return out * 2.0**-53
+    out *= 2.0**-53
+    return out

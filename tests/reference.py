@@ -6,7 +6,9 @@ the ball is taken from exact rational distances.  Expressions are
 evaluated by walking the tree, and the abstraction BFS, the falsifier and
 the sampler run one point, one trial and one row at a time through the
 scalar forest, as do the certificate and relation checks, one sample at
-a time.  They are oracles, not library code.
+a time.  The falsifier's trial screen is kept in its whole-trajectory
+form, with region tests that reduce over the coordinate axis.  They are
+oracles, not library code.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from approxdiag.bridge import Counterexample
 from approxdiag.diagnosis import Diagnoser, FaultSpec, Verdict, _unroll_witness
 from approxdiag.errors import BoundExceededError
 from approxdiag.finsys import FiniteSystem, _to_rho
-from approxdiag.lattice import lattice_image, quantize, quantize_index
+from approxdiag.lattice import lattice_image, quantize, quantize_index, quantize_indices
 from approxdiag.regions import BoxUnion
 from approxdiag.system import (
     Certificate,
@@ -324,6 +326,52 @@ def reference_falsify(
             trial, fault_time, x0f, x0s, inputs, tuple(traj_f), tuple(traj_s), coords
         )
     return None
+
+
+def reference_contains_rows(union: BoxUnion, points: np.ndarray) -> np.ndarray:
+    """``union.contains`` of each point along the last axis, reduced over
+    that axis."""
+    inside = np.zeros(points.shape[:-1], dtype=bool)
+    for b in union.boxes:
+        out = (points < b.lower) | (points > b.upper)
+        out |= (points == b.lower) & b.lower_open | (points == b.upper) & b.upper_open
+        inside |= ~out.any(axis=-1)
+    return inside
+
+
+def reference_distance_rows(union: BoxUnion, points: np.ndarray) -> np.ndarray:
+    """``union.distance_to`` of each point along the last axis, reduced over
+    that axis; a NaN coordinate gives NaN."""
+    per_box = [
+        np.maximum(np.maximum(np.subtract(b.lower, points), points - b.upper), 0.0).max(-1)
+        for b in union.boxes
+    ]
+    return np.min(per_box, axis=0)
+
+
+def reference_screen_trials(sysdef, fault_region, rho, x0f, raw, us) -> np.ndarray:
+    """The falsifier's trial screen over whole trajectories: both
+    trajectories of each trial stacked into one (trials, horizon + 1, n)
+    array, then every test made on it at once."""
+    p, c = sysdef.p, len(x0f)
+    mixed = np.concatenate([x0f[:, :p], raw[:, p:]], axis=1)
+    keep = reference_contains_rows(sysdef.x0, mixed)
+    x = np.concatenate([x0f, np.where(keep[:, None], mixed, raw)])
+    us = np.concatenate([us, us])
+    traj, bad = [x], np.zeros(2 * c, dtype=bool)
+    for t in range(us.shape[1]):
+        cols, failed = sysdef.compiled_np(list(x.T), list(us[:, t].T))
+        x = np.column_stack(cols)
+        bad |= failed
+        traj.append(x)
+    traj = np.stack(traj, axis=1)
+    q = quantize_indices(traj[:, :, :p], sysdef.eta)
+    bad |= ~(np.isfinite(traj).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2)))
+    hit = reference_contains_rows(fault_region, traj[:c])
+    entered = hit.any(axis=1) & ~hit[:, 0]
+    near = (reference_distance_rows(fault_region, traj[c:]) <= rho).any(axis=1)
+    same = (q[:c] == q[c:]).all(axis=(1, 2))
+    return np.flatnonzero(bad[:c] | bad[c:] | (entered & ~near & same))
 
 
 def cert_v(cert: Certificate, a, b) -> float:

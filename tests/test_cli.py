@@ -224,6 +224,18 @@ def test_abstract_overflowing_successor_is_precondition_failure(tmp_path, capsys
     assert "overflows" in capsys.readouterr().err
 
 
+def test_abstract_nan_eta_with_pwl_gain_is_precondition_failure(tmp_path, capsys):
+    # A piecewise-linear lambda evaluated at NaN gives NaN, as the linear and
+    # power forms do, so the parameter check rejects it (not an internal error).
+    config = json.loads(Path(E1).read_text())
+    config["certificate"]["lambda"] = {"form": "pwl", "points": [[0, 0], [1, 0.25], [2, 0.5]]}
+    path = tmp_path / "pwl.json"
+    path.write_text(json.dumps(config))
+    argv = ["abstract", str(path), "--eta", "nan", "--mu", "0.005", "--solve-epsilon"]
+    assert main(argv + ["-o", str(tmp_path / "m.json")]) == 4
+    assert "must all be positive" in capsys.readouterr().err
+
+
 def test_check_prove(capsys):
     code, doc = run_json(
         capsys,

@@ -63,6 +63,11 @@ def test_pwl_exact_values_both_directions():
         assert f.inverse(y) == r
 
 
+def test_nan_argument_gives_nan_in_every_form():
+    for f in ALL_FORMS:
+        assert np.isnan(f(float("nan"))) and np.isnan(f.inverse(float("nan")))
+
+
 def test_inverse_rejects_negative():
     with pytest.raises(RangeError):
         KFunction.linear(1.0).inverse(-1.0)

@@ -5,6 +5,7 @@ checks, checked bit for bit against their scalar forms in `reference.py`."""
 import dataclasses
 import functools
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -25,8 +26,11 @@ from reference import (
     eval_expr,
     reference_build_abstraction,
     reference_certify_relation,
+    reference_contains_rows,
+    reference_distance_rows,
     reference_falsify,
     reference_sample_union,
+    reference_screen_trials,
     reference_validate_certificate,
 )
 
@@ -35,6 +39,8 @@ FAULT_X1 = BoxUnion.from_json(json.loads((CONFIGS / "fault_x1.json").read_text()
 FAULT_X2 = BoxUnion.from_json(json.loads((CONFIGS / "fault_x2.json").read_text()))
 # A third fault region, reached through both coordinates.
 BAND = BoxUnion.of(Box((1.2, 0.6), (2.0, 1.0)))
+# An initial set of two boxes, whose draws go trial by trial.
+TWO_BOX_X0 = BoxUnion.of(Box((-1.0, -1.0), (1.0, 1.0)), Box((0.5, 1.5), (0.9, 1.5)))
 
 # Every operator and function of the expression language, alone and mixed,
 # with constant subtrees and a bare constant.
@@ -168,21 +174,48 @@ def test_quantize_indices_matches_scalar_quantizer():
     assert not np.isfinite(quantize_indices(np.array([np.inf, np.nan]), 0.1)).any()
 
 
-def test_region_rows_match_scalar_tests():
-    rng = np.random.default_rng(3)
-    union = BoxUnion.of(
+def same_floats(a, b) -> bool:
+    """Equal bit for bit, except that any NaN equals any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return bool((nan == np.isnan(b)).all() and (bits(a[~nan]) == bits(b[~nan])).all())
+
+
+REGION_UNIONS = [
+    # Open and closed bounds, a zero-width box and disjoint boxes.
+    BoxUnion.of(
         Box((0.0, -1.0), (1.0, 1.0), (True, False), (False, True)),
         Box((0.5, 0.5), (0.5, 2.0)),
         Box((-2.0, -2.0), (-1.0, -1.0)),
-    )
-    grid = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-    points = np.concatenate([rng.uniform(-3, 3, (300, 2)), rng.choice(grid, (300, 2))])
-    inside = union.contains_rows(points)
-    dist = union.distance_rows(points)
-    for i, pt in enumerate(points.tolist()):
-        assert inside[i] == union.contains(pt)
-        assert bits(dist[i]) == bits(union.distance_to(pt))
-    assert union.contains_rows(points.reshape(20, 30, 2)).shape == (20, 30)
+    ),
+    # Signed-zero bounds and an unbounded axis.
+    BoxUnion.of(Box((-0.0, -math.inf), (0.0, -1.0), (False, True), (True, False))),
+    BoxUnion.of(Box((-1.0,), (1.0,), (True,), (True,)), Box((1.5,), (2.0,))),
+    BoxUnion.of(Box((-1.0, 0.0, 0.5), (1.0, 0.0, 2.0), (False, False, True))),
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+def test_region_rows_match_scalar_tests():
+    # Grid values hit the bounds exactly; NaN fails every comparison, so
+    # `contains` keeps such a point and the row distance is NaN.
+    rng = np.random.default_rng(3)
+    grid = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf, -math.inf, math.nan])
+    for union in REGION_UNIONS:
+        d = union.dim
+        points = np.concatenate([rng.uniform(-3, 3, (300, d)), rng.choice(grid, (300, d))])
+        for lead in [(600,), (20, 30), (5, 4, 30)]:
+            cols = [points[:, k].reshape(lead) for k in range(d)]
+            inside, dist = union.contains_columns(cols), union.distance_columns(cols)
+            assert inside.shape == dist.shape == lead
+            assert (inside.ravel() == reference_contains_rows(union, points)).all()
+            assert same_floats(dist.ravel(), reference_distance_rows(union, points))
+        for i, pt in enumerate(points.tolist()):
+            assert inside.flat[i] == union.contains(pt), pt
+            if all(map(math.isfinite, pt)):
+                assert bits(dist.flat[i]) == bits(union.distance_to(pt)), pt
+            elif any(map(math.isnan, pt)):
+                assert math.isnan(dist.flat[i]), pt
 
 
 @pytest.mark.parametrize(
@@ -303,8 +336,7 @@ def test_falsify_equals_reference_on_e1(region, rho, trials):
 
 
 def test_falsify_equals_reference_on_two_box_x0_and_nonlinear_plant():
-    x0 = BoxUnion.of(Box((-1.0, -1.0), (1.0, 1.0)), Box((0.5, 1.5), (0.9, 1.5)))
-    two_box, _ = plant(["0.5*x1 + u1", "0.25*x1 + 0.5*x2"], x0=x0)
+    two_box, _ = plant(["0.5*x1 + u1", "0.25*x1 + 0.5*x2"], x0=TWO_BOX_X0)
     # One box, but x1 has zero width: its draws take the per-trial path.
     flat, _ = plant(["0.5*x1 + u1", "0.25*x1 + 0.5*x2"], x0=BoxUnion.of(Box((0.2, -1.0), (0.2, 1.0))))
     assert not flat.x0.member_arrays[2]
@@ -317,6 +349,36 @@ def test_falsify_equals_reference_on_two_box_x0_and_nonlinear_plant():
             assert got == want, seed
             found += got is not None
         assert found > 0
+
+
+SCREEN_CASES = {
+    "e1-x1": (None, None, FAULT_X1, 2.1),
+    "e1-x2": (None, None, FAULT_X2, 0.05),
+    "e1-band": (None, None, BAND, 0.05),
+    "two-box": (None, TWO_BOX_X0, FAULT_X2, 0.05),
+    "nonlinear": (NONLINEAR, None, FAULT_X2, 0.05),
+    # exp overflows once x1 passes about 1.702: the screen must keep those rows.
+    "overflow": (["0.5*x1 + u1 + 0*exp(417*x1)", "0.25*x1 + 0.5*x2"], None, FAULT_X2, 0.05),
+    # Finite states whose outputs do not quantize at eta 0.1.
+    "huge-output": (["1.5e308*u1", "0.5*x2"], None, FAULT_X2, 0.05),
+    # FAULT_X2 widened into X0: a trial that starts in it never enters it.
+    "starts-inside": (None, None, BoxUnion.of(Box((0.8, 0.22), (1.98, 0.98))), 0.05),
+}
+
+
+@pytest.mark.parametrize("case", SCREEN_CASES)
+def test_screen_equals_whole_trajectory_screen(case):
+    sources, x0, region, rho = SCREEN_CASES[case]
+    sysdef, _ = plant(sources or ["0.5*x1 + u1", "0.25*x1 + 0.5*x2"], x0=x0)
+    kept = 0
+    for seed in range(3):
+        for start in (0, 300, 2**32 - 100):
+            rows = bridge._draw_chunk(sysdef, 30, seed, range(start, start + 300))
+            got = bridge._screen_trials(sysdef, region, rho, *rows)
+            want = reference_screen_trials(sysdef, region, rho, *rows)
+            assert got.dtype == want.dtype and (got == want).all(), (seed, start)
+            kept += len(got)
+    assert kept == 0 if region is FAULT_X1 else kept > 0
 
 
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 + 1]  # the last: 5 words, past the pool
@@ -418,6 +480,24 @@ def test_early_counterexample_simulates_one_chunk(monkeypatch):
     assert found is not None and found.trial < 30
     assert checked[-1] == found.trial and checked == sorted(checked)
     assert drawn == list(range(bridge._TRIAL_CHUNK))
+
+
+def test_search_draws_every_trial_once_in_chunks_after_the_first(monkeypatch):
+    # The first chunk is small, for an early counterexample; later ones are
+    # 8 times larger, and together they cover the trials once, in order.
+    sysdef, _ = e1()
+    chunks = []
+    draw = bridge._draw_chunk
+
+    def recording_draw(*args):
+        chunks.append(args[-1])
+        return draw(*args)
+
+    monkeypatch.setattr(bridge, "_draw_chunk", recording_draw)
+    trials = 10 * bridge._TRIAL_CHUNK
+    assert bridge.falsify_plant(sysdef, FAULT_X1, 2.1, trials, 10, seed=0) is None
+    assert [len(c) for c in chunks] == [bridge._TRIAL_CHUNK, 8 * bridge._TRIAL_CHUNK, bridge._TRIAL_CHUNK]
+    assert [t for c in chunks for t in c] == list(range(trials))
 
 
 # Power and piecewise-linear gains, so every comparison-function form is
