@@ -102,7 +102,8 @@ def _expand_level(sysdef: SystemDef, level, input_embeds, eta: float) -> np.ndar
         us = np.tile(input_embeds, (len(xs) // n_in, 1))
         cols, bad = sysdef.compiled_np(list(xs.T), list(us.T))
         q = quantize_indices(np.column_stack(cols), eta)
-        bad |= ~np.isfinite(q).all(axis=1)
+        for col in q.T:
+            bad |= ~np.isfinite(col)
         if bad.any():
             r = int(np.flatnonzero(bad)[0])
             fx = sysdef.compiled(tuple(xs[r].tolist()), tuple(us[r].tolist()))
@@ -167,8 +168,10 @@ def build_abstraction(
         # (state, input) row that reached it.
         order = np.lexsort(targets.T[::-1])
         ranked = targets[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        first = np.zeros(len(order), dtype=bool)
+        first[:1] = True
+        for col in ranked.T:
+            first[1:] |= col[1:] != col[:-1]
         starts = np.flatnonzero(first)
         ids = np.empty(len(starts), dtype=np.int64)
         fresh = []
@@ -284,7 +287,9 @@ def _lookup(index: dict, values: np.ndarray, theta: float) -> np.ndarray:
     """Position in ``index`` of each row's quantized coordinates, -1 where
     there is none; a row the scalar quantizer rejects is re-run through it."""
     q = quantize_indices(values, theta)
-    bad = ~np.isfinite(q).all(axis=1)
+    bad = np.zeros(len(q), dtype=bool)
+    for col in q.T:
+        bad |= ~np.isfinite(col)
     if bad.any():
         quantize(values[np.flatnonzero(bad)[0]], theta)
     # Integer-valued float tuples hash and compare like the int coordinates.

@@ -27,13 +27,14 @@ import numpy as np
 from .abstraction import AbstractionParams, build_abstraction, check_params
 from .diagnosis import FaultSpec, Verdict, check_diagnosability
 from .errors import (
+    DomainError,
     EmptyErosionError,
     FaultSpecError,
     InternalInvariantError,
     ParamCheckError,
 )
 from .finsys import FiniteSystem
-from .lattice import _index_points, lattice_points_in, quantize, quantize_indices
+from .lattice import LatticePoint, _index_points, lattice_points_in, quantize, quantize_indices
 from .rational import to_rational
 from .regions import Box, BoxUnion, ball_in_union
 from .system import Certificate, SystemDef, _sample_union, output, step
@@ -73,31 +74,34 @@ class PlantVerdict:
             "fault_states": len(self.fault_indices),
             "dropped_fault_points": self.dropped_fault_points,
         }
-        if self.k is not None:
-            doc["k"] = self.k
-        if self.rho_bound is not None:
-            doc["rho_bound"] = self.rho_bound
-        if self.rho is not None:
-            doc["rho"] = self.rho
-        if self.reason is not None:
-            doc["reason"] = self.reason
+        for key in ("k", "rho_bound", "rho", "reason"):
+            if getattr(self, key) is not None:
+                doc[key] = getattr(self, key)
         if self.finite is not None:
             doc["finite_verdict"] = self.finite.to_json()
         return doc
 
 
-def _require_closed(region: BoxUnion, what: str):
+def _require_closed(region: BoxUnion, bounded: bool = False):
     for b in region.boxes:
         if any(b.lower_open) or any(b.upper_open):
-            raise FaultSpecError(f"{what} must be given as closed boxes")
+            raise FaultSpecError("fault region must be given as closed boxes")
+    if bounded and not region.is_bounded():
+        raise FaultSpecError("fault region must be bounded")
 
 
-def _inside_closed(bound: Box):
-    """Closed membership test of exact embeddings in the bound; the bound
-    is converted to rationals once, not once per point."""
-    blo = [to_rational(v) for v in bound.lower]
-    bhi = [to_rational(v) for v in bound.upper]
-    return lambda emb: all(lo <= v <= hi for v, lo, hi in zip(emb, blo, bhi))
+def _index_ranges(box: Box, eta: float, pad=0) -> list[tuple[int, int]]:
+    """Per axis, the range of lattice indices c with lo + pad <= 2*eta*c <=
+    hi - pad over the box's bounds, in exact rationals."""
+    two_eta, p = 2 * to_rational(eta), to_rational(pad)
+    return [
+        (math.ceil((to_rational(lo) + p) / two_eta), math.floor((to_rational(hi) - p) / two_eta))
+        for lo, hi in zip(box.lower, box.upper)
+    ]
+
+
+def _in_ranges(coords, ranges) -> bool:
+    return all(lo <= c <= hi for c, (lo, hi) in zip(coords, ranges))
 
 
 def fault_lattice_dilated(
@@ -105,18 +109,12 @@ def fault_lattice_dilated(
 ) -> list[tuple[int, ...]]:
     """Lattice coordinates of the eps-dilated fault region within the bound
     (intersection semantics, exact rational index ranges)."""
-    _require_closed(region, "fault region")
-    if not region.is_bounded():
-        raise FaultSpecError("fault region must be bounded")
-    e = to_rational(eps)
-    two_eta = 2 * to_rational(eta)
-    blo = [to_rational(v) for v in bound.lower]
-    bhi = [to_rational(v) for v in bound.upper]
+    _require_closed(region, bounded=True)
+    clip = _index_ranges(bound, eta)
 
     def axis_range(box, i):
-        lo = max(to_rational(box.lower[i]) - e, blo[i])
-        hi = min(to_rational(box.upper[i]) + e, bhi[i])
-        return math.ceil(lo / two_eta), math.floor(hi / two_eta)
+        (lo, hi), (blo, bhi) = _index_ranges(box, eta, -eps)[i], clip[i]
+        return max(lo, blo), min(hi, bhi)
 
     return _index_points(region, axis_range)
 
@@ -124,22 +122,28 @@ def fault_lattice_dilated(
 def fault_lattice_eroded(
     region: BoxUnion, eps: float, eta: float, bound: Box
 ) -> list[tuple[int, ...]]:
-    """Lattice points inside the fault region whose closed eps-ball stays
-    inside it (exact per-point erosion test); emptiness is the caller's
-    signal that the refuting direction cannot run."""
-    _require_closed(region, "fault region")
-    if not region.is_bounded():
-        raise FaultSpecError("fault region must be bounded")
-    bounded = BoxUnion(
-        tuple(b for b in region.boxes if not b.is_empty()), region.dim
-    )
-    inside = _inside_closed(bound)
-    out = []
-    for pt in lattice_points_in(bounded, eta):
-        emb = pt.embed_exact()
-        if inside(emb) and ball_in_union(emb, eps, region):
-            out.append(pt.coords)
-    return out
+    """Lattice points of the fault region within the bound whose closed
+    eps-ball stays inside the region (empty: the refuting direction cannot
+    run).  The ball lies in one closed box exactly when the point is in the
+    box's eroded index ranges; only in a union of several boxes can a point
+    outside every such range still be covered, across a seam, which the
+    exact ``ball_in_union`` test decides."""
+    _require_closed(region, bounded=True)
+    if eps < 0:
+        raise DomainError("ball radius must be nonnegative")
+    cores = [_index_ranges(box, eta, eps) for box in region.boxes]
+    return [
+        c
+        for c in _fault_lattice_plain(region, eta, bound)
+        if any(_in_ranges(c, core) for core in cores)
+        or (len(cores) > 1 and ball_in_union(LatticePoint(c, eta).embed_exact(), eps, region))
+    ]
+
+
+def _fault_lattice_plain(region: BoxUnion, eta: float, bound: Box) -> list[tuple[int, ...]]:
+    """Lattice points of the fault region within the bound."""
+    clip = _index_ranges(bound, eta)
+    return [pt.coords for pt in lattice_points_in(region, eta) if _in_ranges(pt.coords, clip)]
 
 
 def _map_to_states(system: FiniteSystem, coords_list) -> tuple[frozenset[int], int]:
@@ -189,10 +193,7 @@ def conclude(
 
     dilated = fault_lattice_dilated(fault_region, eps, eta, bound)
     eroded = fault_lattice_eroded(fault_region, eps, eta, bound)
-    inside = _inside_closed(bound)
-    plain = [
-        pt.coords for pt in lattice_points_in(fault_region, eta) if inside(pt.embed_exact())
-    ]
+    plain = _fault_lattice_plain(fault_region, eta, bound)
     if not (set(eroded) <= set(plain) <= set(dilated)):
         raise InternalInvariantError("fault-set inclusion chain violated")
 
@@ -381,7 +382,7 @@ def falsify_plant(
     """
     if fault_region.is_empty():
         return None
-    _require_closed(fault_region, "fault region")
+    _require_closed(fault_region)
     if fault_region.intersects(sysdef.x0):
         raise FaultSpecError("fault region meets the initial set")
     lo, size = 0, _TRIAL_CHUNK

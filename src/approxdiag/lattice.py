@@ -130,7 +130,9 @@ def cell_of(q: LatticePoint) -> Box:
     )
 
 
-def _require_bounded(region: BoxUnion):
+def _require_enumerable(region: BoxUnion, theta: float):
+    if not theta > 0:
+        raise DomainError("quantization parameter must be positive")
     if not region.is_bounded():
         raise UnboundedRegionError("lattice enumeration requires a bounded region")
 
@@ -143,23 +145,16 @@ def _index_points(region: BoxUnion, axis_range) -> list[tuple[int, ...]]:
     for box in region.boxes:
         if box.is_empty():
             continue
-        ranges = []
-        for i in range(box.dim):
-            cmin, cmax = axis_range(box, i)
-            if cmin > cmax:
-                break
-            ranges.append(range(cmin, cmax + 1))
-        else:
-            found.update(itertools.product(*ranges))
+        axes = [axis_range(box, i) for i in range(box.dim)]
+        if all(cmin <= cmax for cmin, cmax in axes):
+            found.update(itertools.product(*(range(cmin, cmax + 1) for cmin, cmax in axes)))
     return sorted(found)
 
 
 def lattice_points_in(region: BoxUnion, theta: float) -> list[LatticePoint]:
     """Lattice points whose embedding lies in the region (intersection
     semantics, exact rational comparisons).  Sorted by coordinates."""
-    if not theta > 0:
-        raise DomainError("quantization parameter must be positive")
-    _require_bounded(region)
+    _require_enumerable(region, theta)
     two_theta = 2 * to_rational(theta)
 
     def axis_range(box, i):
@@ -184,9 +179,7 @@ def lattice_image(region: BoxUnion, theta: float) -> list[LatticePoint]:
     is an open upper bound exactly on a cell's lower edge (exact rational
     test), which does not meet that cell.  Sorted by coordinates.
     """
-    if not theta > 0:
-        raise DomainError("quantization parameter must be positive")
-    _require_bounded(region)
+    _require_enumerable(region, theta)
     t = to_rational(theta)
 
     def axis_range(box, i):

@@ -88,24 +88,19 @@ class Box:
         )
 
     def contains(self, x) -> bool:
-        if len(x) != len(self.lower):
-            raise DimensionMismatchError(f"point dim {len(x)} != box dim {self.dim}")
-        for v, a, b, oa, ob in zip(x, self.lower, self.upper, self.lower_open, self.upper_open):
-            if v < a or (oa and v == a):
-                return False
-            if v > b or (ob and v == b):
-                return False
-        return True
+        return self._contains(x, self.lower, self.upper)
 
     def contains_exact(self, x) -> bool:
         """Membership for exact rational points (bounds lifted to Fraction)."""
+        return self._contains(x, map(to_rational, self.lower), map(to_rational, self.upper))
+
+    def _contains(self, x, lower, upper) -> bool:
         if len(x) != self.dim:
             raise DimensionMismatchError(f"point dim {len(x)} != box dim {self.dim}")
-        for v, a, b, oa, ob in zip(x, self.lower, self.upper, self.lower_open, self.upper_open):
-            fa, fb = to_rational(a), to_rational(b)
-            if v < fa or (oa and v == fa):
+        for v, a, b, oa, ob in zip(x, lower, upper, self.lower_open, self.upper_open):
+            if v < a or (oa and v == a):
                 return False
-            if v > fb or (ob and v == fb):
+            if v > b or (ob and v == b):
                 return False
         return True
 
@@ -132,7 +127,7 @@ class Box:
         return True
 
     def distance_to(self, x) -> float:
-        """Infinity-norm distance to the closure of the box."""
+        """Infinity-norm distance to the closure of the box; NaN for a NaN point."""
         if len(x) != self.dim:
             raise DimensionMismatchError("dimension mismatch")
         worst = 0.0
@@ -141,6 +136,8 @@ class Box:
                 worst = max(worst, a - v)
             elif v > b:
                 worst = max(worst, v - b)
+            elif v != v:
+                return math.nan
         return worst
 
     def to_json(self) -> dict:
@@ -226,7 +223,8 @@ class BoxUnion:
     def distance_to(self, x) -> float:
         if not self.boxes:
             raise DomainError("distance to an empty union is undefined")
-        return min(b.distance_to(x) for b in self.boxes)
+        gaps = [b.distance_to(x) for b in self.boxes]  # min() keeps only a first NaN
+        return math.nan if any(map(math.isnan, gaps)) else min(gaps)
 
     def distance_columns(self, cols) -> np.ndarray:
         """``distance_to`` of each point whose coordinates are the entries of

@@ -91,8 +91,9 @@ def _step_rows(sysdef: SystemDef, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
     row the forest flags, or whose image is non-finite, is re-run through
     ``step``, so it raises exactly the scalar exception."""
     cols, bad = sysdef.compiled_np(list(xs.T), list(us.T))
+    for col in cols:
+        bad |= ~np.isfinite(col)
     out = np.column_stack(cols)
-    bad |= ~np.isfinite(out).all(axis=1)
     if bad.any():
         r = int(np.flatnonzero(bad)[0])
         step(sysdef, xs[r], us[r])

@@ -7,7 +7,9 @@ evaluated by walking the tree, and the abstraction BFS, the falsifier and
 the sampler run one point, one trial and one row at a time through the
 scalar forest, as do the certificate and relation checks, one sample at
 a time.  The falsifier's trial screen is kept in its whole-trajectory
-form, with region tests that reduce over the coordinate axis.  They are
+form, with region tests that reduce over the coordinate axis.  The
+eroded and plain fault lattices test each lattice point's exact
+embedding, the eroded one by rational box subtraction.  They are
 oracles, not library code.
 """
 
@@ -24,8 +26,15 @@ from approxdiag.bridge import Counterexample
 from approxdiag.diagnosis import Diagnoser, FaultSpec, Verdict, _unroll_witness
 from approxdiag.errors import BoundExceededError
 from approxdiag.finsys import FiniteSystem, _to_rho
-from approxdiag.lattice import lattice_image, quantize, quantize_index, quantize_indices
-from approxdiag.regions import BoxUnion
+from approxdiag.lattice import (
+    lattice_image,
+    lattice_points_in,
+    quantize,
+    quantize_index,
+    quantize_indices,
+)
+from approxdiag.rational import to_rational
+from approxdiag.regions import Box, BoxUnion, ball_in_union
 from approxdiag.system import (
     Certificate,
     CertificateReport,
@@ -326,6 +335,34 @@ def reference_falsify(
             trial, fault_time, x0f, x0s, inputs, tuple(traj_f), tuple(traj_s), coords
         )
     return None
+
+
+def _inside_closed(bound: Box):
+    """Closed membership test of exact embeddings in the bound."""
+    blo = [to_rational(v) for v in bound.lower]
+    bhi = [to_rational(v) for v in bound.upper]
+    return lambda emb: all(lo <= v <= hi for v, lo, hi in zip(emb, blo, bhi))
+
+
+def reference_fault_lattice_eroded(
+    region: BoxUnion, eps: float, eta: float, bound: Box
+) -> list[tuple[int, ...]]:
+    """Lattice points of the region whose exact embedding lies in the bound
+    and whose closed eps-ball ``ball_in_union`` finds covered, point by
+    point."""
+    inside = _inside_closed(bound)
+    out = []
+    for pt in lattice_points_in(region, eta):
+        emb = pt.embed_exact()
+        if inside(emb) and ball_in_union(emb, eps, region):
+            out.append(pt.coords)
+    return out
+
+
+def reference_fault_lattice_plain(region: BoxUnion, eta: float, bound: Box) -> list[tuple[int, ...]]:
+    """Lattice points of the region whose exact embedding lies in the bound."""
+    inside = _inside_closed(bound)
+    return [pt.coords for pt in lattice_points_in(region, eta) if inside(pt.embed_exact())]
 
 
 def reference_contains_rows(union: BoxUnion, points: np.ndarray) -> np.ndarray:

@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from approxdiag import bridge
 from approxdiag.abstraction import AbstractionParams
 from approxdiag.bridge import (
     DIAGNOSABLE_ABOVE,
     INCONCLUSIVE,
     NOT_DIAGNOSABLE,
+    _fault_lattice_plain,
     conclude,
     falsify_plant,
     fault_lattice_dilated,
@@ -17,9 +19,10 @@ from approxdiag.bridge import (
 from approxdiag.errors import EmptyErosionError, FaultSpecError, ParamCheckError
 from approxdiag.finsys import FiniteSystem
 from approxdiag.fixtures import e1
-from approxdiag.lattice import lattice_points_in
+from approxdiag.lattice import LatticePoint, lattice_points_in
 from approxdiag.rational import to_rational
 from approxdiag.regions import Box, BoxUnion
+from reference import reference_fault_lattice_eroded, reference_fault_lattice_plain
 
 WIDE = Box((-10.0, -10.0), (10.0, 10.0))
 
@@ -87,6 +90,81 @@ def test_sandwich_on_random_instances():
         ero = set(fault_lattice_eroded(region, eps, eta, WIDE))
         plain = {pt.coords for pt in lattice_points_in(region, eta)}
         assert ero <= plain <= dil
+
+
+def random_closed_union(rng, dim):
+    """One to three closed boxes on the 0.05 grid: the first anywhere, each
+    later one touching, overlapping, nested in or apart from the first.
+    Widths run from 0 (a degenerate axis) up, so some erosions are empty."""
+
+    def box(lo, hi):
+        return Box(tuple(round(0.05 * v, 2) for v in lo), tuple(round(0.05 * v, 2) for v in hi))
+
+    lo = rng.integers(-20, 10, size=dim)
+    hi = lo + rng.integers(0, 16, size=dim)
+    boxes = [box(lo, hi)]
+    for _ in range(rng.integers(0, 3)):
+        kind = rng.choice(["touching", "overlapping", "nested", "apart"])
+        if kind == "nested":
+            nlo = lo + rng.integers(0, hi - lo + 1)
+            nhi = nlo + rng.integers(0, hi - nlo + 1)
+        elif kind == "apart":
+            nlo = rng.integers(-30, 30, size=dim)
+            nhi = nlo + rng.integers(0, 12, size=dim)
+        else:
+            nlo = lo + rng.integers(-4, hi - lo + 1)
+            nhi = nlo + rng.integers(1, 12, size=dim)
+            if kind == "touching":  # shares the first box's upper face on one axis
+                axis = rng.integers(dim)
+                nlo[axis], nhi[axis] = hi[axis], hi[axis] + rng.integers(0, 8)
+        boxes.append(box(nlo, nhi))
+    return BoxUnion(tuple(boxes), dim)
+
+
+def dilated_union_oracle(region, eps, eta, bound):
+    return sorted(set().union(*(dilated_oracle(b, eps, eta, bound) for b in region.boxes)))
+
+
+def test_fault_lattices_equal_oracles_on_random_unions():
+    rng = np.random.default_rng(16)
+    for trial in range(240):
+        dim = int(rng.choice([1, 2, 2, 3]))
+        region = random_closed_union(rng, dim) if trial else BoxUnion((), 2)
+        eta = round(float(rng.uniform(0.05, 0.25)), 2)
+        eps = float(rng.choice([0.0, round(rng.uniform(0.0, 0.3), 2), rng.uniform(0.0, 0.3)]))
+        # The explore bound is wide, or cuts the region on one axis at a
+        # grid value that may fall on a lattice point.
+        lo, hi = [-10.0] * region.dim, [10.0] * region.dim
+        axis = int(rng.integers(region.dim))
+        cut = round(0.05 * int(rng.integers(-16, 12)), 2)
+        if rng.integers(2):
+            lo[axis] = cut
+        else:
+            hi[axis] = cut
+        for bound in (Box((-10.0,) * region.dim, (10.0,) * region.dim), Box(tuple(lo), tuple(hi))):
+            case = (region, eps, eta, bound)
+            assert fault_lattice_dilated(*case) == dilated_union_oracle(*case), case
+            assert fault_lattice_eroded(*case) == reference_fault_lattice_eroded(*case), case
+            plain = _fault_lattice_plain(region, eta, bound)
+            assert plain == reference_fault_lattice_plain(region, eta, bound), case
+
+
+def test_one_box_erosion_needs_no_box_subtraction(monkeypatch):
+    sysdef, cert = e1()
+    rng = np.random.default_rng(5)
+    cases = [(BoxUnion.of(Box((1.02, 0.22), (1.98, 0.98))), 0.3, 0.03, cert.explore_bound)]
+    for _ in range(40):
+        region = random_closed_union(rng, 2)
+        cases.append((BoxUnion.of(region.boxes[0]), float(rng.uniform(0, 0.3)), 0.05, NARROW))
+    want = [reference_fault_lattice_eroded(*case) for case in cases]
+    assert len(want[0]) == 21
+
+    def forbidden(*args):
+        raise AssertionError("a one-box erosion reached a per-point test")
+
+    monkeypatch.setattr(bridge, "ball_in_union", forbidden)
+    monkeypatch.setattr(LatticePoint, "embed_exact", forbidden)
+    assert [fault_lattice_eroded(*case) for case in cases] == want
 
 
 def prove_params():

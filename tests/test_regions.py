@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,27 @@ def test_distance_zero_iff_in_closure():
         x = tuple(rng.uniform(-1.5, 2.5, size=2))
         closed = Box((0.0, 0.0), (1.0, 1.0)).contains(x)
         assert (union.distance_to(x) == 0.0) == closed
+
+
+def test_nan_point_reads_the_same_in_scalar_and_column_tests():
+    # A NaN coordinate fails every comparison: it excludes no point from a
+    # box, and the distance is NaN whichever box of the union comes first.
+    a, b = Box((0.0, 0.0), (1.0, 1.0)), Box((3.0, 3.0), (4.0, 4.0))
+    points = [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan), (math.nan, 5.0), (3.5, math.nan)]
+    kept = {
+        (a,): [True, True, True, False, False],
+        (a, b): [True, True, True, False, True],
+        (b, a): [True, True, True, False, True],
+    }
+    for boxes, want in kept.items():
+        union = BoxUnion.of(*boxes)
+        for x, w in zip(points, want):
+            cols = [np.array([v]) for v in x]
+            assert union.contains(x) == union.contains_columns(cols)[0] == w, x
+            assert math.isnan(union.distance_to(x))
+            assert math.isnan(union.distance_columns(cols)[0])
+    assert math.isnan(a.distance_to((math.nan, 5.0)))
+    assert BoxUnion.of(a, b).distance_to((1.5, 5.0)) == 1.5
 
 
 def test_distance_on_empty_union_rejected():

@@ -198,7 +198,7 @@ REGION_UNIONS = [
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
 def test_region_rows_match_scalar_tests():
     # Grid values hit the bounds exactly; NaN fails every comparison, so
-    # `contains` keeps such a point and the row distance is NaN.
+    # `contains` keeps such a point and both distances are NaN.
     rng = np.random.default_rng(3)
     grid = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf, -math.inf, math.nan])
     for union in REGION_UNIONS:
@@ -215,7 +215,7 @@ def test_region_rows_match_scalar_tests():
             if all(map(math.isfinite, pt)):
                 assert bits(dist.flat[i]) == bits(union.distance_to(pt)), pt
             elif any(map(math.isnan, pt)):
-                assert math.isnan(dist.flat[i]), pt
+                assert math.isnan(dist.flat[i]) and math.isnan(union.distance_to(pt)), pt
 
 
 @pytest.mark.parametrize(
