@@ -44,15 +44,16 @@ from .finsys import FiniteSystem, _to_rho
 BRUTE_MAX_STATES = 64
 BRUTE_MAX_HORIZON = 24
 
-# Twin-plant BFS levels of at least this many pairs are expanded as one numpy
-# join; smaller levels (every level of a desk-scale system) run the scalar
-# `moves` loop, which is faster there.
-_BATCH_MIN = 64
+# A check whose pair space n*n holds at least this many pairs expands every
+# twin-plant BFS level as one numpy join; a smaller one (every desk-scale
+# system) runs the scalar `moves` loop, which is faster there.  The two
+# paths cost the same at about 22 states (random systems, 3 inputs, 2 classes).
+_JOIN_MIN_PAIRS = 1 << 9
 # Left rows (frontier pair x successor of its left state) joined at once, so
 # the join's arrays stay small whatever the level size.
 _JOIN_CHUNK = 1 << 12
-# Largest pair space n*n that gets a dense visited bitmap; above it every
-# level stays scalar.
+# Largest pair space n*n that gets the join's dense visited bitmap; above it
+# the check runs the scalar loop.
 _PAIR_CAP = 1 << 25
 
 
@@ -129,18 +130,16 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
     exists; the bounded oracle reports the true minimum at desk scale.
     """
     spec.validate(system)
-    if not spec.faults:
+    faults = spec.faults
+    if not faults:
         return Verdict(True, delta=0, stats={"region_states": 0})
-    ball = system.ball_states(spec.faults, spec.rho)
+    ball = system.ball_states(faults, spec.rho)
     n = system.n_states
     ids = system.output_ids
     ptr, cls, succ = system.successor_groups
     # Right-hand successors must stay outside the ball: the ball-free
     # successors of j by class id, filled in on first use.
     safe_groups: list = [None] * n
-    faulty = [False] * n
-    for i in spec.faults:
-        faulty[i] = True
 
     # A pair (i, j) is encoded as i * n + j; it moves to every pair of
     # successors of equal output class whose right side avoids the ball.
@@ -161,23 +160,19 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
                     out.append(base + b)
         return out
 
-    # The same relation as flat index arrays, built the first time a level
-    # is large enough to expand in one join.
-    join = None
+    # The same relation as flat index arrays, when the pair space is large
+    # enough for whole levels to expand in one join.
+    join = _PairJoin(system, ball, faults) if _JOIN_MIN_PAIRS <= n * n <= _PAIR_CAP else None
 
     # Breadth-first search from `frontier`, recording in `parent` the
     # predecessor of each pair first reached.  Pairs whose left state is
     # faulty go to `stop` instead, when given, and are not expanded.
     def explore(frontier, parent, stop=None):
-        nonlocal join
-        seen = None
+        if join is not None:
+            seen = join.bitmap(parent, stop or {})
         while frontier:
             nxt = []
-            if len(frontier) >= _BATCH_MIN and n * n <= _PAIR_CAP:
-                if join is None:
-                    join = _PairJoin(system, ball, spec.faults)
-                if seen is None:
-                    seen = join.bitmap(parent, stop or {})
+            if join is not None:
                 for tgt, par in join.level(frontier, seen):
                     if stop is not None:
                         hit = join.faulty[tgt // n]
@@ -187,18 +182,13 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
                     parent.update(zip(kept, par.tolist()))
                     nxt += kept
             else:
-                fresh = []
                 for code in frontier:
                     for tgt in moves(code):
-                        if stop is not None and faulty[tgt // n]:
-                            if tgt not in stop:
-                                stop[tgt] = code
-                                fresh.append(tgt)
+                        if stop is not None and tgt // n in faults:
+                            stop.setdefault(tgt, code)
                         elif tgt not in parent:
                             parent[tgt] = code
                             nxt.append(tgt)
-                if seen is not None:  # mark only what this level admitted
-                    seen[fresh + nxt] = True
             frontier = nxt
 
     # Phase A: pairs with no fault seen on the left and no ball visit on the

@@ -455,6 +455,8 @@ def observation_symbol(s: FiniteSystem, values) -> tuple[Fraction, ...]:
     try:
         if s.state_theta is None:
             return tuple(to_rational(v) for v in values)
+        if bool in map(type, values):  # float(True) would read JSON true as 1.0
+            raise TypeError("a boolean is not a number")
         point = tuple(float(v) for v in values)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"observation {values!r} is not numeric") from exc

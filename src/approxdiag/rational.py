@@ -18,7 +18,7 @@ from fractions import Fraction
 def to_rational(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if type(v) is int:  # not bool: JSON true is not the number 1
         return Fraction(v)
     if isinstance(v, float):
         return Fraction(str(v))

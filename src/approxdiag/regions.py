@@ -232,11 +232,14 @@ class BoxUnion:
         if not self.boxes:
             raise DomainError("distance to an empty union is undefined")
 
+        # fmax skips the NaN of inf - inf, so an infinite coordinate inside an
+        # infinite bound reads 0 on that axis, as in `distance_to`.
         def gap(b):
-            axes = (np.maximum(lo - v, v - hi) for v, lo, hi in zip(cols, b.lower, b.upper))
+            axes = (np.fmax(lo - v, v - hi) for v, lo, hi in zip(cols, b.lower, b.upper))
             return np.maximum(functools.reduce(np.maximum, axes), 0.0)
 
-        return functools.reduce(np.minimum, map(gap, self.boxes))
+        with np.errstate(invalid="ignore"):
+            return functools.reduce(np.minimum, map(gap, self.boxes))
 
     def intersects(self, other: "BoxUnion") -> bool:
         if other.dim != self.dim:

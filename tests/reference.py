@@ -378,11 +378,13 @@ def reference_contains_rows(union: BoxUnion, points: np.ndarray) -> np.ndarray:
 
 def reference_distance_rows(union: BoxUnion, points: np.ndarray) -> np.ndarray:
     """``union.distance_to`` of each point along the last axis, reduced over
-    that axis; a NaN coordinate gives NaN."""
-    per_box = [
-        np.maximum(np.maximum(np.subtract(b.lower, points), points - b.upper), 0.0).max(-1)
-        for b in union.boxes
-    ]
+    that axis; a NaN coordinate gives NaN, an infinite one inside an
+    infinite bound a gap of 0 on that axis."""
+    with np.errstate(invalid="ignore"):
+        per_box = [
+            np.maximum(np.fmax(np.subtract(b.lower, points), points - b.upper), 0.0).max(-1)
+            for b in union.boxes
+        ]
     return np.min(per_box, axis=0)
 
 

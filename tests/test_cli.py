@@ -166,7 +166,9 @@ def test_monitor_infeasible_exit_code(capsys, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize("stdin", ["[0.0]\nnot json\n", '["x"]\n', '{"a": 1}\n', "[0]\n[[2]]\n"])
+@pytest.mark.parametrize(
+    "stdin", ["[0.0]\nnot json\n", '["x"]\n', '{"a": 1}\n', "[0]\n[[2]]\n", "[true]\n"]
+)
 def test_monitor_malformed_line_is_precondition_failure(capsys, monkeypatch, stdin):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code = main(["monitor", D1, "--faults", "1", "--rho", "0"])

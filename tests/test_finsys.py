@@ -208,7 +208,9 @@ def test_construction_derives_integer_tables():
                 assert js == sorted(js)
 
 
-@pytest.mark.parametrize("values", [{"a": 1}, 5, None, "4", ["x"], [[1]], ["1/0"], [None]])
+@pytest.mark.parametrize(
+    "values", [{"a": 1}, 5, None, "4", ["x"], [[1]], ["1/0"], [None], [True], [False]]
+)
 def test_observation_symbol_rejects_malformed_input(values):
     with pytest.raises(DomainError):
         observation_symbol(d1(), values)
@@ -239,11 +241,15 @@ BAD_P = {
 }
 
 
-@pytest.mark.parametrize("case", ["raw value", "p 1.0", *BAD_P, *BAD_INITIAL, *BAD_TRANSITIONS])
+@pytest.mark.parametrize(
+    "case", ["raw value", "raw value true", "p 1.0", *BAD_P, *BAD_INITIAL, *BAD_TRANSITIONS]
+)
 def test_from_json_rejects_malformed_file(case):
     doc = d1_doc()
     if case == "raw value":
         doc["raw_states"][1] = ["x"]
+    elif case == "raw value true":
+        doc["raw_states"][1] = [True]
     elif case == "p 1.0":
         doc["p"] = 1.0
     elif case in BAD_P:

@@ -43,3 +43,19 @@ def test_e1_check_report_is_byte_stable(capsys, golden, faults, flags):
     assert main(argv) == 0
     doc = strip_timings(json.loads(capsys.readouterr().out))
     assert (canonical_json(doc) + "\n").encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, faults",
+    [("fts40_diag", "30,31,32,33,34,35,36,37,38,39"), ("fts40_nondiag", "2,28")],
+    ids=["diagnosable", "not-diagnosable"],
+)
+def test_hand_written_check_report_is_byte_stable(capsys, name, faults):
+    # Seeded 40-state models with 3 inputs and random moves; in the first the
+    # fault states form a chain into an output no other state gives.  Their
+    # pair space sits above the join threshold, and their BFS levels range
+    # from 1 to a few hundred pairs.
+    argv = ["check-fts", str(GOLDEN / f"{name}_model.json"), "--faults", faults, "--rho", "0", "--json"]
+    assert main(argv) == 0
+    doc = strip_timings(json.loads(capsys.readouterr().out))
+    assert (canonical_json(doc) + "\n").encode() == (GOLDEN / f"{name}_report.json").read_bytes()

@@ -145,14 +145,14 @@ def test_checker_matches_fraction_reference_on_e1(e1_checks, e1_references, mode
 
 def scalar_check(system, spec):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(diagnosis, "_BATCH_MIN", math.inf)
+        mp.setattr(diagnosis, "_JOIN_MIN_PAIRS", math.inf)
         return check_diagnosability(system, spec)
 
 
 def watched_levels(monkeypatch):
     """Sizes of the levels that run the join, each checked on entry: every
-    frontier pair was admitted earlier, by either path, so the visited
-    bitmap must already hold it."""
+    frontier pair was admitted earlier, by the seeding or a join, so the
+    visited bitmap must already hold it."""
     sizes = []
     level = diagnosis._PairJoin.level
 
@@ -167,8 +167,8 @@ def watched_levels(monkeypatch):
 
 def widening_system():
     """One output class; both twin-plant phases have levels of 1, 2 or 4
-    pairs that alternate, so at _BATCH_MIN 2 a scalar level runs after
-    the visited bitmap exists and is followed by a join."""
+    pairs, and paths of several lengths meet again, so a join skips pairs
+    that earlier levels and earlier chunks of its own level reached."""
     succ = [(1, 2), (3,), (3,), (4, 5, 8), (6,), (6,), (9, 10), (7,), (8,), (6,), (6,)]
     states = tuple((Fraction(i),) for i in range(len(succ)))
     outputs = ((Fraction(0),),) * len(succ)
@@ -200,26 +200,47 @@ def desk_cases():
     ]
 
 
-@pytest.mark.parametrize("batch_min", [1, 2])
-def test_batched_levels_match_scalar_and_reference(monkeypatch, batch_min):
-    # At 1 every level runs the numpy join; at 2 single-pair levels stay
-    # scalar, so the two paths alternate within one search.  Three left rows
-    # per chunk put chunk boundaries inside the rows of one pair.
-    monkeypatch.setattr(diagnosis, "_BATCH_MIN", batch_min)
+@pytest.mark.parametrize("path", ["join", "scalar"])
+def test_forced_path_matches_reference(monkeypatch, path):
+    # A threshold of exactly n*n pairs sends the check down the numpy join,
+    # one pair more keeps it on the scalar loop.  Three left rows per chunk
+    # put chunk boundaries inside the rows of one pair.
     monkeypatch.setattr(diagnosis, "_JOIN_CHUNK", 3)
     joins = watched_levels(monkeypatch)
     for system, spec in desk_cases():
-        got = check_diagnosability(system, spec)
-        assert_same_verdict(got, scalar_check(system, spec))
-        assert_same_verdict(got, reference_check(system, spec))
-    assert len(joins) > 200
+        threshold = system.n_states**2 + (path == "scalar")
+        monkeypatch.setattr(diagnosis, "_JOIN_MIN_PAIRS", threshold)
+        assert_same_verdict(check_diagnosability(system, spec), reference_check(system, spec))
+    assert (len(joins) > 200) == (path == "join")
+
+
+def test_join_is_built_once_per_check_at_threshold(e1_checks, monkeypatch):
+    built = []
+
+    class CountedJoin(diagnosis._PairJoin):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(diagnosis, "_PairJoin", CountedJoin)
+    # At the default threshold desk systems stay scalar and e1 joins.
+    for system, spec in desk_cases():
+        check_diagnosability(system, spec)
+    assert not built
+    check_diagnosability(*e1_checks["refute"])
+    assert len(built) == 1
+    for system, spec in desk_cases():
+        for extra, want in [(1, 0), (0, 1)]:
+            monkeypatch.setattr(diagnosis, "_JOIN_MIN_PAIRS", system.n_states**2 + extra)
+            built.clear()
+            check_diagnosability(system, spec)
+            assert len(built) == want
 
 
 @pytest.mark.parametrize("mode", sorted(E1_SCENARIOS))
 def test_batched_levels_match_scalar_and_reference_on_e1(e1_checks, e1_references, mode, monkeypatch):
     # 97 left rows per chunk: thousands of chunk boundaries at a tier-1 cost
     # (a 3-row chunk makes about half a million chunks here).
-    monkeypatch.setattr(diagnosis, "_BATCH_MIN", 1)
     monkeypatch.setattr(diagnosis, "_JOIN_CHUNK", 97)
     joins = watched_levels(monkeypatch)
     system, spec = e1_checks[mode]
@@ -230,7 +251,7 @@ def test_batched_levels_match_scalar_and_reference_on_e1(e1_checks, e1_reference
 
 
 def test_pair_cap_keeps_every_level_scalar(e1_checks, monkeypatch):
-    monkeypatch.setattr(diagnosis, "_BATCH_MIN", 1)
+    monkeypatch.setattr(diagnosis, "_JOIN_MIN_PAIRS", 1)
     cases = desk_cases() + [e1_checks[mode] for mode in sorted(E1_SCENARIOS)]
     batched = [check_diagnosability(*case) for case in cases]
     monkeypatch.setattr(diagnosis, "_PAIR_CAP", 0)

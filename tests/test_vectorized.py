@@ -192,13 +192,17 @@ REGION_UNIONS = [
     BoxUnion.of(Box((-0.0, -math.inf), (0.0, -1.0), (False, True), (True, False))),
     BoxUnion.of(Box((-1.0,), (1.0,), (True,), (True,)), Box((1.5,), (2.0,))),
     BoxUnion.of(Box((-1.0, 0.0, 0.5), (1.0, 0.0, 2.0), (False, False, True))),
+    # Infinite bounds on both sides, open and closed.
+    BoxUnion.of(Box((0.0,), (math.inf,))),
+    BoxUnion.of(Box((-math.inf, -1.0), (math.inf, math.inf), (True, False), (False, True))),
 ]
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.filterwarnings("error")  # no inf - inf RuntimeWarning either
 def test_region_rows_match_scalar_tests():
-    # Grid values hit the bounds exactly; NaN fails every comparison, so
-    # `contains` keeps such a point and both distances are NaN.
+    # Grid values hit the bounds exactly, infinite ones included; NaN fails
+    # every comparison, so `contains` keeps such a point and both distances
+    # are NaN.
     rng = np.random.default_rng(3)
     grid = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf, -math.inf, math.nan])
     for union in REGION_UNIONS:
@@ -212,10 +216,7 @@ def test_region_rows_match_scalar_tests():
             assert same_floats(dist.ravel(), reference_distance_rows(union, points))
         for i, pt in enumerate(points.tolist()):
             assert inside.flat[i] == union.contains(pt), pt
-            if all(map(math.isfinite, pt)):
-                assert bits(dist.flat[i]) == bits(union.distance_to(pt)), pt
-            elif any(map(math.isnan, pt)):
-                assert math.isnan(dist.flat[i]) and math.isnan(union.distance_to(pt)), pt
+            assert same_floats(dist.flat[i], union.distance_to(pt)), pt
 
 
 @pytest.mark.parametrize(
