@@ -40,6 +40,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .finsys import FiniteSystem, _to_rho
+from .rational import to_rational
 
 BRUTE_MAX_STATES = 64
 BRUTE_MAX_HORIZON = 24
@@ -59,10 +60,11 @@ _PAIR_CAP = 1 << 25
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """Fault state indices plus the ball radius rho (stored exactly)."""
+    """Fault state indices plus the ball radius rho (stored exactly, by
+    ``to_exact``)."""
 
     faults: frozenset[int]
-    rho: Fraction
+    rho: int | Fraction
 
     @staticmethod
     def of(faults, rho) -> "FaultSpec":
@@ -370,36 +372,39 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
     ball_mask = _mask(ball)
     fault_mask = _mask(spec.faults)
     ids = system.output_ids
-    # Output classes, enumerated in the repr order of their values.
+    # Output classes, enumerated in the repr order of their values written
+    # as Fractions, whichever exact type holds them.
     class_of = system.class_of
-    out_classes = [class_of[out] for out in sorted(class_of, key=repr)]
+    out_classes = [class_of[out] for out in sorted(class_of, key=_fraction_repr)]
 
+    # One row of successor masks per output class: steps[c][i] holds the
+    # successors of state i whose output class is c.
     ptr, cls, succ = system.successor_groups
-    succ_by_out = [{} for _ in range(n)]
-    for i, row in enumerate(succ_by_out):
+    steps = [[0] * n for _ in class_of]
+    for i in range(n):
         for k in range(ptr[i], ptr[i + 1]):
-            row[cls[k]] = row.get(cls[k], 0) | 1 << succ[k]
+            steps[cls[k]][i] |= 1 << succ[k]
+    succ_masks = [_mask(succ[ptr[i] : ptr[i + 1]]) for i in range(n)]
 
     # States from which the fault set is reachable (any number of steps).
-    can_reach_fault = set(spec.faults)
+    reach_fault_mask = fault_mask
     changed = True
     while changed:
         changed = False
         for i in range(n):
-            if i not in can_reach_fault and any(
-                j in can_reach_fault for j in succ[ptr[i] : ptr[i + 1]]
-            ):
-                can_reach_fault.add(i)
+            if not reach_fault_mask >> i & 1 and succ_masks[i] & reach_fault_mask:
+                reach_fault_mask |= 1 << i
                 changed = True
-    reach_fault_mask = _mask(can_reach_fault)
 
     best_margin = -1
     pump: dict | None = None
 
-    def advance_mask(mask: int, out) -> int:
+    def advance(mask: int, row: list) -> int:
         acc = 0
-        for i in _members(mask):
-            acc |= succ_by_out[i].get(out, 0)
+        while mask:
+            low = mask & -mask
+            acc |= row[low.bit_length() - 1]
+            mask ^= low
         return acc
 
     def search(depth, unfauled_mask, faulted, safe_mask, fault_chains, safe_chains, stream):
@@ -429,28 +434,26 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
         if not faulted and not (unfauled_mask & reach_fault_mask):
             return
         for out in out_classes:
-            out_unf = advance_mask(unfauled_mask, out)
+            row = steps[out]
+            out_unf = advance(unfauled_mask, row)
             new_faulted: dict[int, int] = {}
             for s, t in faulted.items():
-                for j in _members(succ_by_out[s].get(out, 0)):
+                for j in _bits(row[s]):
                     if j not in new_faulted or new_faulted[j] > t:
                         new_faulted[j] = t
-            for j in _members(out_unf & fault_mask):
+            for j in _bits(out_unf & fault_mask):
                 if j not in new_faulted or new_faulted[j] > depth + 1:
                     new_faulted[j] = depth + 1
             new_unf = out_unf & ~fault_mask
             if not new_unf and not new_faulted:
                 continue
-            new_safe = advance_mask(safe_mask, out) & ~ball_mask
-            new_fchains = [
-                {s: advance_mask(m, out) for s, m in ch.items()} for ch in fault_chains
-            ]
+            new_safe = advance(safe_mask, row) & ~ball_mask
+            new_fchains = [{s: advance(m, row) for s, m in ch.items()} for ch in fault_chains]
             new_schains = [
-                {s: advance_mask(m, out) & ~ball_mask for s, m in ch.items()}
-                for ch in safe_chains
+                {s: advance(m, row) & ~ball_mask for s, m in ch.items()} for ch in safe_chains
             ]
             new_fchains.append({s: 1 << s for s in new_faulted})
-            new_schains.append({j: 1 << j for j in _members(new_safe)})
+            new_schains.append({j: 1 << j for j in _bits(new_safe)})
             stream.append(out)
             search(depth + 1, new_unf, new_faulted, new_safe, new_fchains, new_schains, stream)
             stream.pop()
@@ -462,7 +465,7 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
         unf = _mask(i for i in system.initial if ids[i] == out)
         safe = unf & ~ball_mask
         fchains = [{}]
-        schains = [{j: 1 << j for j in _members(safe)}]
+        schains = [{j: 1 << j for j in _bits(safe)}]
         search(0, unf, {}, safe, fchains, schains, [out])
 
     method = f"bounded-enumeration(T={horizon})"
@@ -479,14 +482,18 @@ def _mask(indices) -> int:
     return m
 
 
-def _members(mask: int):
+def _bits(mask: int) -> list[int]:
     """Indices of the set bits of mask, in ascending order."""
-    i = 0
+    out = []
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _fraction_repr(values) -> str:
+    return repr(tuple(map(to_rational, values)))
 
 
 def _find_run(system, stream, start_set, end_state, upto, *, forbidden=frozenset(), need_fault=None):
@@ -576,7 +583,7 @@ class Diagnoser:
         ids = self.system.output_ids
         members = frozenset((s, s in self.ball) for s in self.system.initial if ids[s] == cls)
         if not members:
-            raise InfeasibleObservationError(f"no initial state produces output {y}")
+            raise InfeasibleObservationError(f"no initial state produces output {_shown(y)}")
         return members, belief_decision(members)
 
     def _step(self, belief: Belief, cls: int | None, y) -> tuple[Belief, int]:
@@ -593,9 +600,17 @@ class Diagnoser:
                     members.add((j, visited or j in ball))
                 k += 1
         if not members:
-            raise InfeasibleObservationError(f"no consistent run produces output {y}")
+            raise InfeasibleObservationError(f"no consistent run produces output {_shown(y)}")
         members = frozenset(members)
         return members, belief_decision(members)
+
+
+def _shown(y):
+    """An observed value as error messages print it: each exact component
+    as a Fraction, whether an int or a Fraction holds it."""
+    if type(y) is not tuple:
+        return y
+    return tuple(Fraction(v) if type(v) is int else v for v in y)
 
 
 def synthesize_diagnoser(system: FiniteSystem, spec: FaultSpec) -> Diagnoser:

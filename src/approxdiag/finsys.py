@@ -2,11 +2,12 @@
 
 States carry exact rational embeddings: abstraction states embed as
 2*theta*coords with theta converted exactly to Fraction, hand-written
-automata supply rational embeddings directly.  Output equality, ball
-membership and the twin-plant synchronization below therefore never
-compare floats.  Outputs are interned once, by exact equality, into
-integer output classes; everything that synchronizes on outputs compares
-class ids.
+automata supply rational embeddings directly.  Every value is held by
+``rational.to_exact``: a Python int when integral, a Fraction otherwise.
+Output equality, ball membership and the twin-plant synchronization below
+therefore never compare floats.  Outputs are interned once, by exact
+equality, into integer output classes; everything that synchronizes on
+outputs compares class ids.
 
 Hand-written systems may be nondeterministic; abstractions are
 deterministic by construction.  Two systems can share embeddings between
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .lattice import quantize
-from .rational import to_rational
+from .rational import to_exact, to_rational
 from .report import canonical_json
 
 SCHEMA_VERSION = 1
@@ -44,8 +45,8 @@ def _index(v) -> int:
     return v
 
 
-def _fraction_json(v: Fraction):
-    return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+def _fraction_json(v: int | Fraction):
+    return v if type(v) is int else f"{v.numerator}/{v.denominator}"
 
 
 class _View:
@@ -68,11 +69,11 @@ class _View:
 class FiniteSystem:
     """Finite system S = (X, X0, U, ->, Y, H) with infinity-norm metric."""
 
-    states: tuple[tuple[Fraction, ...], ...] = _View()
+    states: tuple[tuple[int | Fraction, ...], ...] = _View()
     initial: tuple[int, ...]
     inputs: tuple = _View()
     succ: tuple[tuple[tuple[int, ...], ...], ...] = _View()  # succ[state][input] sorted
-    outputs: tuple[tuple[Fraction, ...], ...] = _View()
+    outputs: tuple[tuple[int | Fraction, ...], ...] = _View()
     p: int
     # Lattice provenance, present when built by the abstraction engine.
     state_theta: float | None = None
@@ -82,9 +83,10 @@ class FiniteSystem:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        """Validate, then derive the integer tables every finite-system
-        algorithm reads.  They are plain attributes, not fields, so they
-        take no part in equality and dataclasses.replace rebuilds them:
+        """Validate, hold every state and output value by ``to_exact``, then
+        derive the integer tables every finite-system algorithm reads.  They
+        are plain attributes, not fields, so they take no part in equality
+        and dataclasses.replace rebuilds them:
 
         * ``class_of``: output value -> class id, numbered in order of
           first appearance (interning by exact equality);
@@ -97,8 +99,13 @@ class FiniteSystem:
         if len(self.succ) != ns or len(self.outputs) != ns:
             raise DimensionMismatchError("states, succ and outputs must align")
         _check_initial(self.initial, ns)
+        try:
+            states = tuple(tuple(map(to_exact, row)) for row in self.states)
+            outputs = tuple(tuple(map(to_exact, row)) for row in self.outputs)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"state and output values must be rational: {exc}") from exc
         class_of: dict = {}
-        ids = tuple(class_of.setdefault(out, len(class_of)) for out in self.outputs)
+        ids = tuple(class_of.setdefault(out, len(class_of)) for out in outputs)
         n_inputs = len(self.inputs)
         ptr, flat = [0], []
         for row in self.succ:
@@ -115,7 +122,12 @@ class FiniteSystem:
             ptr.append(len(flat))
         cls = [ids[j] for j in flat]
         self.__dict__.update(
-            class_of=class_of, output_ids=ids, successor_groups=(ptr, cls, flat), _balls={}
+            states=states,
+            outputs=outputs,
+            class_of=class_of,
+            output_ids=ids,
+            successor_groups=(ptr, cls, flat),
+            _balls={},
         )
 
     # Views a lattice-backed model stores and other systems derive on use.
@@ -138,7 +150,7 @@ class FiniteSystem:
         ptr, _, succ = self.successor_groups
         return all(b in succ[ptr[a] : ptr[a + 1]] for a, b in zip(run, run[1:]))
 
-    def distance(self, i: int, j: int) -> Fraction:
+    def distance(self, i: int, j: int) -> int | Fraction:
         return max(abs(a - b) for a, b in zip(self.states[i], self.states[j]))
 
     @staticmethod
@@ -147,9 +159,10 @@ class FiniteSystem:
     ) -> "FiniteSystem":
         """Lattice-backed model from its integer form: ``successors`` is the
         (states x inputs) successor matrix.  Every state embeds exactly as
-        2*state_theta*coords (Fractions), outputs are the first p state
-        components and inputs embed as 2*input_theta*coords; the lattice
-        ball below relies on this embedding.
+        2*state_theta*coords, outputs are the first p state components and
+        inputs embed as 2*input_theta*coords, each value held by
+        ``to_exact`` as in a hand-written system; the lattice ball below
+        relies on this embedding.
 
         The integer tables are derived with numpy from the matrix and the
         int64 coordinate array.  ``states``, ``inputs``, ``outputs`` and
@@ -188,11 +201,8 @@ class FiniteSystem:
         )
         order = np.argsort(first)
         ids = np.argsort(order)[inverse.reshape(-1)]
-        two_theta = 2 * to_rational(state_theta)
-        class_of = {
-            tuple(two_theta * c for c in coords[i, :p].tolist()): k
-            for k, i in enumerate(first[order].tolist())
-        }
+        keys = _embed([coords[i, :p].tolist() for i in first[order].tolist()], state_theta)
+        class_of = {key: k for k, key in enumerate(keys)}
         # Distinct successors of each row, ascending.  A stable sort on
         # (row, class) gives each entry the smallest member of its class
         # group, and a stable sort on (row, that member) orders the groups.
@@ -306,22 +316,22 @@ class FiniteSystem:
                     meta,
                 )
             if kind == "finite-system":
-                # Equal int or string values share one Fraction and equal target
-                # lists one tuple: fewer objects per model, and equal outputs
-                # intern by identity.
-                fractions: dict = {}
+                # Equal string values are parsed once and share one exact
+                # value, and equal target lists share one tuple: fewer objects
+                # per model.
+                exact: dict = {}
                 targets: dict = {}
 
-                def fraction(v):
+                def value(v):
                     # Decimal intent: 0.4 in a JSON file means 2/5, not the binary float.
-                    if type(v) not in (int, str):
-                        return to_rational(v)
-                    if v not in fractions:
-                        fractions[v] = to_rational(v)
-                    return fractions[v]
+                    if type(v) is not str:
+                        return to_exact(v)
+                    if v not in exact:
+                        exact[v] = to_exact(v)
+                    return exact[v]
 
-                states = tuple(tuple(map(fraction, row)) for row in doc["raw_states"])
-                outputs = tuple(tuple(map(fraction, row)) for row in doc["raw_outputs"])
+                states = tuple(tuple(map(value, row)) for row in doc["raw_states"])
+                outputs = tuple(tuple(map(value, row)) for row in doc["raw_outputs"])
                 p = _index(doc["p"])
                 if p < 0 or any(len(row) != p for row in outputs):
                     raise DomainError(f"output rows must have p = {p} components")
@@ -359,8 +369,8 @@ class FiniteSystem:
         return FiniteSystem.from_json(doc)
 
 
-def _to_rho(rho) -> Fraction:
-    r = to_rational(rho)
+def _to_rho(rho) -> int | Fraction:
+    r = to_exact(rho)
     if r < 0:
         raise DomainError("ball radius must be nonnegative")
     return r
@@ -406,9 +416,9 @@ def _coord_array(rows) -> np.ndarray:
     return pts if len(rows) else pts.reshape(0, 0)
 
 
-def _embed(coords, theta) -> tuple[tuple[Fraction, ...], ...]:
+def _embed(coords, theta) -> tuple[tuple[int | Fraction, ...], ...]:
     two_theta = 2 * to_rational(theta)
-    return tuple(tuple(two_theta * c for c in row) for row in coords)
+    return tuple(tuple(to_exact(two_theta * c) for c in row) for row in coords)
 
 
 def _succ_view(s: FiniteSystem):
@@ -444,17 +454,18 @@ _VIEWS = {
 }
 
 
-def observation_symbol(s: FiniteSystem, values) -> tuple[Fraction, ...]:
+def observation_symbol(s: FiniteSystem, values) -> tuple[int | Fraction, ...]:
     """Map an observed numeric output vector onto the system's own output
-    value domain: via the output quantizer for lattice-backed models, via
-    exact decimal conversion for hand-written ones."""
+    value domain: via the output quantizer for lattice-backed models (as
+    Fractions), via exact decimal conversion by ``to_exact`` for
+    hand-written ones."""
     if not isinstance(values, (list, tuple, np.ndarray)):
         raise DomainError(f"an observation is a list of {s.p} numbers, got {values!r}")
     if len(values) != s.p:
         raise DimensionMismatchError(f"expected {s.p} output components")
     try:
         if s.state_theta is None:
-            return tuple(to_rational(v) for v in values)
+            return tuple(map(to_exact, values))
         if bool in map(type, values):  # float(True) would read JSON true as 1.0
             raise TypeError("a boolean is not a number")
         point = tuple(float(v) for v in values)

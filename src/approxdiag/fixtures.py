@@ -13,8 +13,6 @@ diagnosable for any ball radius below 5.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .diagnosis import FaultSpec
@@ -102,8 +100,8 @@ def random_finite_system(rng: np.random.Generator) -> tuple[FiniteSystem, FaultS
     n_inputs = int(rng.integers(1, 4))
     n_out = int(rng.integers(1, 3))
     out_of = [int(rng.integers(0, n_out)) for _ in range(n)]
-    states = tuple((Fraction(i),) for i in range(n))
-    outputs = tuple((Fraction(v),) for v in out_of)
+    states = tuple((i,) for i in range(n))
+    outputs = tuple((v,) for v in out_of)
     succ = tuple(
         tuple(
             tuple(sorted({int(t) for t in rng.integers(0, n, size=int(rng.integers(1, 3)))}))

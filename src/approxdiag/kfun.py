@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, RangeError
+from .regions import as_float
 
 TOL_INV = 1e-9
 
@@ -106,11 +107,13 @@ class KFunction:
     def from_json(doc: dict) -> "KFunction":
         form = doc.get("form")
         if form == "linear":
-            return KFunction.linear(doc["a"])
+            return KFunction.linear(as_float(doc["a"]))
         if form == "power":
-            return KFunction.power(doc["a"], doc.get("b", 1.0))
+            return KFunction.power(as_float(doc["a"]), as_float(doc.get("b", 1.0)))
         if form == "pwl":
-            return KFunction.piecewise_linear(tuple(map(tuple, doc["points"])))
+            return KFunction.piecewise_linear(
+                tuple((as_float(r), as_float(y)) for r, y in doc["points"])
+            )
         raise DomainError(f"unknown comparison-function form {form!r}")
 
 

@@ -8,6 +8,11 @@ written 0.8 dilated by the radius written 0.2 must land exactly on 1.0.
 Every float that crosses into rational arithmetic is therefore read back
 through its shortest round-trip decimal repr, which recovers the literal
 the author wrote.  Exact inputs (int, Fraction) pass through unchanged.
+
+``to_exact`` keeps an exact value in its cheapest type: a Python int when
+it is integral, a Fraction otherwise.  Ints compare and hash equal to the
+integral Fractions, so the two serve alike as dict keys and in comparisons;
+only the cost differs.
 """
 
 from __future__ import annotations
@@ -25,3 +30,10 @@ def to_rational(v) -> Fraction:
     if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"cannot interpret {v!r} as a rational number")
+
+
+def to_exact(v) -> int | Fraction:
+    if type(v) is int:
+        return v
+    r = to_rational(v)
+    return r.numerator if r.denominator == 1 else r

@@ -27,6 +27,17 @@ from .rational import to_rational
 __all__ = ["Box", "BoxUnion", "ball_in_union"]
 
 
+def as_float(v) -> float:
+    """A number read from a JSON document, as a float.  A boolean is not a
+    number here, though float() would read JSON true as 1.0."""
+    try:
+        if isinstance(v, bool):
+            raise TypeError
+        return float(v)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"expected a number, got {v!r}") from exc
+
+
 def _as_bool_tuple(flags, n: int, default: bool) -> tuple[bool, ...]:
     if flags is None:
         return (default,) * n
@@ -46,8 +57,8 @@ class Box:
     upper_open: tuple[bool, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in self.lower)
-        hi = tuple(float(v) for v in self.upper)
+        lo = tuple(map(as_float, self.lower))
+        hi = tuple(map(as_float, self.upper))
         if len(lo) != len(hi):
             raise DimensionMismatchError("lower and upper must have equal length")
         for a, b in zip(lo, hi):
@@ -233,9 +244,16 @@ class BoxUnion:
             raise DomainError("distance to an empty union is undefined")
 
         # fmax skips the NaN of inf - inf, so an infinite coordinate inside an
-        # infinite bound reads 0 on that axis, as in `distance_to`.
+        # infinite bound reads 0 on that axis, as in `distance_to`.  On a
+        # zero-width axis at an infinity both differences are NaN there, so
+        # that axis compares with its bound instead.
+        def axis_gap(v, lo, hi):
+            if lo == hi and math.isinf(lo):
+                return np.where(v == lo, 0.0, np.abs(v - lo))
+            return np.fmax(lo - v, v - hi)
+
         def gap(b):
-            axes = (np.fmax(lo - v, v - hi) for v, lo, hi in zip(cols, b.lower, b.upper))
+            axes = (axis_gap(v, lo, hi) for v, lo, hi in zip(cols, b.lower, b.upper))
             return np.maximum(functools.reduce(np.maximum, axes), 0.0)
 
         with np.errstate(invalid="ignore"):

@@ -22,10 +22,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import exprs
-from .errors import ConfigError, InternalInvariantError, NumericError
+from .errors import ConfigError, DomainError, InternalInvariantError, NumericError
 from .kfun import KFunction
 from .lattice import LatticePoint, quantize
-from .regions import Box, BoxUnion
+from .regions import Box, BoxUnion, as_float
 
 ORIGIN_FIXPOINT_TOL = 1e-12
 CERT_VIOLATION_TOL = 1e-9
@@ -130,6 +130,20 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _number(v, location: str) -> float:
+    try:
+        return as_float(v)
+    except DomainError as exc:
+        raise ConfigError(location, str(exc)) from exc
+
+
+def _dimension(doc: dict, key: str) -> int:
+    v = _number(_require(doc, key, ""), key)
+    if not v.is_integer():
+        raise ConfigError(key, f"expected an integer, got {doc[key]!r}")
+    return int(v)
+
+
 def _box_union(doc, where: str, dim: int) -> BoxUnion:
     try:
         union = BoxUnion.from_json(doc, dim=dim)
@@ -157,9 +171,9 @@ def parse_system(doc) -> tuple[SystemDef, Certificate]:
     if not isinstance(doc, dict):
         raise ConfigError("", "config root must be an object")
 
-    n = int(_require(doc, "n", ""))
-    m = int(_require(doc, "m", ""))
-    p = int(_require(doc, "p", ""))
+    n = _dimension(doc, "n")
+    m = _dimension(doc, "m")
+    p = _dimension(doc, "p")
     if n < 1 or m < 1 or p < 1:
         raise ConfigError("n/m/p", "dimensions must be positive")
     if p >= n:
@@ -175,7 +189,7 @@ def parse_system(doc) -> tuple[SystemDef, Certificate]:
         except Exception as exc:
             raise ConfigError(f"f[{i}]", str(exc)) from exc
 
-    eta = float(_require(doc, "eta", ""))
+    eta = _number(_require(doc, "eta", ""), "eta")
     if not eta > 0:
         raise ConfigError("eta", "output quantization parameter must be positive")
 
@@ -217,10 +231,10 @@ def _parse_certificate(doc: dict, n: int) -> Certificate:
     alpha_hi = kfun("alpha_hi")
     lam = kfun("lambda")
     sigma = kfun("sigma")
-    lipschitz = float(_require(doc, "L", where))
+    lipschitz = _number(_require(doc, "L", where), f"{where}.L")
     if not lipschitz > 0:
         raise ConfigError(f"{where}.L", "Lipschitz constant must be positive")
-    weights = tuple(float(w) for w in _require(doc, "V_weights", where))
+    weights = tuple(_number(w, f"{where}.V_weights") for w in _require(doc, "V_weights", where))
     if len(weights) != n or any(not w > 0 for w in weights):
         raise ConfigError(f"{where}.V_weights", f"expected {n} strictly positive weights")
     try:

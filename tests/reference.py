@@ -378,13 +378,15 @@ def reference_contains_rows(union: BoxUnion, points: np.ndarray) -> np.ndarray:
 
 def reference_distance_rows(union: BoxUnion, points: np.ndarray) -> np.ndarray:
     """``union.distance_to`` of each point along the last axis, reduced over
-    that axis; a NaN coordinate gives NaN, an infinite one inside an
-    infinite bound a gap of 0 on that axis."""
+    that axis, by the scalar method's branches: the gap below the lower
+    bound, the gap above the upper one, NaN for a NaN coordinate and 0
+    otherwise, so an infinite coordinate at an infinite bound is 0."""
     with np.errstate(invalid="ignore"):
-        per_box = [
-            np.maximum(np.fmax(np.subtract(b.lower, points), points - b.upper), 0.0).max(-1)
-            for b in union.boxes
-        ]
+        per_box = []
+        for b in union.boxes:
+            lo, hi = np.array(b.lower), np.array(b.upper)
+            gap = np.where(points < lo, lo - points, np.where(points > hi, points - hi, 0.0))
+            per_box.append(np.where(np.isnan(points), np.nan, gap).max(-1))
     return np.min(per_box, axis=0)
 
 

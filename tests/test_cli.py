@@ -167,6 +167,21 @@ def test_monitor_infeasible_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "stdin, out, err",
+    [
+        ("[7]\n", "", "no initial state produces output (Fraction(7, 1),)"),
+        ("[0]\n[7]\n", "0\n", "no consistent run produces output (Fraction(7, 1),)"),
+        ('[0]\n["1/2"]\n', "0\n", "no consistent run produces output (Fraction(1, 2),)"),
+    ],
+)
+def test_monitor_infeasible_observation_message(capsys, monkeypatch, stdin, out, err):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(["monitor", D1, "--faults", "1", "--rho", "0"]) == 3
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (out, f"infeasible observation: {err}\n")
+
+
+@pytest.mark.parametrize(
     "stdin", ["[0.0]\nnot json\n", '["x"]\n', '{"a": 1}\n', "[0]\n[[2]]\n", "[true]\n"]
 )
 def test_monitor_malformed_line_is_precondition_failure(capsys, monkeypatch, stdin):
@@ -372,6 +387,20 @@ def test_usage_error_exit_code():
 
 def test_missing_config_is_precondition_failure(capsys):
     assert main(["validate", "/nonexistent/config.json"]) == 4
+
+
+@pytest.mark.parametrize("where, value", [("config", True), ("faults", True), ("faults", "x")])
+def test_non_number_is_precondition_failure(tmp_path, capsys, where, value):
+    config, faults = json.loads(Path(E1).read_text()), json.loads(Path(FAULT_X2).read_text())
+    if where == "config":
+        config["eta"] = value
+    else:
+        faults["boxes"][0]["lower"][0] = value
+    (tmp_path / "e1.json").write_text(json.dumps(config))
+    (tmp_path / "faults.json").write_text(json.dumps(faults))
+    argv = ["falsify", str(tmp_path / "e1.json"), "--faults", str(tmp_path / "faults.json")]
+    assert main(argv + ["--rho", "0.05", "--trials", "10"]) == 4
+    assert f"expected a number, got {value!r}" in capsys.readouterr().err
 
 
 def test_import_leaves_concurrent_futures_unloaded():

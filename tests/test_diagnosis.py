@@ -19,7 +19,7 @@ from approxdiag.errors import (
     NonDiagnosableError,
     ResourceLimitError,
 )
-from approxdiag.finsys import FiniteSystem
+from approxdiag.finsys import FiniteSystem, observation_symbol
 from approxdiag.fixtures import D1_FAULTS, ND1_FAULTS, d1, nd1, random_finite_system
 from reference import diagnoser_step, reference_check
 
@@ -191,6 +191,23 @@ def test_diagnoser_infeasible_observation():
     belief, _ = diag.start((Fraction(0),))
     with pytest.raises(InfeasibleObservationError):
         diag.step(belief, (Fraction(0),))
+
+
+@pytest.mark.parametrize(
+    "values, shown", [([7], "(Fraction(7, 1),)"), (["1/2"], "(Fraction(1, 2),)"), (["14/2"], "(Fraction(7, 1),)")]
+)
+def test_infeasible_observation_prints_its_value_as_fractions(values, shown):
+    # observation_symbol holds 7 as an int; the message still reads Fraction(7, 1).
+    s = d1()
+    diag = synthesize_diagnoser(s, FaultSpec.of(D1_FAULTS, 0))
+    y = observation_symbol(s, values)
+    with pytest.raises(InfeasibleObservationError) as exc:
+        diag.start(y)
+    assert str(exc.value) == f"no initial state produces output {shown}"
+    belief, _ = diag.start(observation_symbol(s, [0]))
+    with pytest.raises(InfeasibleObservationError) as exc:
+        diag.step(belief, y)
+    assert str(exc.value) == f"no consistent run produces output {shown}"
 
 
 def test_synthesis_refuses_non_diagnosable():

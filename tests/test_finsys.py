@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from approxdiag.abstraction import AbstractionParams, build_abstraction, solve_epsilon
 from approxdiag.errors import DimensionMismatchError, DomainError
 from approxdiag.finsys import FiniteSystem, observation_symbol
-from approxdiag.fixtures import d1, d1_doc, e1, nd1, random_finite_system
+from approxdiag.fixtures import d1, d1_doc, e1, nd1, nd1_doc, random_finite_system
+from approxdiag.report import canonical_json
 from reference import synchronized_product
 
 
@@ -333,3 +335,78 @@ def test_from_json_keeps_int64_edge_coordinates():
     assert system.state_coords[1] == ((1 << 63) - 1, -(1 << 63))
     # Differences of these coordinates overflow int64: the ball is exact.
     assert system.ball_states({1}, 0) == {1}
+
+
+# A hand-written model with integral and non-integral values written every
+# way a model file may write them, and its canonical JSON, which the Fraction
+# representation wrote.
+THIRDS_DOC = {
+    "kind": "finite-system", "schema": 1, "p": 1,
+    "raw_states": [[0, "1/3"], ["0.4", 2], [0.5, "2/2"], ["-7/3", -1]],
+    "raw_outputs": [["1/3"], ["0.4"], [1], ["2/2"]],
+    "inputs": ["a", "b"], "initial": [0],
+    "transitions": [[0, 0, 1], [0, 1, 2], [1, 0, 3], [2, 1, 0], [3, 0, 3], [3, 1, 1]],
+}
+THIRDS_JSON = (
+    '{"initial":[0],"inputs":["a","b"],"kind":"finite-system","p":1,'
+    '"raw_outputs":[["1/3"],["2/5"],[1],[1]],'
+    '"raw_states":[[0,"1/3"],["2/5",2],["1/2",1],["-7/3",-1]],"schema":1,'
+    '"transitions":[[0,0,1],[0,1,2],[1,0,3],[2,1,0],[3,0,3],[3,1,1]]}'
+)
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def exact_types(rows) -> bool:
+    """Every value an int when integral and a Fraction otherwise."""
+    return all(type(v) is (int if v.denominator == 1 else Fraction) for row in rows for v in row)
+
+
+def hand_written_models() -> dict:
+    models = {"d1": d1(), "nd1": nd1(), "thirds": FiniteSystem.from_json(THIRDS_DOC)}
+    for name in ("fts40_diag", "fts40_nondiag", "mixed_outputs"):
+        models[name] = FiniteSystem.load(str(GOLDEN / f"{name}_model.json"))
+    return models
+
+
+def test_exact_values_take_their_cheapest_type():
+    for name, s in hand_written_models().items():
+        assert exact_types(s.states) and exact_types(s.outputs) and exact_types(s.class_of), name
+        # The public constructor holds values the same way, whatever it is given.
+        as_fractions = [tuple(map(Fraction, row)) for row in s.states]
+        built = FiniteSystem(as_fractions, s.initial, s.inputs, s.succ, as_fractions, s.p)
+        assert exact_types(built.states) and exact_types(built.class_of), name
+    thirds = FiniteSystem.from_json(THIRDS_DOC)
+    assert thirds.states == (
+        (0, Fraction(1, 3)), (Fraction(2, 5), 2), (Fraction(1, 2), 1), (Fraction(-7, 3), -1)
+    )
+    assert [type(v) for row in thirds.states for v in row] == [int, Fraction, Fraction, int] + [Fraction, int] * 2
+    assert list(thirds.class_of.items()) == [
+        ((Fraction(1, 3),), 0), ((Fraction(2, 5),), 1), ((Fraction(1),), 2)
+    ]
+    for values, want in [([7], (7,)), (["4/2"], (2,)), (["1/2"], (Fraction(1, 2),)), ([0.5], (Fraction(1, 2),))]:
+        got = observation_symbol(thirds, values)
+        assert got == want and exact_types([got]), values
+    # Lattice views: 2 * 0.25 * coords, integral at even coordinates.
+    doc = lattice_doc() | {"state_theta": 0.25, "input_theta": 0.25, "states": [[0, 1], [4, -3]], "inputs": [[1]]}
+    lattice = FiniteSystem.from_json(doc)
+    assert lattice.states == ((0, Fraction(1, 2)), (2, Fraction(-3, 2)))
+    assert exact_types(lattice.states) and exact_types(lattice.outputs) and exact_types(lattice.inputs)
+    assert exact_types(lattice.class_of) and list(lattice.class_of) == [(0,), (2,)]
+
+
+def test_hand_written_models_equal_their_fraction_forms():
+    # Ints compare and hash equal to the integral Fractions: the systems, the
+    # class lookups and the written files are those of Fraction values.
+    for name, s in hand_written_models().items():
+        states = tuple(tuple(map(Fraction, row)) for row in s.states)
+        outputs = tuple(tuple(map(Fraction, row)) for row in s.outputs)
+        assert s.states == states and s.outputs == outputs, name
+        assert list(s.class_of) == list(dict.fromkeys(outputs)), name
+        assert [s.class_of[out] for out in outputs] == list(s.output_ids), name
+    models = hand_written_models()
+    assert canonical_json(models["thirds"].to_json()) == THIRDS_JSON
+    assert canonical_json(models["d1"].to_json()) == canonical_json(d1_doc())
+    assert canonical_json(models["nd1"].to_json()) == canonical_json(nd1_doc())
+    for name in ("fts40_diag", "fts40_nondiag", "mixed_outputs"):
+        want = (GOLDEN / f"{name}_model.json").read_bytes()
+        assert (canonical_json(models[name].to_json()) + "\n").encode() == want, name

@@ -166,6 +166,17 @@ def test_public_constructor_validates_shape():
     assert box.lower_open == (False, True) and box.upper_open == (False, False)
 
 
+@pytest.mark.parametrize(
+    "lower, upper", [((True, 0.0), (1.0, 1.0)), ((0.0,), (False,)), (("x",), (1.0,)), ((None,), (1.0,))]
+)
+def test_public_constructor_rejects_non_number_bounds(lower, upper):
+    # float(True) would read a JSON true as the bound 1.0.
+    with pytest.raises(DomainError, match="expected a number"):
+        Box(lower, upper)
+    with pytest.raises(DomainError, match="expected a number"):
+        BoxUnion.from_json({"boxes": [{"lower": list(lower), "upper": list(upper)}]})
+
+
 def test_json_round_trip():
     union = BoxUnion.of(
         Box((0.0, 0.0), (1.0, 1.0)),

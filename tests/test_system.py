@@ -37,6 +37,45 @@ def test_parse_rejects_p_equal_n():
         parse_system(doc)
 
 
+@pytest.mark.parametrize(
+    "path, value, location",
+    [
+        (["n"], True, "n"),
+        (["m"], True, "m"),
+        (["p"], False, "p"),
+        (["n"], 1.7, "n"),
+        (["p"], 0.5, "p"),
+        (["eta"], True, "eta"),
+        (["certificate", "L"], True, "certificate.L"),
+        (["certificate", "V_weights", 1], True, "certificate.V_weights"),
+        (["certificate", "alpha_lo", "a"], True, "certificate.alpha_lo"),
+        (["certificate", "lambda", "a"], False, "certificate.lambda"),
+        (["certificate", "explore_bound", "upper", 0], True, "certificate.explore_bound"),
+        (["X0", "boxes", 0, "lower", 0], True, "X0"),
+        (["U", "boxes", 0, "upper", 0], True, "U"),
+    ],
+)
+def test_parse_rejects_booleans_and_fractional_dimensions(path, value, location):
+    # float(true) is 1.0 and int(1.7) is 1: neither is what the file says.
+    doc = e1_config()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError) as exc:
+        parse_system(doc)
+    assert exc.value.location == location
+
+
+def test_parse_accepts_integral_numbers_for_dimensions_and_bounds():
+    doc = e1_config()
+    doc["n"], doc["eta"] = 2.0, 1
+    doc["certificate"]["lambda"] = {"form": "pwl", "points": [[0, 0], [1, 0.5]]}
+    sysdef, cert = parse_system(doc)
+    assert (type(sysdef.n), sysdef.n, sysdef.eta) == (int, 2, 1.0)
+    assert cert.lam.points == ((0.0, 0.0), (1.0, 0.5))
+
+
 def test_parse_rejects_unknown_identifier():
     doc = e1_config()
     doc["f"][0] = "0.5*x1 + u2"

@@ -195,6 +195,9 @@ REGION_UNIONS = [
     # Infinite bounds on both sides, open and closed.
     BoxUnion.of(Box((0.0,), (math.inf,))),
     BoxUnion.of(Box((-math.inf, -1.0), (math.inf, math.inf), (True, False), (False, True))),
+    # Zero-width axes at an infinity: both differences are inf - inf there.
+    BoxUnion.of(Box((math.inf,), (math.inf,))),
+    BoxUnion.of(Box((-1.0, -math.inf), (1.0, -math.inf)), Box((2.0, 0.0), (2.0, 1.0))),
 ]
 
 
