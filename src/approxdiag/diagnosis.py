@@ -367,45 +367,29 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
     if not spec.faults:
         return Verdict(True, delta=0, method=f"bounded-enumeration(T={horizon})")
 
-    n = system.n_states
     ball = system.ball_states(spec.faults, spec.rho)
     ball_mask = _mask(ball)
     fault_mask = _mask(spec.faults)
-    ids = system.output_ids
     # Output classes, enumerated in the repr order of their values written
     # as Fractions, whichever exact type holds them.
     class_of = system.class_of
     out_classes = [class_of[out] for out in sorted(class_of, key=_fraction_repr)]
 
-    # One row of successor masks per output class: steps[c][i] holds the
-    # successors of state i whose output class is c.
-    ptr, cls, succ = system.successor_groups
-    steps = [[0] * n for _ in class_of]
-    for i in range(n):
-        for k in range(ptr[i], ptr[i + 1]):
-            steps[cls[k]][i] |= 1 << succ[k]
-    succ_masks = [_mask(succ[ptr[i] : ptr[i + 1]]) for i in range(n)]
+    init, steps = system.class_steps  # steps[c][i]: the successors of class c of state i
 
     # States from which the fault set is reachable (any number of steps).
     reach_fault_mask = fault_mask
     changed = True
     while changed:
         changed = False
-        for i in range(n):
-            if not reach_fault_mask >> i & 1 and succ_masks[i] & reach_fault_mask:
-                reach_fault_mask |= 1 << i
-                changed = True
+        for row in steps.values():
+            for i, m in row.items():
+                if m & reach_fault_mask and not reach_fault_mask >> i & 1:
+                    reach_fault_mask |= 1 << i
+                    changed = True
 
     best_margin = -1
     pump: dict | None = None
-
-    def advance(mask: int, row: list) -> int:
-        acc = 0
-        while mask:
-            low = mask & -mask
-            acc |= row[low.bit_length() - 1]
-            mask ^= low
-        return acc
 
     def search(depth, unfauled_mask, faulted, safe_mask, fault_chains, safe_chains, stream):
         nonlocal best_margin, pump
@@ -416,6 +400,8 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
             if margin > best_margin:
                 best_margin = margin
             for k, (fch, sch) in enumerate(zip(fault_chains, safe_chains)):
+                if not (fch and sch):
+                    continue
                 f_loop = next((i for i, m in fch.items() if m >> i & 1), None)
                 s_loop = next((j for j, m in sch.items() if m >> j & 1), None)
                 if f_loop is not None and s_loop is not None and k < depth:
@@ -435,10 +421,10 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
             return
         for out in out_classes:
             row = steps[out]
-            out_unf = advance(unfauled_mask, row)
+            out_unf = _advance(unfauled_mask, row)
             new_faulted: dict[int, int] = {}
             for s, t in faulted.items():
-                for j in _bits(row[s]):
+                for j in _bits(row.get(s, 0)):
                     if j not in new_faulted or new_faulted[j] > t:
                         new_faulted[j] = t
             for j in _bits(out_unf & fault_mask):
@@ -447,10 +433,17 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
             new_unf = out_unf & ~fault_mask
             if not new_unf and not new_faulted:
                 continue
-            new_safe = advance(safe_mask, row) & ~ball_mask
-            new_fchains = [{s: advance(m, row) for s, m in ch.items()} for ch in fault_chains]
+            new_safe = _advance(safe_mask, row) & ~ball_mask
+            # Entries whose masks reach 0 can never pump again and go; the
+            # chains keep their positions, which index the pump, and an empty
+            # chain is shared, never rebuilt.
+            new_fchains = [
+                {s: a for s, m in ch.items() if (a := _advance(m, row))} if ch else ch
+                for ch in fault_chains
+            ]
             new_schains = [
-                {s: advance(m, row) & ~ball_mask for s, m in ch.items()} for ch in safe_chains
+                {s: a for s, m in ch.items() if (a := _advance(m, row) & ~ball_mask)} if ch else ch
+                for ch in safe_chains
             ]
             new_fchains.append({s: 1 << s for s in new_faulted})
             new_schains.append({j: 1 << j for j in _bits(new_safe)})
@@ -460,9 +453,8 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
             if pump is not None:
                 return
 
-    initial_classes = {ids[i] for i in system.initial}
-    for out in (cls for cls in out_classes if cls in initial_classes):
-        unf = _mask(i for i in system.initial if ids[i] == out)
+    for out in (cls for cls in out_classes if cls in init):
+        unf = init[out]
         safe = unf & ~ball_mask
         fchains = [{}]
         schains = [{j: 1 << j for j in _bits(safe)}]
@@ -473,6 +465,17 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
         witness = _reconstruct_pump_witness(system, spec, ball, pump)
         return Verdict(False, witness=witness, method=method)
     return Verdict(True, delta=max(best_margin, 0) + 1, method=method)
+
+
+def _advance(mask: int, row: dict) -> int:
+    """Successors, through one class row of ``FiniteSystem.class_steps``, of
+    the states in mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= row.get(low.bit_length() - 1, 0)
+        mask ^= low
+    return acc
 
 
 def _mask(indices) -> int:
@@ -502,7 +505,7 @@ def _find_run(system, stream, start_set, end_state, upto, *, forbidden=frozenset
     ``forbidden`` and, when need_fault is given, visits it at least once.
     Desk-scale helper for witness assembly."""
 
-    ptr, cls, succ = system.successor_groups
+    steps = system.class_steps[1]
 
     def rec(t, state, seen_fault, path):
         if state in forbidden:
@@ -514,11 +517,10 @@ def _find_run(system, stream, start_set, end_state, upto, *, forbidden=frozenset
                 return list(path)
             path.pop()
             return None
-        for k in range(ptr[state], ptr[state + 1]):
-            if cls[k] == stream[t + 1]:
-                got = rec(t + 1, succ[k], seen, path)
-                if got is not None:
-                    return got
+        for j in _bits(steps[stream[t + 1]].get(state, 0)):
+            got = rec(t + 1, j, seen, path)
+            if got is not None:
+                return got
         path.pop()
         return None
 
@@ -547,12 +549,25 @@ def _reconstruct_pump_witness(system, spec, ball, pump):
 
 # -- belief diagnoser --------------------------------------------------------
 
-Belief = frozenset  # of (state index, visited_ball: bool) pairs
 
+class Belief:
+    """The diagnoser's state as two state masks, bit i standing for state i:
+    ``seen`` holds the states some consistent run reaches after meeting the
+    ball, ``free`` those some consistent run reaches still ball-free.  It
+    reads as the set of (state, visited_ball) pairs: its length counts them
+    and iterating yields them."""
 
-def belief_decision(belief: Belief) -> int:
-    """Alarm exactly when every consistent run has entered the ball."""
-    return int(all(v for _, v in belief))
+    __slots__ = ("seen", "free")
+
+    def __init__(self, seen: int, free: int):
+        self.seen, self.free = seen, free
+
+    def __len__(self) -> int:
+        return self.seen.bit_count() + self.free.bit_count()
+
+    def __iter__(self):
+        yield from ((s, False) for s in _bits(self.free))
+        yield from ((s, True) for s in _bits(self.seen))
 
 
 @dataclass(frozen=True)
@@ -561,8 +576,8 @@ class Diagnoser:
 
     The belief after an observation prefix holds every state consistent
     with the prefix, tagged False when some consistent run reaching it has
-    avoided the ball so far.  The initial decision is 0 by construction
-    because synthesis rejects initial states inside the ball.
+    avoided the ball so far; it alarms when none is.  The initial decision
+    is 0 by construction because synthesis rejects initial states in the ball.
     """
 
     system: FiniteSystem
@@ -570,39 +585,30 @@ class Diagnoser:
     ball: frozenset[int]
     delta: int
 
+    def __post_init__(self):
+        # What each observation reads: it is interned into its class id once,
+        # then stepped over the ball and the per-class successor-mask table.
+        init, steps = self.system.class_steps
+        self.__dict__.update(
+            _class_of=self.system.class_of, _ball=_mask(self.ball), _init=init, _steps=steps
+        )
+
     def start(self, y) -> tuple[Belief, int]:
-        return self._start(self.system.class_of.get(y), y)
+        init = self._init.get(self._class_of.get(y))
+        if not init:
+            raise InfeasibleObservationError(f"no initial state produces output {_shown(y)}")
+        free = init & ~self._ball
+        return Belief(init & self._ball, free), int(not free)
 
     def step(self, belief: Belief, y) -> tuple[Belief, int]:
-        return self._step(belief, self.system.class_of.get(y), y)
-
-    # The observed value y is interned into its class id once, above; it
-    # is only carried along below for the error messages.
-
-    def _start(self, cls: int | None, y) -> tuple[Belief, int]:
-        ids = self.system.output_ids
-        members = frozenset((s, s in self.ball) for s in self.system.initial if ids[s] == cls)
-        if not members:
-            raise InfeasibleObservationError(f"no initial state produces output {_shown(y)}")
-        return members, belief_decision(members)
-
-    def _step(self, belief: Belief, cls: int | None, y) -> tuple[Belief, int]:
-        if not belief:
-            raise InfeasibleObservationError("empty belief")
-        ptr, classes, succ = self.system.successor_groups
-        ball = self.ball
-        members = set()
-        for s, visited in belief:
-            k, end = ptr[s], ptr[s + 1]
-            while k < end:  # cheaper than a range over these short rows
-                if classes[k] == cls:
-                    j = succ[k]
-                    members.add((j, visited or j in ball))
-                k += 1
-        if not members:
+        row = self._steps.get(self._class_of.get(y)) or {}  # {}: an output no state produces
+        ball = self._ball
+        free = _advance(belief.free, row)
+        seen = _advance(belief.seen, row) | free & ball
+        if not (seen or free):
             raise InfeasibleObservationError(f"no consistent run produces output {_shown(y)}")
-        members = frozenset(members)
-        return members, belief_decision(members)
+        free &= ~ball
+        return Belief(seen, free), int(not free)
 
 
 def _shown(y):
@@ -665,12 +671,13 @@ def monte_carlo_contract(
     [max(t' - delta, 0), t'] (computed by backward-pruning the beliefs).
     """
     rng = np.random.default_rng(seed)
-    ball = diag.ball
+    ball = diag._ball
     delta = diag.delta
     horizon = horizon if horizon is not None else delta + 2 * system.n_states + 4
     ids = system.output_ids
-    ptr, cls, succ = system.successor_groups
+    ptr, _, succ = system.successor_groups
     rows = [sorted(succ[a:b]) for a, b in zip(ptr, ptr[1:])]  # ascending successors
+    steps = system.class_steps[1]
     checked_alarm = checked_window = viol_alarm = viol_window = 0
 
     for _ in range(n_runs):
@@ -682,13 +689,12 @@ def monte_carlo_contract(
                 break
             run.append(int(succs[rng.integers(0, len(succs))]))
 
-        beliefs = []
-        belief, decision = diag._start(ids[run[0]], system.outputs[run[0]])
-        beliefs.append(belief)
+        belief, decision = diag.start(system.outputs[run[0]])
+        consistent = [belief.seen | belief.free]
         alarm_at = None if decision == 0 else 0
         for t in range(1, len(run)):
-            belief, decision = diag._step(belief, ids[run[t]], system.outputs[run[t]])
-            beliefs.append(belief)
+            belief, decision = diag.step(belief, system.outputs[run[t]])
+            consistent.append(belief.seen | belief.free)
             if alarm_at is None and decision == 1:
                 alarm_at = t
 
@@ -700,14 +706,9 @@ def monte_carlo_contract(
         if alarm_at is not None:
             checked_window += 1
             lo = max(alarm_at - delta, 0)
-            consistent = [frozenset(s for s, _ in b) for b in beliefs[: alarm_at + 1]]
             for t in range(alarm_at - 1, -1, -1):
-                c, nxt = ids[run[t + 1]], consistent[t + 1]
-                consistent[t] = frozenset(
-                    s
-                    for s in consistent[t]
-                    if any(cls[k] == c and succ[k] in nxt for k in range(ptr[s], ptr[s + 1]))
-                )
-            if not any(consistent[t] & ball for t in range(lo, alarm_at + 1)):
+                row, nxt = steps[ids[run[t + 1]]], consistent[t + 1]
+                consistent[t] = _mask(s for s in _bits(consistent[t]) if row.get(s, 0) & nxt)
+            if not any(m & ball for m in consistent[lo : alarm_at + 1]):
                 viol_window += 1
     return ContractReport(n_runs, checked_alarm, checked_window, viol_alarm, viol_window)

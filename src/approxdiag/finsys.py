@@ -130,9 +130,10 @@ class FiniteSystem:
             _balls={},
         )
 
-    # Views a lattice-backed model stores and other systems derive on use.
+    # Views derived on first read; a lattice-backed model stores the first two.
     successor_matrix = _View()
     _coords = _View()
+    class_steps = _View()
 
     @property
     def n_states(self) -> int:
@@ -432,6 +433,19 @@ def _matrix_view(s: FiniteSystem) -> np.ndarray:
     return np.array(flat, dtype=np.int64).reshape(s.n_states, len(s.inputs))
 
 
+def _class_steps_view(s: FiniteSystem):
+    ptr, cls, succ = s.successor_groups
+    steps: dict = {c: {} for c in range(len(s.class_of))}
+    for i in range(s.n_states):
+        for k in range(ptr[i], ptr[i + 1]):
+            row = steps[cls[k]]
+            row[i] = row.get(i, 0) | 1 << succ[k]
+    init: dict = {}
+    for i in s.initial:
+        init[s.output_ids[i]] = init.get(s.output_ids[i], 0) | 1 << i
+    return init, steps
+
+
 def _coords_view(s: FiniteSystem) -> np.ndarray | None:
     try:
         return _coord_array(s.state_coords)
@@ -451,6 +465,9 @@ _VIEWS = {
     "successor_matrix": _matrix_view,
     # int64 state coordinates, or None when they overflow.
     "_coords": _coords_view,
+    # Per-class successor masks (init, steps), bit i for state i: init[c] masks the
+    # initial states of class c, steps[c][i] the class-c successors of i, if any.
+    "class_steps": _class_steps_view,
 }
 
 
@@ -466,7 +483,7 @@ def observation_symbol(s: FiniteSystem, values) -> tuple[int | Fraction, ...]:
     try:
         if s.state_theta is None:
             return tuple(map(to_exact, values))
-        if bool in map(type, values):  # float(True) would read JSON true as 1.0
+        if any(isinstance(v, (bool, np.bool_)) for v in values):  # float(True) is 1.0
             raise TypeError("a boolean is not a number")
         point = tuple(float(v) for v in values)
     except (TypeError, ValueError, ArithmeticError) as exc:

@@ -7,7 +7,8 @@ make intended boundary coincidences miss by an ulp: the lattice point
 written 0.8 dilated by the radius written 0.2 must land exactly on 1.0.
 Every float that crosses into rational arithmetic is therefore read back
 through its shortest round-trip decimal repr, which recovers the literal
-the author wrote.  Exact inputs (int, Fraction) pass through unchanged.
+the author wrote.  Exact inputs (int, Fraction) pass through unchanged, and
+a numpy integer reads as the int it holds.
 
 ``to_exact`` keeps an exact value in its cheapest type: a Python int when
 it is integral, a Fraction otherwise.  Ints compare and hash equal to the
@@ -17,6 +18,7 @@ only the cost differs.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 
 
@@ -29,6 +31,8 @@ def to_rational(v) -> Fraction:
         return Fraction(str(v))
     if isinstance(v, str):
         return Fraction(v)
+    if isinstance(v, numbers.Integral) and type(v) is not bool:  # numpy integers
+        return Fraction(int(v))
     raise TypeError(f"cannot interpret {v!r} as a rational number")
 
 

@@ -275,6 +275,8 @@ class BoxUnion:
         d = doc.get("dim", dim)
         if d is None:
             raise DomainError("empty union requires an explicit dimension")
+        if not as_float(d).is_integer():  # int() would read true as 1 and 2.7 as 2
+            raise DomainError(f"expected an integer dimension, got {d!r}")
         return BoxUnion((), int(d))
 
 

@@ -9,8 +9,9 @@ scalar forest, as do the certificate and relation checks, one sample at
 a time.  The falsifier's trial screen is kept in its whole-trajectory
 form, with region tests that reduce over the coordinate axis.  The
 eroded and plain fault lattices test each lattice point's exact
-embedding, the eroded one by rational box subtraction.  They are
-oracles, not library code.
+embedding, the eroded one by rational box subtraction.  The belief
+diagnoser steps frozensets of (state, visited_ball) pairs through the
+successor CSR.  They are oracles, not library code.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 from approxdiag import exprs
 from approxdiag.abstraction import AbstractionParams, RelationReport
 from approxdiag.bridge import Counterexample
-from approxdiag.diagnosis import Diagnoser, FaultSpec, Verdict, _unroll_witness
-from approxdiag.errors import BoundExceededError
+from approxdiag.diagnosis import Diagnoser, FaultSpec, Verdict, _shown, _unroll_witness
+from approxdiag.errors import BoundExceededError, InfeasibleObservationError
 from approxdiag.finsys import FiniteSystem, _to_rho
 from approxdiag.lattice import (
     lattice_image,
@@ -228,9 +229,32 @@ def synchronized_product(s: FiniteSystem) -> TwinProduct:
     return TwinProduct(product, tuple(pairs))
 
 
-def diagnoser_step(diag: Diagnoser, belief, y):
-    """Online evaluation: advance the belief by one observed output."""
-    return diag.step(belief, y)
+def reference_belief_start(diag: Diagnoser, y) -> tuple[frozenset, int]:
+    """The belief automaton on a frozenset of (state, visited_ball) pairs:
+    the initial belief for the first observed output y and its decision,
+    which alarms when every consistent run has entered the ball."""
+    ids, cls = diag.system.output_ids, diag.system.class_of.get(y)
+    members = frozenset((s, s in diag.ball) for s in diag.system.initial if ids[s] == cls)
+    if not members:
+        raise InfeasibleObservationError(f"no initial state produces output {_shown(y)}")
+    return members, int(all(v for _, v in members))
+
+
+def reference_belief_step(diag: Diagnoser, belief: frozenset, y) -> tuple[frozenset, int]:
+    """Advance a reference belief by one observed output y: each pair moves
+    to every successor of the observed class, its tag set once the
+    successor lies in the ball."""
+    ptr, classes, succ = diag.system.successor_groups
+    cls = diag.system.class_of.get(y)
+    members = frozenset(
+        (succ[k], visited or succ[k] in diag.ball)
+        for s, visited in belief
+        for k in range(ptr[s], ptr[s + 1])
+        if classes[k] == cls
+    )
+    if not members:
+        raise InfeasibleObservationError(f"no consistent run produces output {_shown(y)}")
+    return members, int(all(v for _, v in members))
 
 
 def reference_sample_union(rng: np.random.Generator, union: BoxUnion, count: int) -> np.ndarray:

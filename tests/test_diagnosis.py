@@ -5,6 +5,7 @@ import pytest
 
 from approxdiag.diagnosis import (
     ContractReport,
+    Diagnoser,
     FaultSpec,
     brute_force_check,
     check_diagnosability,
@@ -21,7 +22,7 @@ from approxdiag.errors import (
 )
 from approxdiag.finsys import FiniteSystem, observation_symbol
 from approxdiag.fixtures import D1_FAULTS, ND1_FAULTS, d1, nd1, random_finite_system
-from reference import diagnoser_step, reference_check
+from reference import reference_belief_start, reference_belief_step, reference_check
 
 
 def test_d1_diagnosable_delta_one():
@@ -158,7 +159,7 @@ def test_diagnoser_d1_fault_branch():
     assert decision == 0  # initial decision is always 0
     belief, decision = diag.step(belief, (Fraction(2),))
     assert decision == 1
-    assert belief == frozenset({(1, True)})
+    assert frozenset(belief) == frozenset({(1, True)})
 
 
 def test_diagnoser_d1_clean_branch_stays_silent():
@@ -166,7 +167,7 @@ def test_diagnoser_d1_clean_branch_stays_silent():
     diag = synthesize_diagnoser(s, FaultSpec.of(D1_FAULTS, 0))
     belief, decision = diag.start((Fraction(0),))
     for _ in range(10):
-        belief, decision = diagnoser_step(diag, belief, (Fraction(4),))
+        belief, decision = diag.step(belief, (Fraction(4),))
         assert decision == 0
 
 
@@ -304,3 +305,47 @@ def test_diagnoser_interns_each_observation_once(contract_suite, monkeypatch):
     monkeypatch.undo()
     assert max(sizes) > 1  # several consistent states per observation
     assert len(calls) <= system.p * len(stream)  # one value lookup each
+
+
+def _belief_cases():
+    """d1, nd1 at two radii, the criterion-6 suite and two seeded suites."""
+    yield d1(), FaultSpec.of(D1_FAULTS, 0)
+    yield nd1(), FaultSpec.of(ND1_FAULTS, 1)
+    yield nd1(), FaultSpec.of(ND1_FAULTS, 5)  # the ball holds the initial state
+    for seed, count in ((SUITE_SEED, 200), (1, 100), (7, 100)):
+        rng = np.random.default_rng(seed)
+        yield from (random_finite_system(rng) for _ in range(count))
+
+
+def test_diagnoser_equals_reference_belief_automaton():
+    # Streams draw each observation from the system's output values and,
+    # rarely, a value no state produces, so they cover feasible stretches,
+    # dead ends and unknown outputs.
+    rng = np.random.default_rng(11)
+    steps = infeasible = 0
+    for system, spec in _belief_cases():
+        # Stepping needs no certified delay, so nd1 gets a diagnoser too.
+        diag = Diagnoser(system, spec, system.ball_states(spec.faults, spec.rho), 1)
+        values = list(system.class_of) + [(Fraction(99),) * system.p]
+        weights = np.array([1.0] * (len(values) - 1) + [0.1])
+        for _ in range(6):
+            stream = [values[i] for i in rng.choice(len(values), size=16, p=weights / weights.sum())]
+            belief = ref = None
+            for y in stream:
+                try:
+                    ref, ref_decision = (
+                        reference_belief_start(diag, y)
+                        if ref is None
+                        else reference_belief_step(diag, ref, y)
+                    )
+                except InfeasibleObservationError as exc:
+                    with pytest.raises(InfeasibleObservationError) as got:
+                        diag.start(y) if belief is None else diag.step(belief, y)
+                    assert str(got.value) == str(exc)
+                    infeasible += 1
+                    break
+                belief, decision = diag.start(y) if belief is None else diag.step(belief, y)
+                assert frozenset(belief) == ref and len(belief) == len(ref)
+                assert decision == ref_decision
+                steps += 1
+    assert steps > 5000 and infeasible > 500

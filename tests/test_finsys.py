@@ -211,7 +211,8 @@ def test_construction_derives_integer_tables():
 
 
 @pytest.mark.parametrize(
-    "values", [{"a": 1}, 5, None, "4", ["x"], [[1]], ["1/0"], [None], [True], [False]]
+    "values",
+    [{"a": 1}, 5, None, "4", ["x"], [[1]], ["1/0"], [None], [True], [False], np.array([True])],
 )
 def test_observation_symbol_rejects_malformed_input(values):
     with pytest.raises(DomainError):
@@ -221,6 +222,17 @@ def test_observation_symbol_rejects_malformed_input(values):
     lattice = build_abstraction(sysdef, cert, params)
     with pytest.raises(DomainError):
         observation_symbol(lattice, values)
+
+
+def test_observation_symbol_reads_numpy_integers():
+    # np.array([2]) iterates as np.int64, which reads as the int it holds.
+    s = d1()
+    assert observation_symbol(s, np.array([2])) == observation_symbol(s, np.array([2.0])) == (2,)
+    assert type(observation_symbol(s, [np.int32(2)])[0]) is int
+    sysdef, cert = e1()
+    params = AbstractionParams(solve_epsilon(cert, 0.5, 0.5), 0.5, 0.5)
+    lattice = build_abstraction(sysdef, cert, params)
+    assert observation_symbol(lattice, np.array([1])) == observation_symbol(lattice, [1.0])
 
 
 BAD_TRANSITIONS = {

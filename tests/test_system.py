@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from approxdiag import exprs
-from approxdiag.errors import ConfigError, EvaluationError
+from approxdiag.cli import main
+from approxdiag.errors import ConfigError, DomainError, EvaluationError
 from approxdiag.fixtures import e1, e1_config
 from approxdiag.lattice import quantize
+from approxdiag.regions import BoxUnion
 from approxdiag.system import (
     output,
     parse_system,
@@ -65,6 +67,22 @@ def test_parse_rejects_booleans_and_fractional_dimensions(path, value, location)
     with pytest.raises(ConfigError) as exc:
         parse_system(doc)
     assert exc.value.location == location
+
+
+@pytest.mark.parametrize("dim", [True, 2.7])
+def test_empty_union_rejects_boolean_and_fractional_dim(dim, tmp_path, capsys):
+    # int(true) is 1 and int(2.7) is 2: neither is what the file says.
+    with pytest.raises(DomainError, match="dim|number"):
+        BoxUnion.from_json({"dim": dim, "boxes": []})
+    doc = e1_config()
+    doc["U"] = {"dim": dim, "boxes": []}
+    with pytest.raises(ConfigError) as exc:
+        parse_system(doc)
+    assert exc.value.location == "U"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["validate", str(config)]) == 4
+    assert str(dim) in capsys.readouterr().err
 
 
 def test_parse_accepts_integral_numbers_for_dimensions_and_bounds():
