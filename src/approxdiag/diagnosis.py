@@ -53,6 +53,9 @@ _JOIN_MIN_PAIRS = 1 << 9
 # Left rows (frontier pair x successor of its left state) joined at once, so
 # the join's arrays stay small whatever the level size.
 _JOIN_CHUNK = 1 << 12
+# Pairs (a successor of an initial state x a matching ball-free successor)
+# the seed level joins at once, cut only between initial states.
+_SEED_CHUNK = 1 << 14
 # Largest pair space n*n that gets the join's dense visited bitmap; above it
 # the check runs the scalar loop.
 _PAIR_CAP = 1 << 25
@@ -168,14 +171,18 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
 
     # Breadth-first search from `frontier`, recording in `parent` the
     # predecessor of each pair first reached.  Pairs whose left state is
-    # faulty go to `stop` instead, when given, and are not expanded.
-    def explore(frontier, parent, stop=None):
+    # faulty go to `stop` instead, when given, and are not expanded.  A
+    # frontier given with `initial` is their output-matched pairs, whose
+    # level the join expands by class products.
+    def explore(frontier, parent, stop=None, initial=None):
         if join is not None:
             seen = join.bitmap(parent, stop or {})
         while frontier:
             nxt = []
             if join is not None:
-                for tgt, par in join.level(frontier, seen):
+                chunks = join.level(frontier, seen) if initial is None else join.seed(initial, seen)
+                initial = None
+                for tgt, par in chunks:
                     if stop is not None:
                         hit = join.faulty[tgt // n]
                         stop.update(zip(tgt[hit].tolist(), par[hit].tolist()))
@@ -204,7 +211,7 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
         for j in safe_initial.get(ids[i], ()):
             a_parent.setdefault(i * n + j)
     entries: dict[int, int | None] = {}  # region entry -> predecessor in phase A
-    explore(list(a_parent), a_parent, entries)
+    explore(list(a_parent), a_parent, entries, system.initial)
     if not entries:
         return Verdict(True, delta=1, stats={"region_states": 0, "phase_a_pairs": len(a_parent)})
 
@@ -253,21 +260,25 @@ class _PairJoin:
     `for code in frontier: for tgt in moves(code)`.
 
     Left side: the system's class-grouped successor CSR ``(ptr, cls,
-    succ)`` as int64 arrays, rows in the order the scalar `moves` reads them.
+    succ)`` as its int64 ``successor_arrays``, rows in the order the scalar
+    `moves` reads them.
     Right side: the ball-free successors of every state, sorted by
     ``state * C + class`` and then by successor, with a dense start table
-    over those keys, so a left row's matching right range is two lookups."""
+    over those keys, so a left row's matching right range is two lookups.
+    `level` joins a frontier pair by pair; `seed` expands the seed level by
+    per-class products, with the same result."""
 
     def __init__(self, system: FiniteSystem, ball: frozenset[int], faults: frozenset[int]):
         n = self.n = system.n_states
         n_classes = self.n_classes = len(system.class_of)
-        self.ptr, self.cls, self.succ = (np.array(a, dtype=np.int64) for a in system.successor_groups)
+        self.ptr, self.cls, self.succ = system.successor_arrays
+        self.ids = np.array(system.output_ids, dtype=np.int64)
         keys = np.repeat(np.arange(n, dtype=np.int64) * n_classes, np.diff(self.ptr)) + self.cls
-        in_ball = np.zeros(n, dtype=bool)
-        in_ball[list(ball)] = True
+        self.in_ball = np.zeros(n, dtype=bool)
+        self.in_ball[list(ball)] = True
         self.faulty = np.zeros(n, dtype=bool)
         self.faulty[list(faults)] = True
-        safe = ~in_ball[self.succ]
+        safe = ~self.in_ball[self.succ]
         keys = keys[safe]
         # A stable sort keeps each (state, class) group's members ascending.
         self.right = self.succ[safe][np.argsort(keys, kind="stable")]
@@ -302,18 +313,98 @@ class _PairJoin:
             pair = pair[skip : skip + last - first]
             left = shift[pair] + np.arange(first, last)
             keys = j_keys[pair] + self.cls[left]
-            r_lo = self.start[keys]
-            r_counts = self.start[keys + 1] - r_lo
-            row = np.repeat(np.arange(len(left)), r_counts)
-            right = self.right[r_lo[row] + np.arange(len(row)) - (np.cumsum(r_counts) - r_counts)[row]]
-            tgt = self.succ[left][row] * n + right
+            row, right = _ranges(self.start[keys], self.start[keys + 1])
+            tgt = self.succ[left][row] * n + self.right[right]
             new = ~seen[tgt]
-            tgt, par = tgt[new], codes[pair[row[new]]]
-            _, firsts = np.unique(tgt, return_index=True)
-            firsts.sort()
-            tgt, par = tgt[firsts], par[firsts]
-            seen[tgt] = True
-            yield tgt, par
+            yield self._admit(tgt[new], codes[pair[row[new]]], seen)
+
+    def seed(self, initial, seen: np.ndarray):
+        """Yield what `level` yields for the frontier of output-matched
+        initial pairs: each state of `initial` with every ball-free one of
+        its class, both in order of first occurrence.
+
+        With I_c and J_c the initial and the ball-free initial states of
+        class c, that frontier is the union over c of I_c x J_c, ordered by
+        left then right position.  The first of its pairs to reach (i', j')
+        is (a, b): a the earliest state of I_c whose row holds i', b the
+        earliest state of J_c whose ball-free successors hold j', for the
+        class c whose a comes first.  So each class joins only its distinct
+        successors, each kept with its earliest owner, on (class, successor
+        class), and the new targets are admitted in order of (a, b, rank of
+        i' in a's row, rank of j' in b's group of its class).  A chunk joins
+        the rows of whole initial states, at most _SEED_CHUNK pairs unless
+        one state has more, so the chunks extend that order."""
+        n, n_classes = self.n, self.n_classes
+        init = np.asarray(initial, dtype=np.int64)
+        (a,) = _firsts(init, init)
+        b = a[~self.in_ball[a]]
+        ca, cb = self.ids[a], self.ids[b]
+        # Left: a's position and each successor in a's row; right: b's
+        # position and each ball-free successor of b, grouped by class.
+        pa, i_next = _first_members(self.ptr[a], self.ptr[a + 1], self.succ, ca, n)
+        pb, j_next = _first_members(
+            self.start[b * n_classes], self.start[(b + 1) * n_classes], self.right, cb, n
+        )
+        # Right members grouped by (class, successor class); a stable sort
+        # keeps each group in order of (b's position, rank).
+        r_keys = cb[pb] * n_classes + self.ids[j_next]
+        by_key = np.argsort(r_keys, kind="stable")
+        pb, j_next, r_keys = pb[by_key], j_next[by_key], r_keys[by_key]
+        l_keys = ca[pa] * n_classes + self.ids[i_next]
+        lo, hi = np.searchsorted(r_keys, l_keys), np.searchsorted(r_keys, l_keys, side="right")
+        i_next *= n
+        rows_of = np.searchsorted(pa, np.arange(len(a) + 1))  # a[p]'s rows: rows_of[p]:rows_of[p+1]
+        joined = np.concatenate(([0], np.cumsum(hi - lo)))[rows_of]  # pairs joined before a[p]
+        p = 0
+        while p < len(a):
+            q = max(p + 1, int(np.searchsorted(joined, joined[p] + _SEED_CHUNK, side="right")) - 1)
+            first, last = rows_of[p], rows_of[q]
+            row, m = _ranges(lo[first:last], hi[first:last])
+            row += first
+            tgt = i_next[row] + j_next[m]
+            new = ~seen[tgt]
+            row, m, tgt = row[new], m[new], tgt[new]
+            # Rows come in order of (a, rank of i'), and each row's matches in
+            # order of (b, rank of j'): a stable sort on (a, b) gives the
+            # scalar loop's order.
+            order = np.argsort(pa[row] * len(b) + pb[m], kind="stable")
+            par = a[pa[row]] * n + b[pb[m]]
+            yield self._admit(tgt[order], par[order], seen)
+            p = q
+
+    @staticmethod
+    def _admit(tgt, par, seen):
+        """The (target, parent) entries, targets new to `seen`, kept each at
+        its target's first occurrence; marks those targets seen."""
+        tgt, par = _firsts(tgt, tgt, par)
+        seen[tgt] = True
+        return tgt, par
+
+
+def _ranges(lo, hi):
+    """The owner and the index of every entry of the index ranges
+    lo[p]:hi[p], taken in order."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    at = (lo - np.cumsum(counts) + counts)[owner]
+    at += np.arange(len(owner))
+    return owner, at
+
+
+def _first_members(lo, hi, members, classes, n):
+    """The (owner, member) entries of the member ranges lo[p]:hi[p], in
+    order, each kept where its (classes[owner], member) first occurs."""
+    owner, member = _ranges(lo, hi)
+    member = members[member]
+    keys = classes[owner] * n
+    keys += member
+    return _firsts(keys, owner, member)
+
+
+def _firsts(keys, *arrays):
+    """The arrays restricted to the first occurrence of each key, in order."""
+    keep = np.sort(np.unique(keys, return_index=True)[1])
+    return tuple(x[keep] for x in arrays)
 
 
 def _unroll_witness(system, a_parent, entries, b_parent, cycle, n):

@@ -130,8 +130,9 @@ class FiniteSystem:
             _balls={},
         )
 
-    # Views derived on first read; a lattice-backed model stores the first two.
+    # Views derived on first read; a lattice-backed model stores the first three.
     successor_matrix = _View()
+    successor_arrays = _View()
     _coords = _View()
     class_steps = _View()
 
@@ -215,11 +216,12 @@ class FiniteSystem:
         key, flat = key[by_class], ranked[keep][by_class]
         at = np.maximum.accumulate(np.where(np.diff(key, prepend=-1) != 0, np.arange(len(key)), 0))
         succ = flat[np.argsort(key // len(class_of) * ns + flat[at], kind="stable")]
-        ptr = np.concatenate(([0], np.cumsum(counts)))
+        arrays = (np.concatenate(([0], np.cumsum(counts))), ids[succ], succ)
         system.__dict__.update(
             class_of=class_of,
             output_ids=tuple(ids.tolist()),
-            successor_groups=(ptr.tolist(), ids[succ].tolist(), succ.tolist()),
+            successor_groups=tuple(a.tolist() for a in arrays),
+            successor_arrays=arrays,
             _balls={},
         )
         return system
@@ -463,6 +465,8 @@ _VIEWS = {
     "succ": _succ_view,
     # (states x inputs) successor matrix of a deterministic system.
     "successor_matrix": _matrix_view,
+    # successor_groups as int64 arrays.
+    "successor_arrays": lambda s: tuple(np.array(a, dtype=np.int64) for a in s.successor_groups),
     # int64 state coordinates, or None when they overflow.
     "_coords": _coords_view,
     # Per-class successor masks (init, steps), bit i for state i: init[c] masks the

@@ -194,6 +194,12 @@ def test_construction_derives_integer_tables():
         ptr, cls, succ = s.successor_groups
         assert ptr[0] == 0 and len(ptr) == s.n_states + 1
         assert len(cls) == len(succ) == ptr[-1]
+        # The same table as int64 arrays: stored by a lattice-backed model,
+        # derived on first read by any other.
+        assert ("successor_arrays" in vars(s)) == (s.state_coords is not None)
+        arrays = s.successor_arrays
+        assert [a.dtype for a in arrays] == [np.int64] * 3
+        assert [a.tolist() for a in arrays] == [ptr, cls, succ]
         for i, row in enumerate(s.succ):
             members, classes = succ[ptr[i] : ptr[i + 1]], cls[ptr[i] : ptr[i + 1]]
             # The row holds the distinct successors of i under any input.

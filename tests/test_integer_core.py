@@ -150,19 +150,39 @@ def scalar_check(system, spec):
 
 
 def watched_levels(monkeypatch):
-    """Sizes of the levels that run the join, each checked on entry: every
-    frontier pair was admitted earlier, by the seeding or a join, so the
-    visited bitmap must already hold it."""
-    sizes = []
-    level = diagnosis._PairJoin.level
+    """Sizes of the levels that run the join, and the chunk count of every
+    seed level, each level checked on entry: every frontier pair was
+    admitted earlier, by the seeding or a join, so the visited bitmap must
+    already hold it."""
+    sizes, seeds = [], []
+    level, seed = diagnosis._PairJoin.level, diagnosis._PairJoin.seed
 
     def watched(self, frontier, seen):
         assert seen[frontier].all()
         sizes.append(len(frontier))
         yield from level(self, frontier, seen)
 
+    def watched_seed(self, initial, seen):
+        assert seen[initial_pairs(self, initial)].all()
+        seeds.append(0)
+        for chunk in seed(self, initial, seen):
+            seeds[-1] += 1
+            yield chunk
+
     monkeypatch.setattr(diagnosis._PairJoin, "level", watched)
-    return sizes
+    monkeypatch.setattr(diagnosis._PairJoin, "seed", watched_seed)
+    return sizes, seeds
+
+
+def initial_pairs(join, initial):
+    """The seed level's frontier, as the seeding loop orders it: each
+    initial state with every ball-free initial state of its class, pairs at
+    their first occurrence."""
+    ids, safe = join.ids.tolist(), {}
+    for j in initial:
+        if not join.in_ball[j]:
+            safe.setdefault(ids[j], []).append(j)
+    return list(dict.fromkeys(i * join.n + j for i in initial for j in safe.get(ids[i], ())))
 
 
 def widening_system():
@@ -204,14 +224,17 @@ def desk_cases():
 def test_forced_path_matches_reference(monkeypatch, path):
     # A threshold of exactly n*n pairs sends the check down the numpy join,
     # one pair more keeps it on the scalar loop.  Three left rows per chunk
-    # put chunk boundaries inside the rows of one pair.
+    # put chunk boundaries inside the rows of one pair, and three joined
+    # pairs per seed chunk cut the seed level between initial states.
     monkeypatch.setattr(diagnosis, "_JOIN_CHUNK", 3)
-    joins = watched_levels(monkeypatch)
+    monkeypatch.setattr(diagnosis, "_SEED_CHUNK", 3)
+    joins, seeds = watched_levels(monkeypatch)
     for system, spec in desk_cases():
         threshold = system.n_states**2 + (path == "scalar")
         monkeypatch.setattr(diagnosis, "_JOIN_MIN_PAIRS", threshold)
         assert_same_verdict(check_diagnosability(system, spec), reference_check(system, spec))
     assert (len(joins) > 200) == (path == "join")
+    assert (len(seeds) > 100) == (path == "join")
 
 
 def test_join_is_built_once_per_check_at_threshold(e1_checks, monkeypatch):
@@ -239,15 +262,49 @@ def test_join_is_built_once_per_check_at_threshold(e1_checks, monkeypatch):
 
 @pytest.mark.parametrize("mode", sorted(E1_SCENARIOS))
 def test_batched_levels_match_scalar_and_reference_on_e1(e1_checks, e1_references, mode, monkeypatch):
-    # 97 left rows per chunk: thousands of chunk boundaries at a tier-1 cost
-    # (a 3-row chunk makes about half a million chunks here).
+    # 97 left rows or joined pairs per chunk: thousands of chunk boundaries
+    # at a tier-1 cost (a 3-row chunk makes about half a million chunks here).
     monkeypatch.setattr(diagnosis, "_JOIN_CHUNK", 97)
-    joins = watched_levels(monkeypatch)
+    monkeypatch.setattr(diagnosis, "_SEED_CHUNK", 97)
+    joins, seeds = watched_levels(monkeypatch)
     system, spec = e1_checks[mode]
     got = check_diagnosability(system, spec)
-    assert max(joins) > 10_000
+    # The seed level, the largest (12,844 pairs on prove), runs in chunks
+    # of whole initial states; later levels still exceed 1,000 pairs.
+    assert max(joins) > 1_000
+    assert len(seeds) == 1 and seeds[0] > 1
     assert_same_verdict(got, scalar_check(system, spec))
     assert_same_verdict(got, e1_references[mode])
+
+
+@pytest.mark.parametrize("chunk", ["default", 1])
+def test_seed_matches_level_on_initial_pairs(e1_checks, monkeypatch, chunk):
+    # A bound of one joined pair cuts a chunk after every initial state
+    # that joins any; `level` runs at its default bound either way.
+    cases = desk_cases() + [e1_checks[mode] for mode in sorted(E1_SCENARIOS)]
+    seeded = chunks = 0
+    for system, spec in cases:
+        # The seed level's frontier and visited bitmap, as the check has them.
+        join = diagnosis._PairJoin(system, system.ball_states(spec.faults, spec.rho), spec.faults)
+        frontier = initial_pairs(join, system.initial)
+        want_seen = join.bitmap(frontier)
+        got_seen = want_seen.copy()
+        want = list(join.level(frontier, want_seen)) if frontier else []
+        with monkeypatch.context() as mp:
+            if chunk != "default":
+                mp.setattr(diagnosis, "_SEED_CHUNK", chunk)
+            got = list(join.seed(system.initial, got_seen))
+        for k in (0, 1):  # targets, then parents
+            assert np.array_equal(
+                np.concatenate([c[k] for c in got] or [[]]),
+                np.concatenate([c[k] for c in want] or [[]]),
+            )
+        assert np.array_equal(got_seen, want_seen)
+        seeded += bool(frontier)
+        chunks += len(got)
+    assert seeded > 200
+    # One chunk per initial state on e1 (1,901 of them) at a bound of 1.
+    assert (chunks > 1_900) == (chunk == 1)
 
 
 def test_pair_cap_keeps_every_level_scalar(e1_checks, monkeypatch):
