@@ -27,17 +27,18 @@ import numpy as np
 from .abstraction import AbstractionParams, build_abstraction, check_params
 from .diagnosis import FaultSpec, Verdict, check_diagnosability
 from .errors import (
+    ConfigError,
     DomainError,
     EmptyErosionError,
     FaultSpecError,
     InternalInvariantError,
     ParamCheckError,
 )
-from .finsys import FiniteSystem
+from .finsys import FiniteSystem, _to_rho
 from .lattice import LatticePoint, _index_points, lattice_points_in, quantize, quantize_indices
 from .rational import to_rational
 from .regions import Box, BoxUnion, ball_in_union
-from .system import Certificate, SystemDef, _sample_union, output, step
+from .system import Certificate, SystemDef, output, step
 
 # Falsifier trials in the first chunk, so a counterexample early on costs
 # one small chunk.  Every later chunk is 8 times that, which spreads the
@@ -179,6 +180,8 @@ def conclude(
     verdict at the smallest admissible k' yields NOT_DIAGNOSABLE_FOR_RHO.
     Anything else comes back INCONCLUSIVE with the reason.
     """
+    if rho is not None:
+        _to_rho(rho)
     chk = check_params(cert, params)
     if not chk.ok:
         raise ParamCheckError(
@@ -268,32 +271,29 @@ class Counterexample:
         }
 
 
-def _draw_trial(sysdef: SystemDef, horizon: int, seed: int, trial: int):
-    """Fault-side initial state, raw safe-side initial state and shared
-    inputs of one trial, from the trial's own (seed, trial) stream."""
-    rng = np.random.default_rng((seed, trial))
-    x0f = _sample_union(rng, sysdef.x0, 1)[0]
-    return x0f, _sample_union(rng, sysdef.x0, 1)[0], _sample_union(rng, sysdef.u_set, horizon)
+def _draw_points(union: BoxUnion, r: np.ndarray) -> np.ndarray:
+    """Points of the union from rows of 1 + dim doubles in [0, 1): the
+    first picks a nonempty member box, floor(r * boxes) clamped to the last
+    box, and the rest place the point at ``lower + width * r`` in it."""
+    lower, width = union.member_arrays
+    if not len(lower):
+        raise ConfigError("", "cannot sample from an empty union")
+    pick = (r[..., 0] * len(lower)).astype(np.intp)
+    lo, span = (np.take(a, pick, axis=0, mode="clip") for a in (lower, width))
+    return lo + span * r[..., 1:]
 
 
 def _draw_chunk(sysdef: SystemDef, horizon: int, seed: int, chunk: range):
-    """``_draw_trial`` of each trial of the chunk, stacked into one row per
-    trial.  When X0 and U are each one box with no degenerate axis, a
-    trial's draws are the first 2n + horizon*m doubles of its stream, all
-    derived in one pass.  Other unions draw trial by trial: their draws
-    skip zero-width axes and pick boxes with numpy's bounded-integer
-    sampler."""
-    (xlo, xw, x_box), (ulo, uw, u_box) = sysdef.x0.member_arrays, sysdef.u_set.member_arrays
-    if not (x_box and u_box):
-        return tuple(np.array(a) for a in zip(*(_draw_trial(sysdef, horizon, seed, t) for t in chunk)))
-    # Imported on first use: only the falsifier reads streams.py, so
-    # `import approxdiag` does not load it for commands that never falsify.
-    from .streams import trial_doubles
-
-    n, m = sysdef.n, sysdef.m
-    r = trial_doubles(seed, np.arange(chunk.start, chunk.stop, dtype=np.uint64), 2 * n + horizon * m)
-    us = ulo + uw * r[:, 2 * n :].reshape(len(chunk), horizon, m)
-    return xlo + xw * r[:, :n], xlo + xw * r[:, n : 2 * n], us
+    """Fault-side initial states, raw safe-side initial states and shared
+    inputs of the chunk's trials, one row per trial.  Trial t reads doubles
+    t*k to (t+1)*k - 1 of ``default_rng(seed)``, k = 2(n+1) + horizon(m+1):
+    1 + n for each initial state, then 1 + m per input step."""
+    n, m, c = sysdef.n, sysdef.m, len(chunk)
+    k = 2 * (n + 1) + horizon * (m + 1)
+    r = np.random.Generator(np.random.PCG64(seed).advance(chunk.start * k)).random((c, k))
+    x0 = _draw_points(sysdef.x0, r[:, : 2 * (n + 1)].reshape(c, 2, n + 1))
+    us = _draw_points(sysdef.u_set, r[:, 2 * (n + 1) :].reshape(c, horizon, m + 1))
+    return x0[:, 0], x0[:, 1], us
 
 
 def _check_trial(sysdef, fault_region, rho, x0f, x0s_raw, us, trial) -> Counterexample | None:
@@ -370,9 +370,12 @@ def falsify_plant(
     agrees on the observed coordinates (hidden coordinates redrawn), then
     simulates both trajectories and keeps the pair when the first enters
     the fault region, the second keeps infinity-norm distance > rho from it
-    throughout, and the quantized output traces coincide.  Per-trial random
-    streams are derived from (seed, trial), so the outcome is reproducible
-    for a given seed and trial count regardless of chunking.
+    throughout, and the quantized output traces coincide.  All draws come
+    from the one stream ``default_rng(seed)``: trial t reads its k doubles
+    at offset t*k (see ``_draw_chunk``), so a trial's outcome depends only
+    on seed, t and horizon, never on chunking or the trial count, and
+    ``PCG64(seed).advance(t * k)`` replays it alone.  A rho that is
+    negative, NaN or infinite is a DomainError, raised before any trial.
 
     Trials are drawn and simulated a chunk at a time as numpy rows,
     _TRIAL_CHUNK of them first and 8 times that in each later chunk;
@@ -380,6 +383,7 @@ def falsify_plant(
     the rows their chunk drew, to the scalar check, which returns the first
     counterexample or raises the first error.
     """
+    _to_rho(rho)
     if fault_region.is_empty():
         return None
     _require_closed(fault_region)

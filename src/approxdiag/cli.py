@@ -36,7 +36,7 @@ from .errors import (
     InfeasibleObservationError,
     InternalInvariantError,
 )
-from .finsys import FiniteSystem, observation_symbol
+from .finsys import FiniteSystem, _to_rho, observation_symbol
 from .regions import BoxUnion
 from .report import PhaseTimer, canonical_json, file_digest, run_report
 from .system import parse_system, validate_certificate
@@ -250,6 +250,8 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.rho_target is not None:
+        _to_rho(args.rho_target)
     sysdef, cert, digest = _load_config(args.config)
     fault_region = _load_faults_region(args.faults)
     params = _resolve_params(cert, args)

@@ -373,6 +373,10 @@ class FiniteSystem:
 
 
 def _to_rho(rho) -> int | Fraction:
+    """The ball radius as an exact value; NaN, an infinity or a negative
+    radius is a DomainError."""
+    if isinstance(rho, float) and not math.isfinite(rho):
+        raise DomainError(f"ball radius must be finite, got {rho}")
     r = to_exact(rho)
     if r < 0:
         raise DomainError("ball radius must be nonnegative")

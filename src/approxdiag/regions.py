@@ -193,13 +193,13 @@ class BoxUnion:
         return all(b.is_empty() for b in self.boxes)
 
     @functools.cached_property
-    def member_arrays(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Lower corners and widths of the nonempty member boxes, one float
-        row per box, and whether that is one box with no degenerate axis."""
+    def member_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower corners and widths (upper minus lower) of the nonempty
+        member boxes, one float row per box in member order."""
         boxes = [b for b in self.boxes if not b.is_empty()]
         lower = np.array([b.lower for b in boxes]).reshape(len(boxes), self.dim)
         width = np.array([b.upper for b in boxes]).reshape(len(boxes), self.dim) - lower
-        return lower, width, len(boxes) == 1 and bool(width.all())
+        return lower, width
 
     def is_bounded(self) -> bool:
         return all(b.is_bounded() for b in self.boxes)

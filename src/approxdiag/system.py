@@ -281,7 +281,7 @@ def _sample_union(rng: np.random.Generator, union: BoxUnion, count: int) -> np.n
     inside.  One ``integers`` pick call, then one ``random`` draw per row
     and non-degenerate axis in row order: ``lo + (hi - lo) * r`` is
     ``rng.uniform(lo, hi)`` bit for bit, so the stream is the per-row one."""
-    lower, width, _ = union.member_arrays
+    lower, width = union.member_arrays
     if not len(lower):
         raise ConfigError("", "cannot sample from an empty union")
     picks = rng.integers(0, len(lower), size=count)

@@ -321,23 +321,27 @@ def reference_build_abstraction(
 def reference_falsify(
     sysdef: SystemDef, fault_region: BoxUnion, rho: float, trials: int, horizon: int, seed: int = 0
 ) -> Counterexample | None:
-    """Trial-at-a-time falsifier: each trial from its own (seed, trial)
-    stream, simulated and checked with scalar steps (the preconditions are
-    the library's)."""
+    """Trial-at-a-time falsifier: every point drawn in turn from the one
+    ``default_rng(seed)`` stream, one double picking a nonempty member box
+    and one per axis placing the point in it, simulated and checked with
+    scalar steps (the preconditions are the library's)."""
     if fault_region.is_empty():
         return None
     p = sysdef.p
+    rng = np.random.default_rng(seed)
+
+    def point(union):
+        boxes = [b for b in union.boxes if not b.is_empty()]
+        box = boxes[min(int(rng.random() * len(boxes)), len(boxes) - 1)]
+        return tuple(lo + (hi - lo) * rng.random() for lo, hi in zip(box.lower, box.upper))
+
     for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        x0f = tuple(float(v) for v in reference_sample_union(rng, sysdef.x0, 1)[0])
-        x0s_raw = tuple(float(v) for v in reference_sample_union(rng, sysdef.x0, 1)[0])
+        x0f = point(sysdef.x0)
+        x0s_raw = point(sysdef.x0)
         x0s = x0f[:p] + x0s_raw[p:]
         if not sysdef.x0.contains(x0s):
             x0s = x0s_raw
-        inputs = tuple(
-            tuple(float(v) for v in u)
-            for u in reference_sample_union(rng, sysdef.u_set, horizon)
-        )
+        inputs = tuple(point(sysdef.u_set) for _ in range(horizon))
         xf, xs = x0f, x0s
         traj_f, traj_s = [xf], [xs]
         for u in inputs:

@@ -341,6 +341,37 @@ def test_negative_seed_is_usage_error(capsys, argv):
     assert "nonnegative" in capsys.readouterr().err
 
 
+RHO_COMMANDS = {
+    "check-fts": ["check-fts", D1, "--faults", "1", "--json", "--rho"],
+    "monitor": ["monitor", D1, "--faults", "1", "--rho"],
+    "check-refute": [
+        "check", E1, "--faults", FAULT_X2, "--mode", "refute",
+        "--eta", "0.04", "--mu", "0.005", "--epsilon", "0.4", "--json", "--rho",
+    ],
+    "check-rho-target": [
+        "check", E1, "--faults", FAULT_X2, "--mode", "prove",
+        "--eta", "0.04", "--mu", "0.005", "--epsilon", "0.4", "--json", "--rho-target",
+    ],
+    "falsify": ["falsify", E1, "--faults", FAULT_X2, "--trials", "50", "--json", "--rho"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, value, message",
+    [(c, v, f"ball radius must be finite, got {v}") for c in RHO_COMMANDS for v in ("nan", "inf")]
+    + [("falsify", "-1", "ball radius must be nonnegative")],
+    ids=[f"{c}-{v}" for c in RHO_COMMANDS for v in ("nan", "inf")] + ["falsify--1"],
+)
+def test_bad_rho_is_precondition_failure(capsys, monkeypatch, command, value, message):
+    # Rejected before any work: no trial is drawn and no input line read.
+    monkeypatch.setattr("sys.stdin", io.StringIO("[0]\n"))
+    monkeypatch.setattr("approxdiag.bridge._draw_chunk", None)
+    code = main(RHO_COMMANDS[command] + [value])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_falsify_accepts_seeds_past_64_bits(capsys):
     for seed in (2**64, 2**128 + 1):
         code, doc = run_json(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from approxdiag.abstraction import AbstractionParams, build_abstraction, solve_epsilon
+from approxdiag.diagnosis import FaultSpec
 from approxdiag.errors import DimensionMismatchError, DomainError
 from approxdiag.finsys import FiniteSystem, observation_symbol
 from approxdiag.fixtures import d1, d1_doc, e1, nd1, nd1_doc, random_finite_system
@@ -47,6 +48,15 @@ def test_output_run():
         output_run(s, (0, 0))  # no self-loop at the initial state
     with pytest.raises(DomainError):
         output_run(s, (1, 1))  # not anchored at an initial state
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [(float("nan"), "finite, got nan"), (float("inf"), "finite, got inf"), (-1, "nonnegative")],
+)
+def test_fault_spec_rejects_bad_radius(rho, message):
+    with pytest.raises(DomainError, match=message):
+        FaultSpec.of([1], rho)
 
 
 def test_product_diagonal_when_outputs_distinct():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import approxdiag as ad
-from approxdiag import bridge, exprs, streams
+from approxdiag import bridge, exprs
 from approxdiag.bench import chain_system
 from approxdiag.cli import main
 from approxdiag.errors import BoundExceededError, DomainError, EvaluationError, NumericError
@@ -39,7 +39,7 @@ FAULT_X1 = BoxUnion.from_json(json.loads((CONFIGS / "fault_x1.json").read_text()
 FAULT_X2 = BoxUnion.from_json(json.loads((CONFIGS / "fault_x2.json").read_text()))
 # A third fault region, reached through both coordinates.
 BAND = BoxUnion.of(Box((1.2, 0.6), (2.0, 1.0)))
-# An initial set of two boxes, whose draws go trial by trial.
+# An initial set of two boxes, so each draw's first double picks one.
 TWO_BOX_X0 = BoxUnion.of(Box((-1.0, -1.0), (1.0, 1.0)), Box((0.5, 1.5), (0.9, 1.5)))
 
 # Every operator and function of the expression language, alone and mixed,
@@ -341,9 +341,8 @@ def test_falsify_equals_reference_on_e1(region, rho, trials):
 
 def test_falsify_equals_reference_on_two_box_x0_and_nonlinear_plant():
     two_box, _ = plant(["0.5*x1 + u1", "0.25*x1 + 0.5*x2"], x0=TWO_BOX_X0)
-    # One box, but x1 has zero width: its draws take the per-trial path.
+    # One box in which x1 has zero width.
     flat, _ = plant(["0.5*x1 + u1", "0.25*x1 + 0.5*x2"], x0=BoxUnion.of(Box((0.2, -1.0), (0.2, 1.0))))
-    assert not flat.x0.member_arrays[2]
     nonlinear, _ = plant(NONLINEAR)
     cases = ((two_box, FAULT_X2), (two_box, BAND), (flat, FAULT_X2), (nonlinear, FAULT_X2))
     for sysdef, region in cases:
@@ -385,38 +384,47 @@ def test_screen_equals_whole_trajectory_screen(case):
     assert kept == 0 if region is FAULT_X1 else kept > 0
 
 
-STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 + 1]  # the last: 5 words, past the pool
-STREAM_TRIALS = [0, 1, 255, 256, 2**32 - 1, 2**32, 2**40 + 3]  # the last two: two words
-
-
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_trial_streams_equal_numpy(seed):
-    trials = np.array(STREAM_TRIALS, dtype=np.uint64)
-    hi, lo, inc_hi, inc_lo = streams.pcg_states(seed, trials)
-    doubles = streams.trial_doubles(seed, trials, 40)
-    for i, t in enumerate(STREAM_TRIALS):
-        want = np.random.PCG64(np.random.SeedSequence((seed, t))).state["state"]
-        got = {"state": int(hi[i]) << 64 | int(lo[i]), "inc": int(inc_hi[i]) << 64 | int(inc_lo[i])}
-        assert got == want, t
-        assert (bits(doubles[i]) == bits(np.random.default_rng((seed, t)).random(40))).all(), t
-
-
-def test_trial_streams_reject_negative_seeds():
+@pytest.mark.parametrize("seed", [0, 2**64, 2**128 + 1])
+def test_chunk_rows_are_slices_of_one_stream(seed):
+    # A trial's rows depend on seed, trial and horizon alone: any chunk's
+    # rows are the matching rows of an enclosing chunk.
+    sysdef, _ = plant(["0.5*x1 + u1", "0.25*x1 + 0.5*x2"], x0=TWO_BOX_X0)
+    for a in (0, 255, 2**32 - 100, 2**40 + 3):
+        b = a + 300
+        outer = range(a - min(a, 37), b + 11)
+        got = bridge._draw_chunk(sysdef, 30, seed, range(a, b))
+        want = bridge._draw_chunk(sysdef, 30, seed, outer)
+        rows = slice(a - outer.start, b - outer.start)
+        assert [x.shape[0] for x in got] == [b - a] * 3
+        assert all((bits(x) == bits(y[rows])).all() for x, y in zip(got, want)), a
     with pytest.raises(ValueError, match="non-negative"):
-        np.random.default_rng((-1, 0))
-    with pytest.raises(ValueError, match="non-negative"):
-        streams.trial_doubles(-1, np.arange(3, dtype=np.uint64), 2)
+        bridge.falsify_plant(sysdef, FAULT_X2, 0.05, 10, 30, seed=-1)
 
 
-@pytest.mark.parametrize("start", [0, 2**32 - 100])  # the second chunk crosses two-word indices
-def test_one_box_chunk_draws_equal_per_trial_draws(start):
-    sysdef, _ = e1()
-    assert sysdef.x0.member_arrays[2] and sysdef.u_set.member_arrays[2]
-    chunk = range(start, start + bridge._TRIAL_CHUNK)
-    got = bridge._draw_chunk(sysdef, 30, 11, chunk)
-    want = [np.array(a) for a in zip(*(bridge._draw_trial(sysdef, 30, 11, t) for t in chunk))]
-    assert [a.shape for a in got] == [a.shape for a in want]
-    assert all((bits(a) == bits(b)).all() for a, b in zip(got, want))
+def replay(sysdef, horizon, seed, trial):
+    """A trial's fault-side initial state and inputs from its own offset in
+    the stream, by the README's recipe."""
+    n, m = sysdef.n, sysdef.m
+
+    def point(union, r):
+        boxes = [b for b in union.boxes if not b.is_empty()]
+        box = boxes[min(int(r[0] * len(boxes)), len(boxes) - 1)]
+        return tuple(lo + (hi - lo) * v for lo, hi, v in zip(box.lower, box.upper, r[1:]))
+
+    k = 2 * (n + 1) + horizon * (m + 1)
+    r = np.random.Generator(np.random.PCG64(seed).advance(trial * k)).random(k).tolist()
+    x0_fault = point(sysdef.x0, r[: n + 1])
+    base = 2 * (n + 1)
+    inputs = tuple(point(sysdef.u_set, r[base + j * (m + 1) :][: m + 1]) for j in range(horizon))
+    return x0_fault, inputs
+
+
+@pytest.mark.parametrize("x0", [None, TWO_BOX_X0], ids=["e1", "two-box"])
+def test_counterexample_replays_from_its_trial_offset(x0):
+    sysdef, _ = plant(["0.5*x1 + u1", "0.25*x1 + 0.5*x2"], x0=x0)
+    found = bridge.falsify_plant(sysdef, FAULT_X2, 0.05, 2_000, 30, seed=5)
+    assert found is not None and found.trial > 0
+    assert replay(sysdef, 30, 5, found.trial) == (found.x0_fault, found.inputs)
 
 
 def test_falsify_errors_surface_only_before_the_first_counterexample():
@@ -480,7 +488,7 @@ def test_early_counterexample_simulates_one_chunk(monkeypatch):
 
     monkeypatch.setattr(bridge, "_draw_chunk", counting_draw)
     monkeypatch.setattr(bridge, "_check_trial", counting_check)
-    found = bridge.falsify_plant(sysdef, FAULT_X2, 0.05, 10_000, 30, seed=3)
+    found = bridge.falsify_plant(sysdef, FAULT_X2, 0.05, 10_000, 30, seed=0)
     assert found is not None and found.trial < 30
     assert checked[-1] == found.trial and checked == sorted(checked)
     assert drawn == list(range(bridge._TRIAL_CHUNK))
