@@ -20,19 +20,24 @@ reached state escapes it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BoundExceededError, InternalInvariantError, ParamCheckError
+from .errors import BoundExceededError, InternalInvariantError, ParamCheckError, ResourceLimitError
 from .finsys import FiniteSystem
 from .kfun import compose_inverse
 from .lattice import lattice_image, quantize, quantize_index, quantize_indices
+from .regions import Box, BoxUnion
 from .system import Certificate, SystemDef, _sample_union, _step_rows
 
 SOLVE_EPS_TOL = 1e-9
 # (state, input) rows evaluated at once while expanding a BFS level.
 _ROW_CHUNK = 1 << 15
+# Most cells the exploration box may span on the state lattice: the build's
+# key table holds one 4-byte entry per cell.
+_GRID_CAP = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,22 @@ def _expand_level(sysdef: SystemDef, level, input_embeds, eta: float) -> np.ndar
     return out
 
 
+def _key_grid(bound: Box, eta: float) -> tuple[list[int], tuple[int, ...]]:
+    """Lowest index and size per axis of the index box that holds every c
+    with (2.0*eta)*c in ``bound`` as floats: one cell of margin on each side
+    covers the product's rounding while |bound / (2 eta)| < 2^52.  Past that,
+    or above _GRID_CAP cells (counted as a Python int), ResourceLimitError."""
+    scaled = [v / (2.0 * eta) for v in bound.lower + bound.upper]
+    if not all(abs(v) < 2.0**52 for v in scaled):
+        raise ResourceLimitError(f"exploration box too far out at eta {eta}")
+    lows = [math.floor(v) - 1 for v in scaled[: bound.dim]]
+    shape = tuple(math.ceil(v) + 2 - low for v, low in zip(scaled[bound.dim :], lows))
+    if math.prod(shape) > _GRID_CAP:
+        cells = f"{math.prod(shape)} lattice cells at eta {eta}, above {_GRID_CAP}"
+        raise ResourceLimitError(f"exploration box spans {cells}")
+    return lows, shape
+
+
 def build_abstraction(
     sysdef: SystemDef,
     cert: Certificate,
@@ -128,10 +149,16 @@ def build_abstraction(
     input alphabet is the quantizer image of U on the mu-lattice, and each
     (state, input) has the single successor [f(state, input)] on the
     eta-lattice.  Raises BoundExceededError when any reached state embeds
-    outside the certificate's exploration box.  ``enforce_params=False``
-    skips the accuracy check; it exists for negative-control experiments.
-    Each BFS level is expanded as one (states x inputs) block of numpy
-    rows; ``threads`` is accepted and ignored.
+    outside the certificate's exploration box: the lexicographically
+    smallest of the first level that has one, and the first (state, input)
+    reaching it.  ``enforce_params=False`` skips the accuracy check; it
+    exists for negative-control experiments.  ``threads`` is ignored.
+
+    The box fixes an index box (``_key_grid``, ResourceLimitError above
+    _GRID_CAP cells) and one table over it holding state id + 1 by mixed-radix
+    key, axis 0 most significant, so ascending keys are lexicographic order.
+    Each level's (states x inputs) numpy rows are bound-tested, keyed and
+    looked up; new states are numbered in ascending key order.
     """
     if enforce_params:
         chk = check_params(cert, params)
@@ -140,62 +167,57 @@ def build_abstraction(
                 f"quantization parameters rejected: slacks {chk.slack_decrease}, {chk.slack_bound}"
             )
     eta, mu = params.eta, params.mu
-    bound = cert.explore_bound
+    lows, shape = _key_grid(cert.explore_bound, eta)
+    inside = BoxUnion.of(cert.explore_bound)
 
     input_points = lattice_image(sysdef.u_set, mu)
-    input_coords = [pt.coords for pt in input_points]
+    input_coords = tuple(pt.coords for pt in input_points)
     input_embeds = np.array([pt.embed() for pt in input_points])
     n_in = len(input_points)
 
-    init_points = lattice_image(sysdef.x0, eta)
-    index: dict[tuple[int, ...], int] = {}
+    def keys(rows, origin):
+        """Table keys of integer-valued float coordinate rows; the least row
+        outside the bound (first among equals) raises instead, with its
+        origin(row) = (coords, source coords or None, input label)."""
+        ok = inside.contains_columns(list((2.0 * eta) * rows.T))
+        if not ok.all():
+            bad = np.flatnonzero(~ok)
+            coords, src, label = origin(int(bad[np.lexsort(rows[bad].T[::-1])[0]]))
+            coords, src = tuple(map(int, coords)), src if src is None else tuple(map(int, src))
+            raise BoundExceededError(coords, [2.0 * eta * c for c in coords], src, label)
+        key = np.zeros(len(rows), dtype=np.int64)
+        for col, low, size in zip(rows.astype(np.int64).T, lows, shape):
+            key *= size
+            key += col - low
+        return key
 
-    def admit(coords, source=None, input_label=None):
-        emb = tuple(2.0 * eta * c for c in coords)
-        if not bound.contains(emb):
-            raise BoundExceededError(coords, emb, source, input_label)
-        index[coords] = len(index)
-
-    for pt in init_points:  # already sorted lexicographically
-        admit(pt.coords)
-    initial = tuple(range(len(init_points)))
-
-    succ_ids = []  # per level: target state ids, one row per level state
-    level = [pt.coords for pt in init_points]
-    while level:
-        targets = _expand_level(sysdef, np.array(level, dtype=float), input_embeds, eta)
-        # Stable row sort: each run of equal targets starts with the first
-        # (state, input) row that reached it.
-        order = np.lexsort(targets.T[::-1])
-        ranked = targets[order]
-        first = np.zeros(len(order), dtype=bool)
-        first[:1] = True
-        for col in ranked.T:
-            first[1:] |= col[1:] != col[:-1]
-        starts = np.flatnonzero(first)
-        ids = np.empty(len(starts), dtype=np.int64)
-        fresh = []
-        for g, row in enumerate(ranked[starts].tolist()):
-            coords = tuple(map(int, row))
-            if coords not in index:
-                src, u_pos = divmod(int(order[starts[g]]), n_in)
-                admit(coords, level[src], input_coords[u_pos])
-                fresh.append(coords)
-            ids[g] = index[coords]
-        row_ids = np.empty(len(order), dtype=np.int64)
-        row_ids[order] = ids[np.cumsum(first) - 1]
-        succ_ids.append(row_ids.reshape(len(level), n_in))
-        level = fresh
+    table = np.zeros(math.prod(shape), dtype=np.int32)
+    init_points = lattice_image(sysdef.x0, eta)  # already sorted lexicographically
+    init_rows = np.array([pt.coords for pt in init_points], dtype=float).reshape(-1, sysdef.n)
+    init_keys = keys(init_rows, lambda r: (init_points[r].coords, None, None))
+    table[init_keys] = np.arange(1, len(init_keys) + 1)
+    level = init_rows.astype(np.int64)
+    state_rows, succ_ids = [level], []  # per level: its states, their successor ids
+    while len(level):
+        targets = _expand_level(sysdef, level, input_embeds, eta)
+        key = keys(targets, lambda r: (targets[r], level[r // n_in], input_coords[r % n_in]))
+        fresh = np.sort(key[table[key] == 0])
+        fresh = fresh[np.diff(fresh, prepend=-1) != 0]  # np.unique: slower, imports numpy.ma
+        start = sum(map(len, state_rows))
+        table[fresh] = np.arange(start + 1, start + 1 + len(fresh))
+        succ_ids.append((table[key] - 1).reshape(len(level), n_in))
+        level = np.column_stack(np.unravel_index(fresh, shape)) + lows
+        state_rows.append(level)
 
     meta = {"epsilon": params.epsilon}
     if config_digest is not None:
         meta["config_digest"] = config_digest
     return FiniteSystem.on_lattice(
-        tuple(index),
+        np.concatenate(state_rows),
         eta,
-        tuple(input_coords),
+        input_coords,
         mu,
-        initial,
+        tuple(range(len(init_rows))),
         np.concatenate(succ_ids),
         sysdef.p,
         meta,

@@ -202,14 +202,17 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
 
     # Phase A: pairs with no fault seen on the left and no ball visit on the
     # right, reached from output-matched initial pairs.
-    safe_initial: dict[int, list[int]] = {}  # class id -> ball-free initial states
-    for j in system.initial:
-        if j not in ball:
-            safe_initial.setdefault(ids[j], []).append(j)
-    a_parent: dict[int, int | None] = {}
-    for i in system.initial:
-        for j in safe_initial.get(ids[i], ()):
-            a_parent.setdefault(i * n + j)
+    if join is not None:
+        a_parent = dict.fromkeys(join.initial_pairs(system.initial).tolist())
+    else:
+        safe_initial: dict[int, list[int]] = {}  # class id -> ball-free initial states
+        for j in system.initial:
+            if j not in ball:
+                safe_initial.setdefault(ids[j], []).append(j)
+        a_parent: dict[int, int | None] = {}
+        for i in system.initial:
+            for j in safe_initial.get(ids[i], ()):
+                a_parent.setdefault(i * n + j)
     entries: dict[int, int | None] = {}  # region entry -> predecessor in phase A
     explore(list(a_parent), a_parent, entries, system.initial)
     if not entries:
@@ -317,6 +320,17 @@ class _PairJoin:
             tgt = self.succ[left][row] * n + self.right[right]
             new = ~seen[tgt]
             yield self._admit(tgt[new], codes[pair[row[new]]], seen)
+
+    def initial_pairs(self, initial) -> np.ndarray:
+        """Codes of the output-matched initial pairs, each distinct initial a
+        with each distinct ball-free initial b of its class, by (a, b) position."""
+        init = np.asarray(initial, dtype=np.int64)
+        (a,) = _firsts(init, init)
+        b = a[~self.in_ball[a]]
+        b = b[np.argsort(self.ids[b], kind="stable")]  # by class, then position
+        ca, cb = self.ids[a], self.ids[b]
+        owner, m = _ranges(np.searchsorted(cb, ca), np.searchsorted(cb, ca, side="right"))
+        return a[owner] * self.n + b[m]
 
     def seed(self, initial, seen: np.ndarray):
         """Yield what `level` yields for the frontier of output-matched

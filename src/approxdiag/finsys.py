@@ -52,14 +52,19 @@ def _fraction_json(v: int | Fraction):
 class _View:
     """An attribute computed by ``_VIEWS[name]`` on first read and then kept
     in the instance dict, which shadows this non-data descriptor.  Read on
-    the class it raises AttributeError, so a dataclass field declared with
-    it has no default."""
+    the class it gives its default, so a dataclass field declared with it
+    has that default, or raises AttributeError when there is none."""
+
+    def __init__(self, *default):
+        self.default = default
 
     def __set_name__(self, owner, name):
         self.name = name
 
     def __get__(self, system, owner=None):
         if system is None:
+            if self.default:
+                return self.default[0]
             raise AttributeError(self.name)
         value = system.__dict__[self.name] = _VIEWS[self.name](system)
         return value
@@ -78,7 +83,7 @@ class FiniteSystem:
     # Lattice provenance, present when built by the abstraction engine.
     state_theta: float | None = None
     input_theta: float | None = None
-    state_coords: tuple[tuple[int, ...], ...] | None = None
+    state_coords: tuple[tuple[int, ...], ...] | None = _View(None)
     input_coords: tuple[tuple[int, ...], ...] | None = None
     meta: dict = field(default_factory=dict, compare=False)
 
@@ -167,8 +172,9 @@ class FiniteSystem:
         relies on this embedding.
 
         The integer tables are derived with numpy from the matrix and the
-        int64 coordinate array.  ``states``, ``inputs``, ``outputs`` and
-        ``succ`` are computed from them only when read."""
+        int64 coordinate array (``state_coords`` may already be one).
+        ``states``, ``inputs``, ``outputs``, ``succ`` and the
+        ``state_coords`` tuples are computed from them only when read."""
         coords = _coord_array(state_coords)
         ns, n_inputs = len(coords), len(input_coords)
         try:
@@ -190,7 +196,6 @@ class FiniteSystem:
             p=p,
             state_theta=state_theta,
             input_theta=input_theta,
-            state_coords=state_coords,
             input_coords=input_coords,
             meta=meta,
             successor_matrix=matrix,
@@ -241,7 +246,7 @@ class FiniteSystem:
         if ball is None:
             if not fault:
                 ball = frozenset()
-            elif self.state_coords is not None and self.state_theta is not None:
+            elif self.state_theta is not None:
                 k = r // (2 * to_rational(self.state_theta))
                 ball = _lattice_ball(self._coords, fault, k)
             if ball is None:
@@ -454,12 +459,12 @@ def _class_steps_view(s: FiniteSystem):
 
 def _coords_view(s: FiniteSystem) -> np.ndarray | None:
     try:
-        return _coord_array(s.state_coords)
+        return None if s.state_coords is None else _coord_array(s.state_coords)
     except (DomainError, DimensionMismatchError):
         return None
 
 
-# How each _View attribute of FiniteSystem is computed.  The four fields are
+# How each _View attribute of FiniteSystem is computed.  The five fields are
 # views only on lattice-backed models, which hold their integer form instead;
 # every other system has them from its constructor.
 _VIEWS = {
@@ -467,6 +472,7 @@ _VIEWS = {
     "inputs": lambda s: _embed(s.input_coords, s.input_theta),
     "outputs": lambda s: tuple(x[: s.p] for x in s.states),
     "succ": _succ_view,
+    "state_coords": lambda s: tuple(map(tuple, s._coords.tolist())),
     # (states x inputs) successor matrix of a deterministic system.
     "successor_matrix": _matrix_view,
     # successor_groups as int64 arrays.

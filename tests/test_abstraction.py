@@ -1,6 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from approxdiag import abstraction
 from approxdiag.abstraction import (
     AbstractionParams,
     build_abstraction,
@@ -8,8 +12,10 @@ from approxdiag.abstraction import (
     check_params,
     solve_epsilon,
 )
-from approxdiag.errors import BoundExceededError, ParamCheckError
+from approxdiag.bench import chain_system
+from approxdiag.errors import BoundExceededError, ParamCheckError, ResourceLimitError
 from approxdiag.fixtures import e1, e1_config
+from approxdiag.regions import Box
 from approxdiag.system import parse_system
 
 
@@ -98,6 +104,39 @@ def test_bound_exceeded_reports_state():
     with pytest.raises(BoundExceededError) as err:
         build_abstraction(sysdef, cert, params)
     assert err.value.coords is not None
+
+
+@pytest.mark.parametrize(
+    "lower, upper, message",
+    [
+        # 2,000,003 cells per axis, one of margin on each side: 8.0e18 in
+        # all, counted exactly before any table is allocated.
+        (-1e6, 1e6, f"spans {2_000_003**3} lattice cells"),
+        (1e20, 2e20, "too far out"),
+        (-math.inf, math.inf, "too far out"),
+    ],
+)
+def test_explore_box_beyond_the_key_table_is_resource_limit(lower, upper, message):
+    sysdef, cert = chain_system(3, 5)
+    cert = dataclasses.replace(cert, explore_bound=Box((lower,) * 3, (upper,) * 3))
+    params = AbstractionParams(solve_epsilon(cert, 0.5, 0.5), 0.5, 0.5)
+    with pytest.raises(ResourceLimitError, match=message):
+        build_abstraction(sysdef, cert, params)
+
+
+def test_grid_cap_admits_exactly_its_cell_count(monkeypatch):
+    sysdef, cert = e1()
+    params = AbstractionParams(0.4, 0.04, 0.005)
+    t = 2.0 * params.eta
+    box = cert.explore_bound
+    cells = math.prod(
+        math.ceil(hi / t) - math.floor(lo / t) + 3 for lo, hi in zip(box.lower, box.upper)
+    )
+    monkeypatch.setattr(abstraction, "_GRID_CAP", cells)
+    assert build_abstraction(sysdef, cert, params).n_states == 978
+    monkeypatch.setattr(abstraction, "_GRID_CAP", cells - 1)
+    with pytest.raises(ResourceLimitError, match=f"spans {cells} lattice cells"):
+        build_abstraction(sysdef, cert, params)
 
 
 def test_certify_relation_valid_params():

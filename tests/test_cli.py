@@ -290,6 +290,20 @@ def test_check_precondition_failure_exit_code(capsys):
     assert code == 4  # erosion of the thin box is empty
 
 
+@pytest.mark.parametrize("command", ["abstract", "check"])
+def test_explore_box_above_grid_cap_exits_4(tmp_path, capsys, command):
+    doc = json.loads(Path(E1).read_text())
+    doc["certificate"]["explore_bound"] = {"lower": [-1e6, -1e6], "upper": [1e6, 1e6]}
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps(doc))
+    model = tmp_path / "model.json"
+    argv = [command, str(config), "--eta", "0.04", "--mu", "0.005", "--epsilon", "0.4"]
+    argv += ["-o", str(model)] if command == "abstract" else ["--faults", FAULT_X1, "--mode", "prove"]
+    assert main(argv) == 4
+    assert "lattice cells" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_check_refine_recovers_from_coarse_start(capsys):
     # eta = 0.06 erodes the fault region away; one halving settles it.
     code, doc = run_json(

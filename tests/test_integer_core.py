@@ -307,6 +307,14 @@ def test_seed_matches_level_on_initial_pairs(e1_checks, monkeypatch, chunk):
     assert (chunks > 1_900) == (chunk == 1)
 
 
+def test_initial_pairs_follow_the_seeding_loop(e1_checks):
+    # The join path keys phase A's parent dict by these codes, in this order.
+    cases = desk_cases() + [e1_checks[mode] for mode in sorted(E1_SCENARIOS)]
+    for system, spec in cases:
+        join = diagnosis._PairJoin(system, system.ball_states(spec.faults, spec.rho), spec.faults)
+        assert join.initial_pairs(system.initial).tolist() == initial_pairs(join, system.initial)
+
+
 def test_pair_cap_keeps_every_level_scalar(e1_checks, monkeypatch):
     monkeypatch.setattr(diagnosis, "_JOIN_MIN_PAIRS", 1)
     cases = desk_cases() + [e1_checks[mode] for mode in sorted(E1_SCENARIOS)]

@@ -291,9 +291,10 @@ def build_outcomes(sysdef, cert, params):
     return got, want
 
 
-def test_bound_exceeded_fields_equal_reference():
-    sysdef, cert = e1()
-    cert = dataclasses.replace(cert, explore_bound=Box((-1.3, -1.05), (1.6, 1.05)))
+def bound_error_equal_reference(sysdef, cert, bound) -> BoundExceededError:
+    """The build's BoundExceededError inside ``bound`` at the e1-prove
+    parameters, its five fields and its args checked against the reference."""
+    cert = dataclasses.replace(cert, explore_bound=bound)
     p = ad.AbstractionParams(0.4, 0.04, 0.005)
     with pytest.raises(BoundExceededError) as got:
         ad.build_abstraction(sysdef, cert, p)
@@ -301,7 +302,55 @@ def test_bound_exceeded_fields_equal_reference():
         reference_build_abstraction(sysdef, cert, p)
     fields = ("coords", "embedding", "source", "input_label", "args")
     assert [getattr(got.value, f) for f in fields] == [getattr(want.value, f) for f in fields]
-    assert got.value.source is not None
+    return got.value
+
+
+def test_bound_exceeded_fields_equal_reference():
+    error = bound_error_equal_reference(*e1(), Box((-1.3, -1.05), (1.6, 1.05)))
+    assert error.source is not None
+
+
+# Lattice spacing at the e1-prove eta, as the build computes embeddings.
+TWO_ETA = 2.0 * 0.04
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # X0's image reaches outside: no source, no input label.
+        "x0",
+        # With x1' = -0.5*x1 + u1 the first level fails on both sides of x1:
+        # the rows of states with negative x1 come first and fail above, but
+        # the lexicographically smallest failing target lies below.
+        "order",
+        # An open upper bound exactly on the embedding of x1 = 19, which the
+        # first level reaches.
+        "open",
+        # x1' = 1e20*x1 + u1: failing targets far beyond int64.
+        "int64",
+    ],
+)
+def test_bound_exceeded_cases_equal_reference(case):
+    bound = Box((-1.3, -1.05), (1.6, 1.05))
+    if case == "x0":
+        sysdef, cert = e1()
+        bound = Box((-0.9, -1.05), (1.6, 1.05))
+    elif case == "order":
+        sysdef, cert = plant(["-0.5*x1 + u1", "0.25*x1 + 0.5*x2"])
+        bound = Box((-1.3, -1.05), (1.3, 1.05))
+    elif case == "open":
+        sysdef, cert = e1()
+        bound = Box((-1.6, -1.05), (TWO_ETA * 19, 1.05), upper_open=(True, False))
+    else:
+        sysdef, cert = plant(["1e20*x1 + u1", "0.25*x1 + 0.5*x2"])
+    error = bound_error_equal_reference(sysdef, cert, bound)
+    assert (error.source is None) == (case == "x0")
+    if case == "order":
+        assert error.coords[0] < 0 < error.source[0]
+    elif case == "open":
+        assert error.coords[0] == 19 and error.embedding[0] == bound.upper[0]
+    elif case == "int64":
+        assert abs(error.coords[0]) > 1 << 63
 
 
 @pytest.mark.parametrize(
