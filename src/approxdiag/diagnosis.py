@@ -52,12 +52,12 @@ BRUTE_MAX_HORIZON = 24
 _JOIN_MIN_PAIRS = 1 << 9
 # Left rows (frontier pair x successor of its left state) joined at once, so
 # the join's arrays stay small whatever the level size.
-_JOIN_CHUNK = 1 << 12
+_JOIN_CHUNK = 1 << 14
 # Pairs (a successor of an initial state x a matching ball-free successor)
 # the seed level joins at once, cut only between initial states.
 _SEED_CHUNK = 1 << 14
-# Largest pair space n*n that gets the join's dense visited bitmap; above it
-# the check runs the scalar loop.
+# Longest table the join allocates: its output-matched pairs and its
+# (state, class) keys must both fit, else the check runs the scalar loop.
 _PAIR_CAP = 1 << 25
 
 
@@ -165,32 +165,22 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
                     out.append(base + b)
         return out
 
-    # The same relation as flat index arrays, when the pair space is large
-    # enough for whole levels to expand in one join.
-    join = _PairJoin(system, ball, faults) if _JOIN_MIN_PAIRS <= n * n <= _PAIR_CAP else None
+    # The same relation as flat index arrays, when n*n is large enough for
+    # whole levels to expand in one join and the join's tables fit the cap.
+    tables = _join_tables(system) if _JOIN_MIN_PAIRS <= n * n else None
+    join = None if tables is None else _PairJoin(system, ball, faults, tables)
 
-    # Breadth-first search from `frontier`, recording in `parent` the
-    # predecessor of each pair first reached.  Pairs whose left state is
-    # faulty go to `stop` instead, when given, and are not expanded.  A
-    # frontier given with `initial` is their output-matched pairs, whose
-    # level the join expands by class products.
-    def explore(frontier, parent, stop=None, initial=None):
-        if join is not None:
-            seen = join.bitmap(parent, stop or {})
-        while frontier:
-            nxt = []
-            if join is not None:
-                chunks = join.level(frontier, seen) if initial is None else join.seed(initial, seen)
-                initial = None
-                for tgt, par in chunks:
-                    if stop is not None:
-                        hit = join.faulty[tgt // n]
-                        stop.update(zip(tgt[hit].tolist(), par[hit].tolist()))
-                        tgt, par = tgt[~hit], par[~hit]
-                    kept = tgt.tolist()
-                    parent.update(zip(kept, par.tolist()))
-                    nxt += kept
-            else:
+    # Breadth-first search from the pair codes `frontier`: the predecessor of
+    # each pair reached (-1 in `frontier`), by code in a dict or by compact id
+    # in an array on the join path, and the pair count.  Pairs whose left
+    # state is faulty go to `stop` instead, when given.  A frontier given with
+    # `initial` is their output-matched pairs, expanded by class products.
+    def explore(frontier, stop=None, initial=None):
+        if join is None:
+            parent = dict.fromkeys(frontier, -1)
+            frontier = list(parent)
+            while frontier:
+                nxt = []
                 for code in frontier:
                     for tgt in moves(code):
                         if stop is not None and tgt // n in faults:
@@ -198,31 +188,45 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
                         elif tgt not in parent:
                             parent[tgt] = code
                             nxt.append(tgt)
-            frontier = nxt
+                frontier = nxt
+            return parent, len(parent)
+        seen = join.bitmap(frontier)
+        parent = np.empty(len(seen), dtype=np.int64)  # read only where seen
+        parent[seen] = -1
+        while len(frontier):
+            nxt = []
+            chunks = join.level(frontier, seen) if initial is None else join.seed(initial, seen)
+            initial = None
+            for tgt, par, cid in chunks:
+                if stop is not None:
+                    hit = join.faulty[tgt // n]
+                    stop.update(zip(tgt[hit].tolist(), par[hit].tolist()))
+                    tgt, par, cid = tgt[~hit], par[~hit], cid[~hit]
+                parent[cid] = par
+                nxt.append(tgt)
+            frontier = np.concatenate(nxt) if nxt else ()
+        return parent, int(np.count_nonzero(seen)) - len(stop or ())
 
     # Phase A: pairs with no fault seen on the left and no ball visit on the
     # right, reached from output-matched initial pairs.
     if join is not None:
-        a_parent = dict.fromkeys(join.initial_pairs(system.initial).tolist())
+        start = join.initial_pairs(system.initial)
     else:
         safe_initial: dict[int, list[int]] = {}  # class id -> ball-free initial states
         for j in system.initial:
             if j not in ball:
                 safe_initial.setdefault(ids[j], []).append(j)
-        a_parent: dict[int, int | None] = {}
-        for i in system.initial:
-            for j in safe_initial.get(ids[i], ()):
-                a_parent.setdefault(i * n + j)
-    entries: dict[int, int | None] = {}  # region entry -> predecessor in phase A
-    explore(list(a_parent), a_parent, entries, system.initial)
+        start = [i * n + j for i in system.initial for j in safe_initial.get(ids[i], ())]
+    entries: dict[int, int] = {}  # region entry -> predecessor in phase A
+    a_parent, a_pairs = explore(start, entries, system.initial)
     if not entries:
-        return Verdict(True, delta=1, stats={"region_states": 0, "phase_a_pairs": len(a_parent)})
+        return Verdict(True, delta=1, stats={"region_states": 0, "phase_a_pairs": a_pairs})
 
     # Phase B: region = fault-seen x safe-so-far pairs, explored from the
     # entries; within the region only the ball constraint remains.
-    b_parent: dict[int, int | None] = dict.fromkeys(entries)
-    explore(list(entries), b_parent)
-    stats = {"region_states": len(b_parent), "phase_a_pairs": len(a_parent)}
+    b_parent, b_pairs = explore(list(entries))
+    stats = {"region_states": b_pairs, "phase_a_pairs": a_pairs}
+    key = int if join is None else join.index  # pair code -> parent table index
 
     # Iterative DFS: a pair met again while on the stack closes a region
     # cycle (not diagnosable).  Otherwise each pair gets its height, the
@@ -238,7 +242,7 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
             for tgt in top[1]:
                 if tgt in on_stack:
                     cycle = [code for code, _, _ in stack[on_stack[tgt] :]]
-                    witness = _unroll_witness(system, a_parent, entries, b_parent, cycle, n)
+                    witness = _unroll_witness(a_parent, entries, b_parent, cycle, n, key)
                     return Verdict(False, witness=witness, stats=stats)
                 h = height.get(tgt)
                 if h is None:
@@ -269,11 +273,16 @@ class _PairJoin:
     ``state * C + class`` and then by successor, with a dense start table
     over those keys, so a left row's matching right range is two lookups.
     `level` joins a frontier pair by pair; `seed` expands the seed level by
-    per-class products, with the same result."""
+    per-class products, with the same result.
+    Every pair the twin plant reaches is output-matched: (i, j) of class c
+    has the compact id ``off[i] + rank[j]`` in ``range(pairs)``, the sum of
+    n_c**2 (rank[j]: j's position in c; off[i]: the pairs of earlier classes
+    plus rank[i] * n_c), which indexes visited flags and parents."""
 
-    def __init__(self, system: FiniteSystem, ball: frozenset[int], faults: frozenset[int]):
+    def __init__(self, system: FiniteSystem, ball: frozenset[int], faults: frozenset[int], tables):
         n = self.n = system.n_states
         n_classes = self.n_classes = len(system.class_of)
+        sizes, self.pairs, n_keys = tables  # as `_join_tables(system)` gives them
         self.ptr, self.cls, self.succ = system.successor_arrays
         self.ids = np.array(system.output_ids, dtype=np.int64)
         keys = np.repeat(np.arange(n, dtype=np.int64) * n_classes, np.diff(self.ptr)) + self.cls
@@ -285,22 +294,33 @@ class _PairJoin:
         keys = keys[safe]
         # A stable sort keeps each (state, class) group's members ascending.
         self.right = self.succ[safe][np.argsort(keys, kind="stable")]
-        self.start = np.zeros(n * n_classes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys, minlength=n * n_classes), out=self.start[1:])
+        self.start = np.zeros(n_keys + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys, minlength=n_keys), out=self.start[1:])
+        firsts = np.cumsum(sizes) - sizes  # each class's first position in class order
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[np.argsort(self.ids, kind="stable")] = np.arange(n) - np.repeat(firsts, sizes)
+        square = sizes * sizes
+        self.off = (np.cumsum(square) - square)[self.ids] + self.rank * sizes[self.ids]
+        self.succ_off, self.right_rank = self.off[self.succ], self.rank[self.right]
+        self.scratch = np.empty(max(self.pairs, n_keys), dtype=np.int64)  # for `_firsts`
 
-    def bitmap(self, *visited) -> np.ndarray:
-        """Dense n*n visited flags, set for the keys of the given dicts."""
-        seen = np.zeros(self.n * self.n, dtype=bool)
-        for codes in visited:
-            seen[np.fromiter(codes, dtype=np.int64, count=len(codes))] = True
+    def index(self, codes):
+        """Compact ids of output-matched pair codes."""
+        i, j = np.divmod(np.asarray(codes, dtype=np.int64), self.n)
+        return self.off[i] + self.rank[j]
+
+    def bitmap(self, codes) -> np.ndarray:
+        """Visited flags over the compact ids, set for the given pair codes."""
+        seen = np.zeros(self.pairs, dtype=bool)
+        seen[self.index(codes)] = True
         return seen
 
     def level(self, frontier, seen: np.ndarray):
         """Yield, one chunk of at most _JOIN_CHUNK left rows at a time, the
-        (target, parent) arrays of the pairs the scalar loop over `frontier`
-        reaches first, in its order, skipping and then marking `seen`."""
+        `_admit` arrays of the pairs the scalar loop over `frontier` reaches
+        first, in its order, skipping and then marking `seen`."""
         n = self.n
-        codes = np.array(frontier, dtype=np.int64)
+        codes = np.asarray(frontier, dtype=np.int64)
         lo = self.ptr[codes // n]
         counts = self.ptr[codes // n + 1] - lo
         ends = np.cumsum(counts)
@@ -317,15 +337,17 @@ class _PairJoin:
             left = shift[pair] + np.arange(first, last)
             keys = j_keys[pair] + self.cls[left]
             row, right = _ranges(self.start[keys], self.start[keys + 1])
-            tgt = self.succ[left][row] * n + self.right[right]
-            new = ~seen[tgt]
-            yield self._admit(tgt[new], codes[pair[row[new]]], seen)
+            left = left[row]
+            cid = self.succ_off[left] + self.right_rank[right]
+            new = ~seen[cid]
+            tgt = self.succ[left[new]] * n + self.right[right[new]]
+            yield self._admit(cid[new], tgt, codes[pair[row[new]]], seen)
 
     def initial_pairs(self, initial) -> np.ndarray:
         """Codes of the output-matched initial pairs, each distinct initial a
         with each distinct ball-free initial b of its class, by (a, b) position."""
         init = np.asarray(initial, dtype=np.int64)
-        (a,) = _firsts(init, init)
+        (a,) = _firsts(init, self.scratch, init)
         b = a[~self.in_ball[a]]
         b = b[np.argsort(self.ids[b], kind="stable")]  # by class, then position
         ca, cb = self.ids[a], self.ids[b]
@@ -350,14 +372,14 @@ class _PairJoin:
         one state has more, so the chunks extend that order."""
         n, n_classes = self.n, self.n_classes
         init = np.asarray(initial, dtype=np.int64)
-        (a,) = _firsts(init, init)
+        (a,) = _firsts(init, self.scratch, init)
         b = a[~self.in_ball[a]]
         ca, cb = self.ids[a], self.ids[b]
         # Left: a's position and each successor in a's row; right: b's
         # position and each ball-free successor of b, grouped by class.
-        pa, i_next = _first_members(self.ptr[a], self.ptr[a + 1], self.succ, ca, n)
-        pb, j_next = _first_members(
-            self.start[b * n_classes], self.start[(b + 1) * n_classes], self.right, cb, n
+        pa, i_next = self._first_members(self.ptr[a], self.ptr[a + 1], self.succ, ca)
+        pb, j_next = self._first_members(
+            self.start[b * n_classes], self.start[(b + 1) * n_classes], self.right, cb
         )
         # Right members grouped by (class, successor class); a stable sort
         # keeps each group in order of (b's position, rank).
@@ -366,6 +388,7 @@ class _PairJoin:
         pb, j_next, r_keys = pb[by_key], j_next[by_key], r_keys[by_key]
         l_keys = ca[pa] * n_classes + self.ids[i_next]
         lo, hi = np.searchsorted(r_keys, l_keys), np.searchsorted(r_keys, l_keys, side="right")
+        i_off, j_rank = self.off[i_next], self.rank[j_next]
         i_next *= n
         rows_of = np.searchsorted(pa, np.arange(len(a) + 1))  # a[p]'s rows: rows_of[p]:rows_of[p+1]
         joined = np.concatenate(([0], np.cumsum(hi - lo)))[rows_of]  # pairs joined before a[p]
@@ -375,24 +398,41 @@ class _PairJoin:
             first, last = rows_of[p], rows_of[q]
             row, m = _ranges(lo[first:last], hi[first:last])
             row += first
+            cid = i_off[row] + j_rank[m]
+            new = ~seen[cid]
+            row, m, cid = row[new], m[new], cid[new]
             tgt = i_next[row] + j_next[m]
-            new = ~seen[tgt]
-            row, m, tgt = row[new], m[new], tgt[new]
             # Rows come in order of (a, rank of i'), and each row's matches in
             # order of (b, rank of j'): a stable sort on (a, b) gives the
             # scalar loop's order.
             order = np.argsort(pa[row] * len(b) + pb[m], kind="stable")
             par = a[pa[row]] * n + b[pb[m]]
-            yield self._admit(tgt[order], par[order], seen)
+            yield self._admit(cid[order], tgt[order], par[order], seen)
             p = q
 
-    @staticmethod
-    def _admit(tgt, par, seen):
-        """The (target, parent) entries, targets new to `seen`, kept each at
-        its target's first occurrence; marks those targets seen."""
-        tgt, par = _firsts(tgt, tgt, par)
-        seen[tgt] = True
-        return tgt, par
+    def _admit(self, cid, tgt, par, seen):
+        """The (target, parent, compact id) entries, targets new to `seen`,
+        kept each at its target's first occurrence; marks those targets seen."""
+        cid, tgt, par = _firsts(cid, self.scratch, cid, tgt, par)
+        seen[cid] = True
+        return tgt, par, cid
+
+    def _first_members(self, lo, hi, members, classes):
+        """The (owner, member) entries of the member ranges lo[p]:hi[p], in
+        order, each kept where its (classes[owner], member) first occurs."""
+        owner, member = _ranges(lo, hi)
+        member = members[member]
+        keys = classes[owner] * self.n
+        keys += member
+        return _firsts(keys, self.scratch, owner, member)
+
+
+def _join_tables(system: FiniteSystem):
+    """The output class sizes and the `_PairJoin` table lengths they set, the
+    sum of n_c**2 and n * C; None when either length exceeds `_PAIR_CAP`."""
+    sizes = np.bincount(system.output_ids, minlength=len(system.class_of))
+    tables = sizes, int(sizes @ sizes), system.n_states * len(sizes)
+    return tables if max(tables[1:]) <= _PAIR_CAP else None
 
 
 def _ranges(lo, hi):
@@ -405,36 +445,26 @@ def _ranges(lo, hi):
     return owner, at
 
 
-def _first_members(lo, hi, members, classes, n):
-    """The (owner, member) entries of the member ranges lo[p]:hi[p], in
-    order, each kept where its (classes[owner], member) first occurs."""
-    owner, member = _ranges(lo, hi)
-    member = members[member]
-    keys = classes[owner] * n
-    keys += member
-    return _firsts(keys, owner, member)
-
-
-def _firsts(keys, *arrays):
-    """The arrays restricted to the first occurrence of each key, in order."""
-    keep = np.sort(np.unique(keys, return_index=True)[1])
+def _firsts(keys, scratch, *arrays):
+    """The arrays restricted to the first occurrence of each key, in order;
+    `scratch`, an int64 array longer than every key, is overwritten."""
+    at = np.arange(len(keys))
+    scratch[keys] = len(keys)
+    np.minimum.at(scratch, keys, at)  # each key's first position
+    keep = scratch[keys] == at
     return tuple(x[keep] for x in arrays)
 
 
-def _unroll_witness(system, a_parent, entries, b_parent, cycle, n):
-    """Entry path + twice-unrolled region cycle, decoded into two runs."""
-    path = []
-    node = cycle[0]
-    while node is not None:
+def _unroll_witness(a_parent, entries, b_parent, cycle, n, key):
+    """Entry path + twice-unrolled region cycle, decoded into two runs.  A
+    parent table maps key(code) to the code of its predecessor, -1 at a root."""
+    path = [cycle[0]]
+    while (node := int(b_parent[key(path[-1])])) >= 0:
         path.append(node)
-        node = b_parent[node]
     path.reverse()  # entry .. cycle[0]
-    entry = path[0]
-    prefix = []
-    node = entries[entry]
-    while node is not None:
+    prefix = [entries[path[0]]]
+    while (node := int(a_parent[key(prefix[-1])])) >= 0:
         prefix.append(node)
-        node = a_parent[node]
     prefix.reverse()  # initial pair .. entry predecessor
     loop = cycle[1:] + [cycle[0]]
     codes = prefix + path + loop + loop

@@ -102,13 +102,13 @@ def reference_check(system: FiniteSystem, spec: FaultSpec) -> Verdict:
         for j in system.initial
         if system.outputs[i] == system.outputs[j] and j not in ball
     ]
-    a_parent: dict[int, int | None] = {}
-    entries: dict[int, int | None] = {}
+    a_parent: dict[int, int] = {}  # pair -> predecessor, -1 at a root
+    entries: dict[int, int] = {}
     frontier = []
     for i, j in roots:
         code = enc(i, j)
         if code not in a_parent:
-            a_parent[code] = None
+            a_parent[code] = -1
             frontier.append(code)
     while frontier:
         nxt = []
@@ -128,7 +128,7 @@ def reference_check(system: FiniteSystem, spec: FaultSpec) -> Verdict:
     if not entries:
         return Verdict(True, delta=1, stats={"region_states": 0, "phase_a_pairs": len(a_parent)})
 
-    b_parent: dict[int, int | None] = {code: None for code in entries}
+    b_parent: dict[int, int] = {code: -1 for code in entries}
     frontier = list(entries)
     while frontier:
         nxt = []
@@ -162,7 +162,7 @@ def reference_check(system: FiniteSystem, spec: FaultSpec) -> Verdict:
                 if color[tgt] == GRAY:
                     cycle_start = next(k for k, (c, _) in enumerate(stack) if c == tgt)
                     cycle = [c for c, _ in stack[cycle_start:]]
-                    witness = _unroll_witness(system, a_parent, entries, b_parent, cycle, n)
+                    witness = _unroll_witness(a_parent, entries, b_parent, cycle, n, int)
                     return Verdict(False, witness=witness, stats=stats)
                 if color[tgt] == WHITE:
                     color[tgt] = GRAY

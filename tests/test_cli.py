@@ -204,6 +204,16 @@ def test_malformed_model_file_is_precondition_failure(tmp_path, capsys, monkeypa
     assert main([command, str(model), "--faults", "1", "--rho", "0"]) == 4
 
 
+@pytest.mark.parametrize("command", ["check-fts", "monitor"])
+def test_superscript_digit_faults_is_a_missing_region_file(tmp_path, capsys, monkeypatch, command):
+    # "²" passes str.isdigit but not int(); it must be read as a region path.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO("[0]\n"))
+    assert main([command, D1, "--faults", "²", "--rho", "0"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.fixture
 def e1_fine_model(tmp_path, capsys):
     """The e1 abstraction at eta 0.05 with faults at x1 >= 1.5, which the

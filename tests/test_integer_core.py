@@ -152,18 +152,18 @@ def scalar_check(system, spec):
 def watched_levels(monkeypatch):
     """Sizes of the levels that run the join, and the chunk count of every
     seed level, each level checked on entry: every frontier pair was
-    admitted earlier, by the seeding or a join, so the visited bitmap must
-    already hold it."""
+    admitted earlier, by the seeding or a join, so the visited flags must
+    already hold it at its compact id."""
     sizes, seeds = [], []
     level, seed = diagnosis._PairJoin.level, diagnosis._PairJoin.seed
 
     def watched(self, frontier, seen):
-        assert seen[frontier].all()
+        assert seen[self.index(frontier)].all()
         sizes.append(len(frontier))
         yield from level(self, frontier, seen)
 
     def watched_seed(self, initial, seen):
-        assert seen[initial_pairs(self, initial)].all()
+        assert seen[self.index(initial_pairs(self, initial))].all()
         seeds.append(0)
         for chunk in seed(self, initial, seen):
             seeds[-1] += 1
@@ -285,7 +285,7 @@ def test_seed_matches_level_on_initial_pairs(e1_checks, monkeypatch, chunk):
     seeded = chunks = 0
     for system, spec in cases:
         # The seed level's frontier and visited bitmap, as the check has them.
-        join = diagnosis._PairJoin(system, system.ball_states(spec.faults, spec.rho), spec.faults)
+        join = new_join(system, spec)
         frontier = initial_pairs(join, system.initial)
         want_seen = join.bitmap(frontier)
         got_seen = want_seen.copy()
@@ -308,11 +308,68 @@ def test_seed_matches_level_on_initial_pairs(e1_checks, monkeypatch, chunk):
 
 
 def test_initial_pairs_follow_the_seeding_loop(e1_checks):
-    # The join path keys phase A's parent dict by these codes, in this order.
+    # The join path starts phase A from these codes, in this order.
     cases = desk_cases() + [e1_checks[mode] for mode in sorted(E1_SCENARIOS)]
     for system, spec in cases:
-        join = diagnosis._PairJoin(system, system.ball_states(spec.faults, spec.rho), spec.faults)
+        join = new_join(system, spec)
         assert join.initial_pairs(system.initial).tolist() == initial_pairs(join, system.initial)
+
+
+def new_join(system, spec):
+    """The join the check builds for the case at the default cap."""
+    tables = diagnosis._join_tables(system)
+    return diagnosis._PairJoin(system, system.ball_states(spec.faults, spec.rho), spec.faults, tables)
+
+
+def matched_pairs(system):
+    """Codes i * n + j of every pair of states with equal output class."""
+    n, ids = system.n_states, np.array(system.output_ids)
+    groups = [np.flatnonzero(ids == c) for c in range(len(system.class_of))]
+    return np.concatenate([np.add.outer(g * n, g).ravel() for g in groups])
+
+
+def test_compact_index_numbers_the_output_matched_pairs(e1_checks):
+    cases = desk_cases() + [e1_checks[mode] for mode in sorted(E1_SCENARIOS)]
+    for system, spec in cases:
+        join = new_join(system, spec)
+        sizes = np.bincount(system.output_ids)
+        assert join.pairs == sum(int(k) ** 2 for k in sizes)
+        assert np.array_equal(np.sort(join.index(matched_pairs(system))), np.arange(join.pairs))
+
+
+def distinct_outputs(case):
+    """The case with every state in an output class of its own: n
+    output-matched pairs, but n * n (state, class) keys."""
+    system, spec = case
+    outputs = tuple((Fraction(k),) for k in range(system.n_states))
+    return dataclasses.replace(system, outputs=outputs), spec
+
+
+def test_pair_cap_bounds_every_join_table(e1_checks, e1_references, monkeypatch):
+    # The cap admits the join only while both its output-matched pairs and
+    # its n * C (state, class) keys fit, so e1 joins even at a cap of
+    # n*n - 1 and a system of distinct outputs, with n pairs, does not.
+    built = []
+
+    class CountedJoin(diagnosis._PairJoin):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(diagnosis, "_PairJoin", CountedJoin)
+    monkeypatch.setattr(diagnosis, "_JOIN_MIN_PAIRS", 1)
+    e1 = e1_checks["refute"]
+    cases = [(e1, e1_references["refute"])]
+    cases += [(case, reference_check(*case)) for case in map(distinct_outputs, [widening_system(), e1])]
+    for (system, spec), want in cases:
+        n, pairs = system.n_states, len(matched_pairs(system))
+        longest = max(pairs, n * len(system.class_of))
+        assert longest < n * n or pairs < longest
+        for cap, joins in [(n * n - 1, longest < n * n), (longest, 1), (longest - 1, 0)]:
+            monkeypatch.setattr(diagnosis, "_PAIR_CAP", cap)
+            built.clear()
+            assert_same_verdict(check_diagnosability(system, spec), want)
+            assert len(built) == joins
 
 
 def test_pair_cap_keeps_every_level_scalar(e1_checks, monkeypatch):
@@ -326,7 +383,7 @@ def test_pair_cap_keeps_every_level_scalar(e1_checks, monkeypatch):
 
 
 def test_batched_check_memory_stays_flat(e1_checks):
-    # About 10 MB with 4,096-row chunks (4 MB scalar); without the chunk
+    # About 6 MB with 16,384-row chunks (4 MB scalar); without the chunk
     # bound the join's arrays take about 96 MB.
     system, spec = e1_checks["refute"]
     system.ball_states(spec.faults, spec.rho)
