@@ -96,8 +96,8 @@ def _index_ranges(box: Box, eta: float, pad=0) -> list[tuple[int, int]]:
     hi - pad over the box's bounds, in exact rationals."""
     two_eta, p = 2 * to_rational(eta), to_rational(pad)
     return [
-        (math.ceil((to_rational(lo) + p) / two_eta), math.floor((to_rational(hi) - p) / two_eta))
-        for lo, hi in zip(box.lower, box.upper)
+        (math.ceil((lo + p) / two_eta), math.floor((hi - p) / two_eta))
+        for lo, hi in zip(*box.exact)
     ]
 
 

@@ -158,7 +158,7 @@ def lattice_points_in(region: BoxUnion, theta: float) -> list[LatticePoint]:
     two_theta = 2 * to_rational(theta)
 
     def axis_range(box, i):
-        lo, hi = to_rational(box.lower[i]), to_rational(box.upper[i])
+        lo, hi = box.exact[0][i], box.exact[1][i]
         cmin = math.ceil(lo / two_theta)
         if box.lower_open[i] and lo == two_theta * cmin:
             cmin += 1
@@ -183,9 +183,8 @@ def lattice_image(region: BoxUnion, theta: float) -> list[LatticePoint]:
     t = to_rational(theta)
 
     def axis_range(box, i):
-        hi = box.upper[i]
-        cmax = quantize_index(hi, theta)
-        if box.upper_open[i] and to_rational(hi) == (2 * cmax - 1) * t:
+        cmax = quantize_index(box.upper[i], theta)
+        if box.upper_open[i] and box.exact[1][i] == (2 * cmax - 1) * t:
             cmax -= 1
         return quantize_index(box.lower[i], theta), cmax
 

@@ -2,14 +2,14 @@
 
 Infinity-norm balls are boxes, so dilation by a ball radius is per-axis
 inflation and erosion reduces to an exact per-point covering test.  The
-covering test (``ball_in_union``) runs over exact rationals: floats convert
-exactly to Fraction, every derived bound is copied or added exactly, and
-emptiness of the leftover region is decided without rounding.  That
-exactness is what lets downstream set inclusions be asserted with equality
-instead of tolerances.
+covering test (``ball_in_union``) runs over exact rationals: each box's
+bounds are read once into ``Box.exact``, the ball's bounds are the centre
+plus or minus the radius, and the pieces the bounds cut the ball into are
+compared without rounding.  That exactness is what lets downstream set
+inclusions be asserted with equality instead of tolerances.
 
 Convention: fault and initial sets are supplied as closed boxes; open
-flags exist for internally produced fragments and for callers that need
+flags exist for internally produced cells and for callers that need
 them, and default to closed everywhere.
 """
 
@@ -101,9 +101,19 @@ class Box:
     def contains(self, x) -> bool:
         return self._contains(x, self.lower, self.upper)
 
+    @functools.cached_property
+    def exact(self) -> tuple[tuple, tuple]:
+        """Lower and upper bounds read by ``to_rational``, once per box; an
+        infinite bound stays a float infinity, which compares exactly with
+        every rational."""
+        def read(v):
+            return v if math.isinf(v) else to_rational(v)
+
+        return tuple(map(read, self.lower)), tuple(map(read, self.upper))
+
     def contains_exact(self, x) -> bool:
-        """Membership for exact rational points (bounds lifted to Fraction)."""
-        return self._contains(x, map(to_rational, self.lower), map(to_rational, self.upper))
+        """Membership for exact rational points (bounds read by ``exact``)."""
+        return self._contains(x, *self.exact)
 
     def _contains(self, x, lower, upper) -> bool:
         if len(x) != self.dim:
@@ -280,89 +290,47 @@ class BoxUnion:
         return BoxUnion((), int(d))
 
 
-# -- exact covering test ------------------------------------------------
-#
-# A box is represented over rationals as a list of (lo, hi, lo_closed,
-# hi_closed) intervals.  Subtracting one box from another peels off at most
-# two fragments per axis, then recurses on the overlap; all bounds are
-# copies of existing rationals, so no rounding ever occurs.
+def _bits(flags) -> int:
+    return sum(f << j for j, f in enumerate(flags))
 
 
-def _rat_box(box: Box):
-    return [
-        (to_rational(a), to_rational(b), not oa, not ob)
-        for a, b, oa, ob in zip(box.lower, box.upper, box.lower_open, box.upper_open)
-    ]
+def _axis_masks(lo, hi, sides) -> set[int]:
+    """Masks of the boxes holding each piece that the bounds in ``sides``,
+    one (a, b, a_open, b_open) per box, cut the closed [lo, hi] into: each
+    cut point, and each open interval between neighbouring cuts."""
+    cuts = sorted({lo, hi}.union(c for a, b, _, _ in sides for c in (a, b) if lo < c < hi))
 
+    def holds(c, a, b, ao, bo):
+        return (a < c or a == c and not ao) and (c < b or c == b and not bo)
 
-def _interval_empty(lo, hi, lc, hc) -> bool:
-    return lo > hi or (lo == hi and not (lc and hc))
-
-
-def _intersect_interval(cur, cut):
-    lo, hi, lc, hc = cur
-    clo, chi, clc, chc = cut
-    nlo, nlc = (clo, clc) if clo > lo else ((lo, lc) if clo < lo else (lo, lc and clc))
-    nhi, nhc = (chi, chc) if chi < hi else ((hi, hc) if chi > hi else (hi, hc and chc))
-    return nlo, nhi, nlc, nhc
-
-
-def _below_interval(cur, cut):
-    """Part of ``cur`` left of the cutter start: v < clo, or v == clo if open."""
-    lo, hi, lc, hc = cur
-    clo, _, clc, _ = cut
-    if clo > hi or (clo == hi and not hc):
-        return cur
-    ubc = (not clc) if clo < hi else ((not clc) and hc)
-    return lo, clo, lc, ubc
-
-
-def _above_interval(cur, cut):
-    lo, hi, lc, hc = cur
-    _, chi, _, chc = cut
-    if chi < lo or (chi == lo and not lc):
-        return cur
-    lbc = (not chc) if chi > lo else ((not chc) and lc)
-    return chi, hi, lbc, hc
-
-
-def _subtract(box, cutter):
-    """Fragments of ``box`` not covered by ``cutter``; at most 2n pieces."""
-    for cur, cut in zip(box, cutter):
-        if _interval_empty(*_intersect_interval(cur, cut)):
-            return [box]
-    fragments = []
-    current = list(box)
-    for i in range(len(box)):
-        for part in (_below_interval(current[i], cutter[i]), _above_interval(current[i], cutter[i])):
-            if not _interval_empty(*part):
-                piece = current.copy()
-                piece[i] = part
-                fragments.append(piece)
-        current[i] = _intersect_interval(current[i], cutter[i])
-    return fragments
+    masks = {_bits(holds(c, *side) for side in sides) for c in cuts}
+    masks.update(_bits(a <= c and d <= b for a, b, _, _ in sides) for c, d in zip(cuts, cuts[1:]))
+    return masks
 
 
 def ball_in_union(x, eps: float, union: BoxUnion) -> bool:
     """Exact test that the closed eps-ball around x is covered by the union.
 
-    eps = 0 reduces to closed membership.  Runs in rational arithmetic.
+    The box bounds strictly inside the ball cut each of its axes into points
+    and open intervals, and each box holds all of such a piece or none of
+    it.  So the ball is covered exactly when every product of one piece per
+    axis lies in some box: per axis, each piece gets the bit mask of the
+    boxes that hold it, and no AND of one mask per axis may be 0.  eps = 0
+    is plain membership, open sides respected.  Runs in rational arithmetic.
     """
     if eps < 0:
         raise DomainError("ball radius must be nonnegative")
     if len(x) != union.dim:
         raise DimensionMismatchError("dimension mismatch")
     e = to_rational(eps)
-    ball = [(to_rational(v) - e, to_rational(v) + e, True, True) for v in x]
-    remainder = [ball]
-    for member in union.boxes:
-        if member.is_empty():
-            continue
-        cutter = _rat_box(member)
-        nxt = []
-        for frag in remainder:
-            nxt.extend(_subtract(frag, cutter))
-        remainder = nxt
-        if not remainder:
-            return True
-    return not remainder
+    ball = [(to_rational(v) - e, to_rational(v) + e) for v in x]
+    # Per box, (lower, upper, lower_open, upper_open) per axis.  A box that
+    # misses the ball on some axis holds none of its pieces.
+    boxes = [list(zip(*b.exact, b.lower_open, b.upper_open)) for b in union.boxes]
+    boxes = [s for s in boxes if all(a <= hi and lo <= c for (lo, hi), (a, c, *_) in zip(ball, s))]
+    running = {(1 << len(boxes)) - 1}
+    for (lo, hi), sides in zip(ball, zip(*boxes)):
+        running = {r & m for r in running for m in _axis_masks(lo, hi, sides)}
+        if 0 in running:
+            return False
+    return 0 not in running

@@ -9,9 +9,10 @@ scalar forest, as do the certificate and relation checks, one sample at
 a time.  The falsifier's trial screen is kept in its whole-trajectory
 form, with region tests that reduce over the coordinate axis.  The
 eroded and plain fault lattices test each lattice point's exact
-embedding, the eroded one by rational box subtraction.  The belief
-diagnoser steps frozensets of (state, visited_ball) pairs through the
-successor CSR.  They are oracles, not library code.
+embedding, the eroded one by rational box subtraction
+(``reference_ball_in_union``).  The belief diagnoser steps frozensets of
+(state, visited_ball) pairs through the successor CSR.  They are oracles,
+not library code.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ from approxdiag import exprs
 from approxdiag.abstraction import AbstractionParams, RelationReport
 from approxdiag.bridge import Counterexample
 from approxdiag.diagnosis import Diagnoser, FaultSpec, Verdict, _shown, _unroll_witness
-from approxdiag.errors import BoundExceededError, InfeasibleObservationError
+from approxdiag.errors import (
+    BoundExceededError,
+    DimensionMismatchError,
+    DomainError,
+    InfeasibleObservationError,
+)
 from approxdiag.finsys import FiniteSystem, _to_rho
 from approxdiag.lattice import (
     lattice_image,
@@ -35,7 +41,7 @@ from approxdiag.lattice import (
     quantize_indices,
 )
 from approxdiag.rational import to_rational
-from approxdiag.regions import Box, BoxUnion, ball_in_union
+from approxdiag.regions import Box, BoxUnion
 from approxdiag.system import (
     Certificate,
     CertificateReport,
@@ -372,17 +378,104 @@ def _inside_closed(bound: Box):
     return lambda emb: all(lo <= v <= hi for v, lo, hi in zip(emb, blo, bhi))
 
 
+# -- covering by box subtraction -------------------------------------------
+#
+# A box is represented over rationals as a list of (lo, hi, lo_closed,
+# hi_closed) intervals.  Subtracting one box from another peels off at most
+# two fragments per axis, then recurses on the overlap; all bounds are
+# copies of existing rationals, so no rounding ever occurs.
+
+
+def _rat_box(box: Box):
+    return [
+        (to_rational(a), to_rational(b), not oa, not ob)
+        for a, b, oa, ob in zip(box.lower, box.upper, box.lower_open, box.upper_open)
+    ]
+
+
+def _interval_empty(lo, hi, lc, hc) -> bool:
+    return lo > hi or (lo == hi and not (lc and hc))
+
+
+def _intersect_interval(cur, cut):
+    lo, hi, lc, hc = cur
+    clo, chi, clc, chc = cut
+    nlo, nlc = (clo, clc) if clo > lo else ((lo, lc) if clo < lo else (lo, lc and clc))
+    nhi, nhc = (chi, chc) if chi < hi else ((hi, hc) if chi > hi else (hi, hc and chc))
+    return nlo, nhi, nlc, nhc
+
+
+def _below_interval(cur, cut):
+    """Part of ``cur`` left of the cutter start: v < clo, or v == clo if open."""
+    lo, hi, lc, hc = cur
+    clo, _, clc, _ = cut
+    if clo > hi or (clo == hi and not hc):
+        return cur
+    ubc = (not clc) if clo < hi else ((not clc) and hc)
+    return lo, clo, lc, ubc
+
+
+def _above_interval(cur, cut):
+    lo, hi, lc, hc = cur
+    _, chi, _, chc = cut
+    if chi < lo or (chi == lo and not lc):
+        return cur
+    lbc = (not chc) if chi > lo else ((not chc) and lc)
+    return chi, hi, lbc, hc
+
+
+def _subtract(box, cutter):
+    """Fragments of ``box`` not covered by ``cutter``; at most 2n pieces."""
+    for cur, cut in zip(box, cutter):
+        if _interval_empty(*_intersect_interval(cur, cut)):
+            return [box]
+    fragments = []
+    current = list(box)
+    for i in range(len(box)):
+        for part in (_below_interval(current[i], cutter[i]), _above_interval(current[i], cutter[i])):
+            if not _interval_empty(*part):
+                piece = current.copy()
+                piece[i] = part
+                fragments.append(piece)
+        current[i] = _intersect_interval(current[i], cutter[i])
+    return fragments
+
+
+def reference_ball_in_union(x, eps: float, union: BoxUnion) -> bool:
+    """Exact test that the closed eps-ball around x is covered by the union,
+    by subtracting each member box from the ball until nothing is left.
+    eps = 0 is plain membership, open sides respected."""
+    if eps < 0:
+        raise DomainError("ball radius must be nonnegative")
+    if len(x) != union.dim:
+        raise DimensionMismatchError("dimension mismatch")
+    e = to_rational(eps)
+    ball = [(to_rational(v) - e, to_rational(v) + e, True, True) for v in x]
+    remainder = [ball]
+    for member in union.boxes:
+        if member.is_empty():
+            continue
+        cutter = _rat_box(member)
+        nxt = []
+        for frag in remainder:
+            nxt.extend(_subtract(frag, cutter))
+        remainder = nxt
+        if not remainder:
+            return True
+    return not remainder
+
+
 def reference_fault_lattice_eroded(
     region: BoxUnion, eps: float, eta: float, bound: Box
 ) -> list[tuple[int, ...]]:
     """Lattice points of the region whose exact embedding lies in the bound
-    and whose closed eps-ball ``ball_in_union`` finds covered, point by
-    point."""
+    and whose closed eps-ball ``reference_ball_in_union`` finds covered,
+    point by point."""
     inside = _inside_closed(bound)
     out = []
     for pt in lattice_points_in(region, eta):
         emb = pt.embed_exact()
-        if inside(emb) and ball_in_union(emb, eps, region):
+        if inside(emb) and reference_ball_in_union(emb, eps, region):
             out.append(pt.coords)
     return out
 

@@ -153,6 +153,31 @@ def test_check_fts_region_faults(tmp_path, capsys):
     assert doc["parameters"]["faults"] == [1]  # the state embedded at 2
 
 
+@pytest.fixture
+def unbounded_region(tmp_path):
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps({"boxes": [{"lower": [1.5], "upper": [float("inf")]}]}))
+    assert "Infinity" in region.read_text()
+    return str(region)
+
+
+def test_check_fts_unbounded_region_faults(capsys, unbounded_region):
+    code, doc = run_json(
+        capsys, ["check-fts", D1, "--faults", unbounded_region, "--rho", "0", "--json"]
+    )
+    assert code == 0
+    assert doc["parameters"]["faults"] == [1, 2]
+
+
+def test_monitor_unbounded_region_faults(capsys, monkeypatch, unbounded_region):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[0]\n[4]\n[4]\n"))
+    assert main(["monitor", D1, "--faults", "1,2", "--rho", "0"]) == 0
+    by_indices = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO("[0]\n[4]\n[4]\n"))
+    assert main(["monitor", D1, "--faults", unbounded_region, "--rho", "0"]) == 0
+    assert capsys.readouterr().out == by_indices == "0\n1\n1\n"
+
+
 def test_monitor_session(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("[0]\n[2]\n[2]\n"))
     code = main(["monitor", D1, "--faults", "1", "--rho", "0"])

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from reference import reference_ball_in_union
 
 from approxdiag.errors import DimensionMismatchError, DomainError
 from approxdiag.regions import Box, BoxUnion, ball_in_union
@@ -105,6 +107,86 @@ def test_ball_in_union_agrees_with_sampling_oracle():
             assert sampled_covered
         elif not sampled_covered:
             assert not got
+
+
+def test_ball_in_union_respects_open_sides():
+    half_open = BoxUnion.of(Box((0.0,), (1.0,), upper_open=(True,)))
+    assert ball_in_union((0.0,), 0.0, half_open)
+    assert not ball_in_union((1.0,), 0.0, half_open)
+    assert ball_in_union((0.5,), 0.4, half_open)
+    assert not ball_in_union((0.5,), 0.5, half_open)
+    # The open right side of one box is closed by its neighbour's left side.
+    seam = BoxUnion.of(half_open.boxes[0], Box((1.0,), (2.0,)))
+    assert ball_in_union((1.0,), 0.5, seam)
+    # A point where neither side is closed is a hole.
+    hole = BoxUnion.of(half_open.boxes[0], Box((1.0,), (2.0,), lower_open=(True,)))
+    assert not ball_in_union((1.0,), 0.5, hole)
+    assert ball_in_union((1.5,), 0.4, hole)
+
+
+def random_grid_union(rng, dim):
+    """1-4 boxes with bounds on the 0.1 grid, about a fifth of sides open
+    (a zero-width axis with an open side makes an empty box)."""
+    boxes = []
+    for _ in range(int(rng.integers(1, 5))):
+        lo = rng.integers(-10, 8, size=dim)
+        hi = lo + rng.integers(0, 14, size=dim)
+        boxes.append(
+            Box(
+                tuple(round(0.1 * v, 1) for v in lo),
+                tuple(round(0.1 * v, 1) for v in hi),
+                tuple(bool(f) for f in rng.random(dim) < 0.2),
+                tuple(bool(f) for f in rng.random(dim) < 0.2),
+            )
+        )
+    return BoxUnion(tuple(boxes), dim)
+
+
+def test_ball_in_union_agrees_with_box_subtraction():
+    rng = np.random.default_rng(25)
+    covered = seams = 0
+    for _ in range(3000):
+        dim = int(rng.integers(1, 4))
+        union = random_grid_union(rng, dim)
+        x = tuple(round(0.1 * v, 1) for v in rng.integers(-8, 14, size=dim))
+        eps = float(rng.choice([0.0, 0.1, 0.2, 0.3, 0.5]))
+        want = reference_ball_in_union(x, eps, union)
+        assert ball_in_union(x, eps, union) == want, (x, eps, union)
+        if want:
+            covered += 1
+            seams += not any(reference_ball_in_union(x, eps, BoxUnion.of(b)) for b in union.boxes)
+    # Both answers occur, and some covers need more than one box.
+    assert 300 < covered < 2700 and seams >= 10
+
+
+def test_exact_bounds_keep_infinities():
+    box = Box((0.1, -math.inf), (math.inf, 0.3))
+    assert box.exact == ((Fraction(1, 10), -math.inf), (math.inf, Fraction(3, 10)))
+    assert box.exact is box.exact
+
+
+def test_contains_exact_on_unbounded_boxes():
+    ray = Box((1.5,), (math.inf,))
+    assert ray.contains_exact((Fraction(3, 2),))
+    assert ray.contains_exact((10**400,))
+    assert not ray.contains_exact((Fraction(149, 100),))
+    assert not Box((1.5,), (math.inf,), lower_open=(True,)).contains_exact((Fraction(3, 2),))
+    plane = BoxUnion.of(Box((-math.inf, 0.0), (math.inf, math.inf)))
+    assert plane.contains_exact((Fraction(-7), 0))
+    assert not plane.contains_exact((Fraction(-7), Fraction(-1, 10)))
+
+
+def test_ball_in_union_on_unbounded_boxes():
+    ray = BoxUnion.of(Box((1.5,), (math.inf,)))
+    assert ball_in_union((2.0,), 0.5, ray)
+    assert not ball_in_union((1.9,), 0.5, ray)
+    # Two quadrants cover a ball across their seam on x1 = 0.
+    upper = BoxUnion.of(
+        Box((-math.inf, 0.0), (0.0, math.inf)), Box((0.0, 0.0), (math.inf, math.inf))
+    )
+    assert ball_in_union((0.0, 1.0), 0.5, upper)
+    assert not ball_in_union((0.0, 0.4), 0.5, upper)
+    assert not ball_in_union((0.0, 1.0), 0.5, BoxUnion.of(upper.boxes[0]))
 
 
 def test_distance_examples():
