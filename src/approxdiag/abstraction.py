@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BoundExceededError, InternalInvariantError, ParamCheckError, ResourceLimitError
-from .finsys import FiniteSystem
+from .finsys import _GRID_CAP, FiniteSystem
 from .kfun import compose_inverse
 from .lattice import lattice_image, quantize, quantize_index, quantize_indices
 from .regions import Box, BoxUnion
@@ -35,9 +35,6 @@ from .system import Certificate, SystemDef, _sample_union, _step_rows
 SOLVE_EPS_TOL = 1e-9
 # (state, input) rows evaluated at once while expanding a BFS level.
 _ROW_CHUNK = 1 << 15
-# Most cells the exploration box may span on the state lattice: the build's
-# key table holds one 4-byte entry per cell.
-_GRID_CAP = 1 << 26
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .errors import (
     NonDiagnosableError,
     ResourceLimitError,
 )
-from .finsys import FiniteSystem, _to_rho
+from .finsys import FiniteSystem, _check_states, _to_rho
 from .rational import to_rational
 
 BRUTE_MAX_STATES = 64
@@ -74,9 +74,7 @@ class FaultSpec:
         return FaultSpec(frozenset(int(i) for i in faults), _to_rho(rho))
 
     def validate(self, system: FiniteSystem):
-        for i in self.faults:
-            if not 0 <= i < system.n_states:
-                raise FaultSpecError(f"fault state index {i} out of range")
+        _check_states(self.faults, system.n_states, "fault", FaultSpecError)
         bad = self.faults & set(system.initial)
         if bad:
             raise FaultSpecError(f"fault set meets the initial states: {sorted(bad)}")

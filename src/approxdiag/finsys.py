@@ -24,18 +24,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, FaultSpecError
 from .lattice import quantize
 from .rational import to_exact, to_rational
 from .report import canonical_json
 
 SCHEMA_VERSION = 1
 
-# Coordinate differences held at once by the lattice ball (states x fault
-# chunk x dimension), so its memory stays flat in the fault-set size.
-_BALL_CHUNK = 1 << 15
-# Coordinates below this magnitude have differences that fit in int64.
-_COORD_LIMIT = 1 << 62
+# Most cells an index box may span: the build's key table holds 4 bytes per
+# cell of its explore box, the lattice ball 1 byte per cell of its states' box.
+_GRID_CAP = 1 << 26
 
 
 def _index(v) -> int:
@@ -103,7 +101,7 @@ class FiniteSystem:
         ns = len(self.states)
         if len(self.succ) != ns or len(self.outputs) != ns:
             raise DimensionMismatchError("states, succ and outputs must align")
-        _check_initial(self.initial, ns)
+        _check_states(self.initial, ns, "initial")
         try:
             states = tuple(tuple(map(to_exact, row)) for row in self.states)
             outputs = tuple(tuple(map(to_exact, row)) for row in self.outputs)
@@ -186,7 +184,7 @@ class FiniteSystem:
         if ns and matrix.shape != (ns, n_inputs):
             raise DimensionMismatchError("successor rows must cover every input")
         matrix = matrix.reshape(ns, n_inputs)
-        _check_initial(initial, ns)
+        _check_states(initial, ns, "initial")
         if matrix.size and not (0 <= matrix.min() and matrix.max() < ns):
             bad = matrix[(matrix < 0) | (matrix >= ns)][0]
             raise DomainError(f"successor index {bad} out of range")
@@ -232,9 +230,10 @@ class FiniteSystem:
         return system
 
     def ball_states(self, fault: frozenset[int] | set[int], rho) -> frozenset[int]:
-        """States within infinity-norm distance rho of the fault set
-        (closed ball); equals the fault set at rho = 0 when embeddings are
-        injective.  Computed once per (fault set, rho) and then reused.
+        """States within infinity-norm distance rho of the fault set (closed
+        ball), computed once per (fault set, rho) and then reused; the fault
+        set itself at rho = 0 when embeddings are injective.  A fault index
+        outside range(n_states) is a FaultSpecError.
 
         Lattice-backed models (state_coords and state_theta set) embed every
         state as exactly 2*theta*coords, so membership is the exact integer
@@ -242,13 +241,11 @@ class FiniteSystem:
         Other systems compare rational distances directly."""
         r = _to_rho(rho)
         fault = frozenset(fault)
+        _check_states(fault, self.n_states, "fault", FaultSpecError)
         ball = self._balls.get((fault, r))
         if ball is None:
-            if not fault:
-                ball = frozenset()
-            elif self.state_theta is not None:
-                k = r // (2 * to_rational(self.state_theta))
-                ball = _lattice_ball(self._coords, fault, k)
+            if fault and self.state_theta is not None and self._coords is not None:
+                ball = _lattice_ball(self._coords, fault, r // (2 * to_rational(self.state_theta)))
             if ball is None:
                 ball = frozenset(
                     i
@@ -389,25 +386,32 @@ def _to_rho(rho) -> int | Fraction:
 
 
 def _lattice_ball(pts, fault: frozenset[int], k: int) -> frozenset[int] | None:
-    """Indices of the coordinate rows within Chebyshev distance k of some
-    fault row, compared in chunks of fault rows; None when there is no int64
-    coordinate array or its differences might not fit in int64."""
-    if pts is None or pts.size and not -_COORD_LIMIT < pts.min() <= pts.max() < _COORD_LIMIT:
+    """Indices of the coordinate rows within Chebyshev distance k of a fault
+    row: the fault rows' cells in a bool array over the rows' index box,
+    dilated by [x - k, x + k] clipped to the box along each axis in turn,
+    read at every row's cell.  None when the box spans more than _GRID_CAP."""
+    low = pts.min(axis=0)
+    shape = [hi - lo + 1 for lo, hi in zip(low.tolist(), pts.max(axis=0).tolist())]
+    if math.prod(shape) > _GRID_CAP:
         return None
-    centers = pts[sorted(fault)]
-    k = min(k, np.iinfo(np.int64).max)
-    hit = np.zeros(len(pts), dtype=bool)
-    step = max(1, _BALL_CHUNK // max(1, pts.size))
-    for lo in range(0, len(centers), step):
-        gaps = np.abs(pts[:, None, :] - centers[None, lo : lo + step, :]).max(axis=2)
-        hit |= (gaps <= k).any(axis=1)
+    grid = np.zeros(shape, dtype=bool)
+    grid[tuple((pts[list(fault)] - low).T)] = True  # offsets are exact below the cap
+    for axis, size in enumerate(shape):
+        reach, ahead = min(k, size - 1), np.moveaxis(grid, axis, 0)
+        for line in (ahead, ahead[::-1]):  # widen toward higher indices, then lower
+            done = 0
+            while done < reach:  # line: the cells at most done past a fault cell
+                shift = min(reach - done, done + 1)  # leaves no gap in the window
+                line[shift:] |= line[:-shift]
+                done += shift
+    hit = np.broadcast_to(grid[tuple((pts - low).T)], len(pts))  # no axes: one cell
     return frozenset(np.flatnonzero(hit).tolist())
 
 
-def _check_initial(initial, n_states: int):
-    for i in initial:
+def _check_states(indices, n_states: int, what: str, error=DomainError):
+    for i in indices:
         if not 0 <= i < n_states:
-            raise DomainError(f"initial state index {i} out of range")
+            raise error(f"{what} state index {i} out of range")
 
 
 def _theta(v) -> float:

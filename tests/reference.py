@@ -2,11 +2,12 @@
 
 These are the straightforward forms of what the library computes on
 integer output classes: outputs are compared as exact Fraction tuples and
-the ball is taken from exact rational distances.  Expressions are
-evaluated by walking the tree, and the abstraction BFS, the falsifier and
-the sampler run one point, one trial and one row at a time through the
-scalar forest, as do the certificate and relation checks, one sample at
-a time.  The falsifier's trial screen is kept in its whole-trajectory
+the ball is taken from exact rational distances, or on lattice
+coordinates by comparing every row with every fault row in chunks.
+Expressions are evaluated by walking the tree, and the abstraction BFS,
+the falsifier and the sampler run one point, one trial and one row at a
+time through the scalar forest, as do the certificate and relation
+checks, one sample at a time.  The falsifier's trial screen is kept in its whole-trajectory
 form, with region tests that reduce over the coordinate axis.  The
 eroded and plain fault lattices test each lattice point's exact
 embedding, the eroded one by rational box subtraction
@@ -60,6 +61,29 @@ def exact_ball(system: FiniteSystem, fault, rho) -> frozenset[int]:
     return frozenset(
         i for i in range(system.n_states) if any(system.distance(i, j) <= r for j in fault)
     )
+
+
+# Coordinate differences held at once by the chunked ball (states x fault
+# chunk x dimension), so its memory stays flat in the fault-set size.
+_BALL_CHUNK = 1 << 15
+# Coordinates below this magnitude have differences that fit in int64.
+_COORD_LIMIT = 1 << 62
+
+
+def chunked_lattice_ball(pts, fault: frozenset[int], k: int) -> frozenset[int] | None:
+    """Indices of the coordinate rows within Chebyshev distance k of some
+    fault row, compared in chunks of fault rows; None when there is no int64
+    coordinate array or its differences might not fit in int64."""
+    if pts is None or pts.size and not -_COORD_LIMIT < pts.min() <= pts.max() < _COORD_LIMIT:
+        return None
+    centers = pts[sorted(fault)]
+    k = min(k, np.iinfo(np.int64).max)
+    hit = np.zeros(len(pts), dtype=bool)
+    step = max(1, _BALL_CHUNK // max(1, pts.size))
+    for lo in range(0, len(centers), step):
+        gaps = np.abs(pts[:, None, :] - centers[None, lo : lo + step, :]).max(axis=2)
+        hit |= (gaps <= k).any(axis=1)
+    return frozenset(np.flatnonzero(hit).tolist())
 
 
 def successors_by_value(system: FiniteSystem, i: int) -> dict:

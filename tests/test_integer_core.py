@@ -14,11 +14,12 @@ import pytest
 import approxdiag as ad
 from approxdiag import bridge, diagnosis, finsys
 from approxdiag.diagnosis import check_diagnosability
+from approxdiag.errors import FaultSpecError
 from approxdiag.finsys import FiniteSystem
 from approxdiag.fixtures import D1_FAULTS, ND1_FAULTS, d1, nd1, random_finite_system
 from approxdiag.rational import to_rational
 from approxdiag.report import canonical_json
-from reference import exact_ball, reference_check
+from reference import chunked_lattice_ball, exact_ball, reference_check
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SUITE_SEED = 20260810
@@ -28,6 +29,13 @@ SUITE_SEED = 20260810
 E1_SCENARIOS = {
     "refute": ("fault_x2.json", (0.3, 0.03, 0.01), 0.05),
     "prove": ("fault_x1.json", (0.4, 0.04, 0.005), None),
+}
+# AbstractionParams of e1 by eta: the refute and prove grids, then two finer.
+E1_GRIDS = {
+    0.03: (0.3, 0.03, 0.01),
+    0.04: (0.4, 0.04, 0.005),
+    0.015: (0.15, 0.015, 0.005),
+    0.01: (0.1, 0.01, 0.005),
 }
 
 
@@ -118,6 +126,89 @@ def test_lattice_ball_falls_back_beyond_int64(lo, hi):
         states, (0,), ("u",), succ, states, 1, state_theta=theta, state_coords=coords
     )
     assert s.ball_states({1}, 1) == exact_ball(s, {1}, 1) == {1, 2}
+
+
+def lattice_system(coords, theta=0.5):
+    """A lattice model on the given coordinate rows, each state its own successor."""
+    succ = [[i] for i in range(len(coords))]
+    return FiniteSystem.on_lattice(coords, theta, ((0,),), theta, (0,), succ, 1, {})
+
+
+@pytest.mark.parametrize("system", [d1(), lattice_system([(0, 0), (1, 0), (3, 2)])])
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_ball_rejects_fault_indices_out_of_range(system, bad):
+    # A negative index used to wrap to the last state, and n to raise IndexError.
+    message = f"fault state index {bad} out of range"
+    with pytest.raises(FaultSpecError, match=message):
+        ad.FaultSpec.of({1, bad}, 1).validate(system)
+    for rho in (0, 1):
+        with pytest.raises(FaultSpecError, match=message):
+            system.ball_states({1, bad}, rho)
+    assert system.ball_states({1}, 0) == {1}
+
+
+def test_lattice_ball_matches_chunked_oracle_on_random_coordinates():
+    rng = np.random.default_rng(SUITE_SEED)
+    for _ in range(200):
+        n, dim = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        coords = rng.integers(-40, 40, size=(n, dim))
+        coords[rng.integers(0, n, size=n // 4)] = coords[0]  # repeated rows
+        system = lattice_system(coords.tolist())
+        faults = frozenset(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+        span = int((coords.max(axis=0) - coords.min(axis=0)).max())
+        for k in {0, 1, max(span - 1, 0), span, span + 1, 1 << 70}:
+            # theta 0.5 embeds a state as its coordinates: rho k is index distance k.
+            assert system.ball_states(faults, k) == chunked_lattice_ball(system._coords, faults, k)
+    # With no axes every state shares the one cell.
+    flat = FiniteSystem.on_lattice([()] * 3, 0.5, ((),), 0.5, (0,), [[0], [1], [2]], 0, {})
+    assert flat.ball_states({1}, 0) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("eta", list(E1_GRIDS))
+def test_lattice_ball_matches_oracles_on_e1_grids(eta):
+    """The refute (fault_x2, rho 0.05) and prove (fault_x1) fault sets of e1
+    at four grids: against exact_ball at e1's own grids, and against the
+    chunked comparison at the finer ones, which keeps the test to seconds."""
+    sysdef, cert = ad.parse_system((CONFIGS / "e1.json").read_text())
+    params = ad.AbstractionParams(*E1_GRIDS[eta])
+    system = ad.build_abstraction(sysdef, cert, params)
+    eps, bound, two_eta = params.epsilon, cert.explore_bound, 2 * to_rational(eta)
+
+    def region(name):
+        return ad.BoxUnion.from_json(json.loads((CONFIGS / name).read_text()))
+
+    cases = [
+        (
+            bridge.fault_lattice_eroded(region("fault_x2.json"), eps, eta, bound),
+            bridge.smallest_refute_k(0.05, eps, eta),
+        ),
+        (
+            bridge.fault_lattice_dilated(region("fault_x1.json"), eps, eta, bound),
+            math.ceil(2 * to_rational(eps) / to_rational(eta)),
+        ),
+    ]
+    for coords, kk in cases:
+        faults, _ = bridge._map_to_states(system, coords)
+        rho = kk * to_rational(eta)
+        if eta in (0.03, 0.04):
+            want = exact_ball(system, faults, rho)
+        else:
+            want = chunked_lattice_ball(system._coords, faults, rho // two_eta)
+        assert system.ball_states(faults, rho) == want
+        assert faults <= want and (not faults or len(want) > len(faults))
+
+
+def test_lattice_ball_falls_back_above_grid_cap(monkeypatch, e1_checks):
+    system, spec = e1_checks["refute"]
+    want = exact_ball(system, spec.faults, spec.rho)
+    k = spec.rho // (2 * to_rational(system.state_theta))
+    cells = math.prod((system._coords.max(axis=0) - system._coords.min(axis=0) + 1).tolist())
+    for cap, on_grid in ((cells, True), (cells - 1, False)):
+        monkeypatch.setattr(finsys, "_GRID_CAP", cap)
+        assert (finsys._lattice_ball(system._coords, spec.faults, k) is not None) == on_grid
+        fresh = FiniteSystem.from_json(system.to_json())  # an empty ball cache
+        assert fresh.ball_states(spec.faults, spec.rho) == want
+    assert len(want) == 377
 
 
 def test_checker_matches_fraction_reference_on_random_suite():
