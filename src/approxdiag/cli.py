@@ -14,6 +14,7 @@ diagnostics go to stderr, reports to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -437,18 +438,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (InternalInvariantError, AssertionError) as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ApproxDiagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
+    except (ApproxDiagError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -10,10 +10,17 @@ min(a, b), max(a, b), pow(a, b).  Grammar (EBNF):
     power  = atom [ "^" unary ] ;              (right associative)
     atom   = NUMBER | IDENT | FUNC "(" expr { "," expr } ")" | "(" expr ")" ;
 
+Python's ``ast`` parses this grammar over the same tokens: each token is one
+word of Python source (``^`` as ``**``, a number or identifier as a
+placeholder name; a number reads as ``float(token)``, so ``1e400`` is inf),
+and any node but those of the grammar is refused.  Input nests at most 200
+parentheses; an input too deep for the parser is an ExprSyntaxError, and
+where a syntax error and an unknown identifier meet, the syntax error wins.
+
 Evaluation is total on finite inputs in the sense that every failure mode
 is a guarded EvaluationError rather than a NaN or an uncaught exception:
 division by zero, a zero or negative base under a bad exponent, overflow,
-a math domain error.  ``compile_forest_np`` emits the same source over
+a math domain error.  ``compile_forest_np`` compiles the same tree over
 column arrays and flags, row by row, exactly the rows the scalar forms
 raise on; + - * / and negation are numpy operations (bit for bit the
 scalar results under IEEE), min/max keep Python's tie rule, and exp, sin,
@@ -23,6 +30,8 @@ ufuncs need not round like libm.
 
 from __future__ import annotations
 
+import ast
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -90,118 +99,55 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, n: int, m: int):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.n = n
-        self.m = m
+def _variable(name: str, pos: int, n: int, m: int) -> Var:
+    limit = n if name[0] == "x" else m if name[0] == "u" else None
+    if limit is None or not name[1:].isdigit():
+        raise UnknownIdentifierError(f"unknown identifier {name!r} at position {pos}")
+    if not 1 <= int(name[1:]) <= limit:
+        allowed = f"{name[0]}1..{name[0]}{limit} allowed"
+        raise UnknownIdentifierError(f"{name!r} out of range at position {pos} ({allowed})")
+    return Var(name[0], int(name[1:]))
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected {op!r}, found {val!r}", pos)
-
-    def parse(self) -> Node:
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"trailing input starting with {val!r}", pos)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                node = Bin(val, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                node = Bin(val, node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> Node:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Node:
-        node = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            return Bin("^", node, self.unary())
-        return node
-
-    def atom(self) -> Node:
-        kind, val, pos = self.next()
-        if kind == "num":
-            return Num(float(val))
-        if kind == "ident":
-            nk, nv, _ = self.peek()
-            if nk == "op" and nv == "(":
-                return self.call(val, pos)
-            return self.variable(val, pos)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError(f"expected a value, found {val!r}", pos)
-
-    def call(self, name: str, pos: int) -> Node:
-        if name not in _FUNCS1 and name not in _FUNCS2:
-            raise UnknownIdentifierError(f"unknown function {name!r} at position {pos}")
-        self.expect_op("(")
-        args = [self.expr()]
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == ",":
-                self.next()
-                args.append(self.expr())
-            else:
-                break
-        self.expect_op(")")
-        arity = 1 if name in _FUNCS1 else 2
-        if len(args) != arity:
-            raise ExprSyntaxError(f"{name} takes {arity} argument(s), got {len(args)}", pos)
-        return Call(name, tuple(args))
-
-    def variable(self, name: str, pos: int) -> Node:
-        m = re.fullmatch(r"([xu])(\d+)", name)
-        if not m:
-            raise UnknownIdentifierError(f"unknown identifier {name!r} at position {pos}")
-        kind, idx = m.group(1), int(m.group(2))
-        limit = self.n if kind == "x" else self.m
-        if not 1 <= idx <= limit:
-            raise UnknownIdentifierError(
-                f"{name!r} out of range at position {pos} ({kind}1..{kind}{limit} allowed)"
-            )
-        return Var(kind, idx)
+_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
 def parse_expr(text: str, n: int, m: int) -> Node:
-    """Parse one expression over x1..xn, u1..um."""
-    return _Parser(text, n, m).parse()
+    """Parse one expression over x1..xn, u1..um.  Token i is word i of the
+    Python source, named ``_i`` if a number or an identifier (so no keyword
+    of Python's plays a part); the spaces before a column count its token."""
+    tokens = _tokenize(text)
+    words = (val if kind == "op" else f"_{i}" for i, (kind, val, _) in enumerate(tokens[:-1]))
+    source = " ".join(words).replace("^", "**")
+
+    def walk(node):
+        if isinstance(node, ast.Name):
+            kind, val, pos = tokens[int(node.id[1:])]
+            return Num(float(val)) if kind == "num" else _variable(val, pos, n, m)
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+            return Bin(_OPS[type(node.op)], walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return Neg(walk(node.operand))
+        kind, val, pos = tokens[source.count(" ", 0, node.col_offset)]
+        # A call names its function directly: not (min)(a, b), nor 2(a).
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and kind == "ident":
+            if val not in _FUNCS1 and val not in _FUNCS2:
+                raise UnknownIdentifierError(f"unknown function {val!r} at position {pos}")
+            args, arity = tuple(walk(a) for a in node.args), 1 if val in _FUNCS1 else 2
+            if node.keywords or len(args) != arity:
+                raise ExprSyntaxError(f"{val} takes {arity} argument(s), got {len(args)}", pos)
+            return Call(val, args)
+        raise ExprSyntaxError(f"unsupported expression starting with {val!r}", pos)
+
+    try:
+        if ", )" in source:  # Python reads min(a, b,) as min(a, b)
+            raise SyntaxError("expected a value, found ')'", ("", 1, source.index(", )") + 3, ""))
+        return walk(compile(source, "<expr>", "eval", ast.PyCF_ONLY_AST).body)
+    except SyntaxError as exc:
+        i = source.count(" ", 0, exc.offset - 1) if exc.offset else -1  # no offset: at the end
+        raise ExprSyntaxError(exc.msg, tokens[i][2]) from None
+    except (RecursionError, MemoryError):
+        raise ExprSyntaxError("expression nested too deeply", 0) from None
 
 
 # -- evaluation -----------------------------------------------------------
@@ -246,39 +192,42 @@ _EVAL_HELPERS = {
 # -- compilation ----------------------------------------------------------
 
 
-def _emit(node: Node) -> str:
+_AT, _LOAD = {"lineno": 1, "col_offset": 0}, ast.Load()
+_PY_OPS = {"+": ast.Add(), "-": ast.Sub(), "*": ast.Mult()}
+_CALLED = {"/": "_div", "^": "_pow", "pow": "_pow"}  # the helper called for / ^ and pow
+
+
+@functools.cache
+def _load(name: str, index: int | None = None) -> ast.expr:
+    """The node of a helper's name, or of x[index] or u[index], shared: compile only reads it."""
+    node = ast.Name(name, _LOAD, **_AT)
+    return node if index is None else ast.Subscript(node, ast.Constant(index, **_AT), _LOAD, **_AT)
+
+
+def _tree(node: Node) -> ast.expr:
     if isinstance(node, Num):
-        return repr(node.value)
+        return ast.Constant(node.value, **_AT)
     if isinstance(node, Var):
-        return f"{node.kind}[{node.index - 1}]"
+        return _load(node.kind, node.index - 1)
     if isinstance(node, Neg):
-        return f"(-{_emit(node.arg)})"
-    if isinstance(node, Bin):
-        a, b = _emit(node.left), _emit(node.right)
-        if node.op == "/":
-            return f"_div({a}, {b})"
-        if node.op == "^":
-            return f"_pow({a}, {b})"
-        return f"({a} {node.op} {b})"
-    if node.fn == "pow":
-        return f"_pow({', '.join(_emit(a) for a in node.args)})"
-    return f"{node.fn}({', '.join(_emit(a) for a in node.args)})"
+        return ast.UnaryOp(ast.USub(), _tree(node.arg), **_AT)
+    if isinstance(node, Bin) and node.op in _PY_OPS:
+        return ast.BinOp(_tree(node.left), _PY_OPS[node.op], _tree(node.right), **_AT)
+    fn, args = (node.op, (node.left, node.right)) if isinstance(node, Bin) else (node.fn, node.args)
+    return ast.Call(_load(_CALLED.get(fn, fn)), [_tree(a) for a in args], [], **_AT)
 
 
-def _exec_forest(nodes, name: str, namespace: dict):
-    body = ", ".join(_emit(nd) for nd in nodes)
-    src = f"def {name}(x, u):\n    return ({body}{',' if len(tuple(nodes)) == 1 else ''})\n"
-    exec(compile(src, f"<{name}>", "exec"), namespace)  # noqa: S102
-    return namespace[name]
+def _compile(nodes, name: str, namespace: dict):
+    """(x, u) -> tuple from constants, x/u subscripts, + - *, negation and helper calls."""
+    xu = ast.arguments([], [ast.arg("x", **_AT), ast.arg("u", **_AT)], None, [], [], None, [])
+    body = ast.Tuple([_tree(nd) for nd in nodes], _LOAD, **_AT)
+    lam = ast.Expression(ast.Lambda(xu, body, **_AT))
+    return eval(compile(lam, f"<{name}>", "eval"), namespace)  # noqa: S307
 
 
 def compile_forest(nodes, name: str = "_dynamics"):
-    """Compile an expression forest into one fast callable (x, u) -> tuple.
-
-    The generated source is assembled purely from the validated AST, so it
-    contains only literals, indexed reads of x/u and the helper calls above.
-    """
-    return _exec_forest(nodes, name, dict(_EVAL_HELPERS))
+    """Compile an expression forest into one fast callable (x, u) -> tuple."""
+    return _compile(nodes, name, dict(_EVAL_HELPERS))
 
 
 class _Rows:
@@ -312,7 +261,7 @@ def compile_forest_np(nodes):
         min=lambda a, b: np.where(b < a, b, a),
         max=lambda a, b: np.where(b > a, b, a),
     )
-    fn = _exec_forest(nodes, "_dynamics_np", namespace)
+    fn = _compile(nodes, "_dynamics_np", namespace)
 
     def forest(x, u):
         ops.rows, ops.bad = len(x[0]), np.zeros(len(x[0]), dtype=bool)

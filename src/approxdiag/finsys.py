@@ -156,7 +156,7 @@ class FiniteSystem:
         return all(b in succ[ptr[a] : ptr[a + 1]] for a, b in zip(run, run[1:]))
 
     def distance(self, i: int, j: int) -> int | Fraction:
-        return max(abs(a - b) for a, b in zip(self.states[i], self.states[j]))
+        return max((abs(a - b) for a, b in zip(self.states[i], self.states[j])), default=0)
 
     @staticmethod
     def on_lattice(

@@ -12,13 +12,16 @@ form, with region tests that reduce over the coordinate axis.  The
 eroded and plain fault lattices test each lattice point's exact
 embedding, the eroded one by rational box subtraction
 (``reference_ball_in_union``).  The belief diagnoser steps frozensets of
-(state, visited_ball) pairs through the successor CSR.  They are oracles,
-not library code.
+(state, visited_ball) pairs through the successor CSR.  Expressions are
+also parsed by recursive descent over the tokens, and forests compiled by
+printing Python source and compiling that text.  They are oracles, not
+library code.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,22 @@ from approxdiag.errors import (
     BoundExceededError,
     DimensionMismatchError,
     DomainError,
+    ExprSyntaxError,
     InfeasibleObservationError,
+    UnknownIdentifierError,
+)
+from approxdiag.exprs import (
+    _EVAL_HELPERS,
+    _FUNCS1,
+    _FUNCS2,
+    Bin,
+    Call,
+    Neg,
+    Node,
+    Num,
+    Var,
+    _Rows,
+    _tokenize,
 )
 from approxdiag.finsys import FiniteSystem, _to_rho
 from approxdiag.lattice import (
@@ -687,3 +705,179 @@ def eval_expr(node: exprs.Node, x, u) -> float:
         return exprs._pow(a, b)
     fn = "_pow" if node.fn == "pow" else node.fn
     return exprs._EVAL_HELPERS[fn](*(eval_expr(a, x, u) for a in node.args))
+
+
+# -- the expression front end through source text ---------------------------
+
+
+class _Parser:
+    def __init__(self, text: str, n: int, m: int):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.n = n
+        self.m = m
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, val, pos = self.next()
+        if kind != "op" or val != op:
+            raise ExprSyntaxError(f"expected {op!r}, found {val!r}", pos)
+
+    def parse(self) -> Node:
+        node = self.expr()
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ExprSyntaxError(f"trailing input starting with {val!r}", pos)
+        return node
+
+    def expr(self) -> Node:
+        node = self.term()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                node = Bin(val, node, self.term())
+            else:
+                return node
+
+    def term(self) -> Node:
+        node = self.unary()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "*/":
+                self.next()
+                node = Bin(val, node, self.unary())
+            else:
+                return node
+
+    def unary(self) -> Node:
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "-":
+            self.next()
+            return Neg(self.unary())
+        return self.power()
+
+    def power(self) -> Node:
+        node = self.atom()
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.next()
+            return Bin("^", node, self.unary())
+        return node
+
+    def atom(self) -> Node:
+        kind, val, pos = self.next()
+        if kind == "num":
+            return Num(float(val))
+        if kind == "ident":
+            nk, nv, _ = self.peek()
+            if nk == "op" and nv == "(":
+                return self.call(val, pos)
+            return self.variable(val, pos)
+        if kind == "op" and val == "(":
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        raise ExprSyntaxError(f"expected a value, found {val!r}", pos)
+
+    def call(self, name: str, pos: int) -> Node:
+        if name not in _FUNCS1 and name not in _FUNCS2:
+            raise UnknownIdentifierError(f"unknown function {name!r} at position {pos}")
+        self.expect_op("(")
+        args = [self.expr()]
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val == ",":
+                self.next()
+                args.append(self.expr())
+            else:
+                break
+        self.expect_op(")")
+        arity = 1 if name in _FUNCS1 else 2
+        if len(args) != arity:
+            raise ExprSyntaxError(f"{name} takes {arity} argument(s), got {len(args)}", pos)
+        return Call(name, tuple(args))
+
+    def variable(self, name: str, pos: int) -> Node:
+        m = re.fullmatch(r"([xu])(\d+)", name)
+        if not m:
+            raise UnknownIdentifierError(f"unknown identifier {name!r} at position {pos}")
+        kind, idx = m.group(1), int(m.group(2))
+        limit = self.n if kind == "x" else self.m
+        if not 1 <= idx <= limit:
+            raise UnknownIdentifierError(
+                f"{name!r} out of range at position {pos} ({kind}1..{kind}{limit} allowed)"
+            )
+        return Var(kind, idx)
+
+
+def reference_parse_expr(text: str, n: int, m: int) -> Node:
+    """Parse one expression over x1..xn, u1..um, by recursive descent."""
+    return _Parser(text, n, m).parse()
+
+
+def _emit(node: Node) -> str:
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return f"{node.kind}[{node.index - 1}]"
+    if isinstance(node, Neg):
+        return f"(-{_emit(node.arg)})"
+    if isinstance(node, Bin):
+        a, b = _emit(node.left), _emit(node.right)
+        if node.op == "/":
+            return f"_div({a}, {b})"
+        if node.op == "^":
+            return f"_pow({a}, {b})"
+        return f"({a} {node.op} {b})"
+    if node.fn == "pow":
+        return f"_pow({', '.join(_emit(a) for a in node.args)})"
+    return f"{node.fn}({', '.join(_emit(a) for a in node.args)})"
+
+
+def _exec_forest(nodes, name: str, namespace: dict):
+    body = ", ".join(_emit(nd) for nd in nodes)
+    src = f"def {name}(x, u):\n    return ({body}{',' if len(tuple(nodes)) == 1 else ''})\n"
+    exec(compile(src, f"<{name}>", "exec"), namespace)  # noqa: S102
+    return namespace[name]
+
+
+def reference_compile_forest(nodes, name: str = "_dynamics"):
+    """Compile an expression forest into one fast callable (x, u) -> tuple,
+    through Python source text.
+
+    The generated source is assembled purely from the validated AST, so it
+    contains only literals, indexed reads of x/u and the helper calls above.
+    """
+    return _exec_forest(nodes, name, dict(_EVAL_HELPERS))
+
+
+def reference_compile_forest_np(nodes):
+    """Numpy variant of ``reference_compile_forest``: (x, u) are sequences
+    of equal-length float64 columns; returns (output columns, failure mask),
+    where row i is flagged exactly when the scalar forest raises on row i."""
+    ops = _Rows()
+    namespace = {name: (lambda *a, f=fn: ops.each(f, *a)) for name, fn in _EVAL_HELPERS.items()}
+    namespace.update(
+        _div=ops.div,
+        abs=np.abs,
+        min=lambda a, b: np.where(b < a, b, a),
+        max=lambda a, b: np.where(b > a, b, a),
+    )
+    fn = _exec_forest(nodes, "_dynamics_np", namespace)
+
+    def forest(x, u):
+        ops.rows, ops.bad = len(x[0]), np.zeros(len(x[0]), dtype=bool)
+        with np.errstate(all="ignore"):
+            cols = fn(x, u)
+        return tuple(np.broadcast_to(c, (ops.rows,)).astype(float) for c in cols), ops.bad
+
+    return forest

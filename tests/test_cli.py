@@ -8,9 +8,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from approxdiag import report
+from approxdiag import cli, report
 from approxdiag.cli import main
 from approxdiag.errors import EmptyErosionError
+from approxdiag.finsys import FiniteSystem
 from approxdiag.report import PhaseTimer, strip_timings
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -493,3 +494,49 @@ def test_import_leaves_concurrent_futures_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def test_main_reuses_one_parser_like_fresh_ones(capsys, monkeypatch):
+    sequence = [
+        ["check-fts", D1, "--rho", "0"],  # usage error: --faults is required
+        ["check-fts", D1, "--faults", "1", "--rho", "0", "--json"],
+        ["bench", "--width", "0"],
+        ["check-fts", ND1, "--faults", "1", "--rho", "0", "--json"],
+        ["validate", "/nonexistent/config.json"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out = strip_timings(json.loads(captured.out)) if captured.out else None
+            results.append((code, out, captured.err))
+        return results
+
+    shared = run_all()
+    assert run_all() == shared
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    assert run_all() == shared
+    assert [code for code, _, _ in shared] == [64, 0, 64, 0, 4]
+
+
+def test_check_fts_on_states_without_coordinates(tmp_path, capsys):
+    # Every state lies at distance 0 from every other, so each is in the ball.
+    doc = {
+        "kind": "finite-system",
+        "schema": 1,
+        "p": 0,
+        "raw_states": [[], []],
+        "raw_outputs": [[], []],
+        "inputs": ["a"],
+        "initial": [0],
+        "transitions": [[0, 0, 1], [1, 0, 1]],
+    }
+    model = tmp_path / "empty.json"
+    model.write_text(json.dumps(doc))
+    assert main(["check-fts", str(model), "--faults", "1", "--rho", "0"]) == 0
+    assert FiniteSystem.load(str(model)).ball_states({1}, 0) == {0, 1}
