@@ -33,8 +33,8 @@ from .regions import Box, BoxUnion
 from .system import Certificate, SystemDef, _sample_union, _step_rows
 
 SOLVE_EPS_TOL = 1e-9
-# (state, input) rows evaluated at once while expanding a BFS level.
-_ROW_CHUNK = 1 << 15
+# (state, input) rows a BFS level expands at once: larger blocks only grow the heap.
+_ROW_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -88,16 +88,18 @@ def solve_epsilon(cert: Certificate, eta: float, mu: float) -> float:
     return eps
 
 
-def _expand_level(sysdef: SystemDef, level, input_embeds, eta: float) -> np.ndarray:
-    """Quantized successor indices of every (level state, input) row, state-
-    major, as integer-valued floats, evaluated in blocks of _ROW_CHUNK rows.
+def _expand_level(sysdef: SystemDef, level, input_embeds, eta: float, keys) -> np.ndarray:
+    """``keys(q, first)`` of every (level state, input) row, state-major: q
+    holds a block's quantized successor indices as integer-valued floats,
+    and first numbers its first row.  A block holds whole states, at most
+    _ROW_CHUNK rows unless one state has more inputs.
 
     A row the numpy forest flags, or whose image does not quantize, is
     re-run through the scalar path, so the first such row in level order
     and then input order raises exactly the scalar exception.
     """
     n_in = len(input_embeds)
-    out = np.empty((len(level) * n_in, sysdef.n))
+    out = np.empty(len(level) * n_in, dtype=np.int64)
     per_block = max(1, _ROW_CHUNK // n_in)
     for lo in range(0, len(level), per_block):
         xs = np.repeat((2.0 * eta) * level[lo : lo + per_block], n_in, axis=0)
@@ -111,7 +113,7 @@ def _expand_level(sysdef: SystemDef, level, input_embeds, eta: float) -> np.ndar
             fx = sysdef.compiled(tuple(xs[r].tolist()), tuple(us[r].tolist()))
             tuple(quantize_index(v, eta) for v in fx)
             raise InternalInvariantError(f"row {r} flagged but evaluates: {fx}")
-        out[lo * n_in : lo * n_in + len(q)] = q
+        out[lo * n_in : lo * n_in + len(q)] = keys(q, lo * n_in)
     return out
 
 
@@ -172,32 +174,41 @@ def build_abstraction(
     input_embeds = np.array([pt.embed() for pt in input_points])
     n_in = len(input_points)
 
-    def keys(rows, origin):
-        """Table keys of integer-valued float coordinate rows; the least row
-        outside the bound (first among equals) raises instead, with its
-        origin(row) = (coords, source coords or None, input label)."""
+    outside = []  # (rows outside the bound, their row numbers) of each block with any
+
+    def keys(rows, first=0):
+        """Table keys of integer-valued float coordinate rows numbered from
+        `first`; 0 when some are outside the bound, and those go to `outside`."""
         ok = inside.contains_columns(list((2.0 * eta) * rows.T))
         if not ok.all():
-            bad = np.flatnonzero(~ok)
-            coords, src, label = origin(int(bad[np.lexsort(rows[bad].T[::-1])[0]]))
-            coords, src = tuple(map(int, coords)), src if src is None else tuple(map(int, src))
-            raise BoundExceededError(coords, [2.0 * eta * c for c in coords], src, label)
+            outside.append((rows[~ok], first + np.flatnonzero(~ok)))
+            return 0
         key = np.zeros(len(rows), dtype=np.int64)
         for col, low, size in zip(rows.astype(np.int64).T, lows, shape):
             key *= size
             key += col - low
         return key
 
+    def check_bound(origin):
+        """Raise for the least row outside the bound (first among equals),
+        with origin(row number) = (source coords or None, input label)."""
+        if outside:
+            rows, at = (np.concatenate(a) for a in zip(*outside))
+            r = np.lexsort(rows.T[::-1])[0]
+            coords = tuple(map(int, rows[r]))
+            raise BoundExceededError(coords, [2.0 * eta * c for c in coords], *origin(int(at[r])))
+
     table = np.zeros(math.prod(shape), dtype=np.int32)
     init_points = lattice_image(sysdef.x0, eta)  # already sorted lexicographically
     init_rows = np.array([pt.coords for pt in init_points], dtype=float).reshape(-1, sysdef.n)
-    init_keys = keys(init_rows, lambda r: (init_points[r].coords, None, None))
+    init_keys = keys(init_rows)
+    check_bound(lambda r: (None, None))
     table[init_keys] = np.arange(1, len(init_keys) + 1)
     level = init_rows.astype(np.int64)
     state_rows, succ_ids = [level], []  # per level: its states, their successor ids
     while len(level):
-        targets = _expand_level(sysdef, level, input_embeds, eta)
-        key = keys(targets, lambda r: (targets[r], level[r // n_in], input_coords[r % n_in]))
+        key = _expand_level(sysdef, level, input_embeds, eta, keys)
+        check_bound(lambda r: (tuple(level[r // n_in].tolist()), input_coords[r % n_in]))
         fresh = np.sort(key[table[key] == 0])
         fresh = fresh[np.diff(fresh, prepend=-1) != 0]  # np.unique: slower, imports numpy.ma
         start = sum(map(len, state_rows))
@@ -209,13 +220,15 @@ def build_abstraction(
     meta = {"epsilon": params.epsilon}
     if config_digest is not None:
         meta["config_digest"] = config_digest
+    del table, key  # past here, only the model's own arrays are held
+    succ_ids = np.concatenate(succ_ids)  # the matrix; the per-level blocks are freed
     return FiniteSystem.on_lattice(
         np.concatenate(state_rows),
         eta,
         input_coords,
         mu,
         tuple(range(len(init_rows))),
-        np.concatenate(succ_ids),
+        succ_ids,
         sysdef.p,
         meta,
     )

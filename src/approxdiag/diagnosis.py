@@ -139,7 +139,12 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
     ball = system.ball_states(faults, spec.rho)
     n = system.n_states
     ids = system.output_ids
-    ptr, cls, succ = system.successor_groups
+    # The move relation as flat index arrays, when n*n is large enough for
+    # whole levels to expand in one join and the join's tables fit the cap.
+    tables = _join_tables(system) if _JOIN_MIN_PAIRS <= n * n else None
+    join = None if tables is None else _PairJoin(system, ball, faults, tables)
+    # The CSR `moves` reads by Python-int items: on the join path, memoryviews of its arrays.
+    ptr, cls, succ = system.successor_groups if join is None else map(memoryview, system.successor_arrays)
     # Right-hand successors must stay outside the ball: the ball-free
     # successors of j by class id, filled in on first use.
     safe_groups: list = [None] * n
@@ -162,11 +167,6 @@ def check_diagnosability(system: FiniteSystem, spec: FaultSpec) -> Verdict:
                 for b in jlist:
                     out.append(base + b)
         return out
-
-    # The same relation as flat index arrays, when n*n is large enough for
-    # whole levels to expand in one join and the join's tables fit the cap.
-    tables = _join_tables(system) if _JOIN_MIN_PAIRS <= n * n else None
-    join = None if tables is None else _PairJoin(system, ball, faults, tables)
 
     # Breadth-first search from the pair codes `frontier`: the predecessor of
     # each pair reached (-1 in `frontier`), by code in a dict or by compact id
@@ -265,8 +265,9 @@ class _PairJoin:
     `for code in frontier: for tgt in moves(code)`.
 
     Left side: the system's class-grouped successor CSR ``(ptr, cls,
-    succ)`` as its int64 ``successor_arrays``, rows in the order the scalar
-    `moves` reads them.
+    succ)`` as its ``successor_arrays``, rows in the order the scalar
+    `moves` reads them.  Their ids are int32, so pair codes ``i * n + j``
+    are formed in int64: n*n passes 2**31 above 46,340 states.
     Right side: the ball-free successors of every state, sorted by
     ``state * C + class`` and then by successor, with a dense start table
     over those keys, so a left row's matching right range is two lookups.
@@ -338,7 +339,7 @@ class _PairJoin:
             left = left[row]
             cid = self.succ_off[left] + self.right_rank[right]
             new = ~seen[cid]
-            tgt = self.succ[left[new]] * n + self.right[right[new]]
+            tgt = np.multiply(self.succ[left[new]], n, dtype=np.int64) + self.right[right[new]]
             yield self._admit(cid[new], tgt, codes[pair[row[new]]], seen)
 
     def initial_pairs(self, initial) -> np.ndarray:
@@ -387,7 +388,7 @@ class _PairJoin:
         l_keys = ca[pa] * n_classes + self.ids[i_next]
         lo, hi = np.searchsorted(r_keys, l_keys), np.searchsorted(r_keys, l_keys, side="right")
         i_off, j_rank = self.off[i_next], self.rank[j_next]
-        i_next *= n
+        i_next = np.multiply(i_next, n, dtype=np.int64)
         rows_of = np.searchsorted(pa, np.arange(len(a) + 1))  # a[p]'s rows: rows_of[p]:rows_of[p+1]
         joined = np.concatenate(([0], np.cumsum(hi - lo)))[rows_of]  # pairs joined before a[p]
         p = 0

@@ -91,7 +91,7 @@ def _tokenize(text: str):
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", pos)
+            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
         if m.lastgroup is not None:
             tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()

@@ -97,7 +97,8 @@ class FiniteSystem:
         * ``successor_groups``: the class-grouped successor CSR ``(ptr, cls,
           succ)`` of Python-int lists: row i, ``ptr[i]:ptr[i+1]``, holds the
           distinct successors of i and their class ids, grouped by class,
-          groups in order of their smallest member, members ascending."""
+          groups in order of their smallest member, members ascending; its
+          ``successor_arrays`` (ptr in int64, ids in int32) are derived when read."""
         ns = len(self.states)
         if len(self.succ) != ns or len(self.outputs) != ns:
             raise DimensionMismatchError("states, succ and outputs must align")
@@ -137,6 +138,7 @@ class FiniteSystem:
     successor_matrix = _View()
     successor_arrays = _View()
     _coords = _View()
+    successor_groups = _View()
     class_steps = _View()
 
     @property
@@ -152,8 +154,8 @@ class FiniteSystem:
     def is_run(self, run) -> bool:
         if not run or run[0] not in self.initial:
             return False
-        ptr, _, succ = self.successor_groups
-        return all(b in succ[ptr[a] : ptr[a + 1]] for a, b in zip(run, run[1:]))
+        ptr, _, succ = self.successor_arrays
+        return all(b in succ[ptr[a] : ptr[a + 1]].tolist() for a, b in zip(run, run[1:]))
 
     def distance(self, i: int, j: int) -> int | Fraction:
         return max((abs(a - b) for a, b in zip(self.states[i], self.states[j])), default=0)
@@ -170,13 +172,14 @@ class FiniteSystem:
         relies on this embedding.
 
         The integer tables are derived with numpy from the matrix and the
-        int64 coordinate array (``state_coords`` may already be one).
-        ``states``, ``inputs``, ``outputs``, ``succ`` and the
-        ``state_coords`` tuples are computed from them only when read."""
+        int64 coordinate array (``state_coords`` may already be one), state
+        ids in int32 (an int32 matrix is kept); model files do not change.
+        ``states``, ``inputs``, ``outputs``, ``succ``, ``successor_groups`` and
+        the ``state_coords`` tuples are computed from them only when read."""
         coords = _coord_array(state_coords)
         ns, n_inputs = len(coords), len(input_coords)
         try:
-            matrix = np.asarray(successors, dtype=np.int64)
+            matrix = np.asarray(successors, dtype=getattr(successors, "dtype", np.int64))
         except OverflowError as exc:
             raise DomainError(f"successor index out of range: {exc}") from exc
         if len(matrix) != ns:
@@ -188,6 +191,7 @@ class FiniteSystem:
         if matrix.size and not (0 <= matrix.min() and matrix.max() < ns):
             bad = matrix[(matrix < 0) | (matrix >= ns)][0]
             raise DomainError(f"successor index {bad} out of range")
+        matrix = matrix.astype(np.int32, copy=False)
         system = object.__new__(FiniteSystem)
         system.__dict__.update(
             initial=initial,
@@ -205,25 +209,26 @@ class FiniteSystem:
             coords[:, :p], axis=0, return_index=True, return_inverse=True
         )
         order = np.argsort(first)
-        ids = np.argsort(order)[inverse.reshape(-1)]
+        ids = np.argsort(order).astype(np.int32)[inverse.reshape(-1)]
         keys = _embed([coords[i, :p].tolist() for i in first[order].tolist()], state_theta)
         class_of = {key: k for k, key in enumerate(keys)}
         # Distinct successors of each row, ascending.  A stable sort on
         # (row, class) gives each entry the smallest member of its class
         # group, and a stable sort on (row, that member) orders the groups.
         ranked = np.sort(matrix, axis=1)
-        keep = np.diff(ranked, axis=1, prepend=-1) != 0
-        counts = keep.sum(axis=1)
-        key = np.repeat(np.arange(ns) * len(class_of), counts) + ids[ranked[keep]]
+        keep = np.ones(ranked.shape, dtype=bool)
+        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=keep[:, 1:])
+        counts, flat = keep.sum(axis=1), ranked[keep]
+        del ranked, keep
+        key = np.repeat(np.arange(ns) * len(class_of), counts) + ids[flat]
         by_class = np.argsort(key, kind="stable")
-        key, flat = key[by_class], ranked[keep][by_class]
+        key, flat = key[by_class], flat[by_class]
         at = np.maximum.accumulate(np.where(np.diff(key, prepend=-1) != 0, np.arange(len(key)), 0))
         succ = flat[np.argsort(key // len(class_of) * ns + flat[at], kind="stable")]
         arrays = (np.concatenate(([0], np.cumsum(counts))), ids[succ], succ)
         system.__dict__.update(
             class_of=class_of,
             output_ids=tuple(ids.tolist()),
-            successor_groups=tuple(a.tolist() for a in arrays),
             successor_arrays=arrays,
             _balls={},
         )
@@ -445,7 +450,7 @@ def _succ_view(s: FiniteSystem):
 def _matrix_view(s: FiniteSystem) -> np.ndarray:
     assert all(len(t) == 1 for row in s.succ for t in row), "one successor per input"
     flat = [t[0] for row in s.succ for t in row]
-    return np.array(flat, dtype=np.int64).reshape(s.n_states, len(s.inputs))
+    return np.array(flat, dtype=np.int32).reshape(s.n_states, len(s.inputs))
 
 
 def _class_steps_view(s: FiniteSystem):
@@ -468,9 +473,9 @@ def _coords_view(s: FiniteSystem) -> np.ndarray | None:
         return None
 
 
-# How each _View attribute of FiniteSystem is computed.  The five fields are
-# views only on lattice-backed models, which hold their integer form instead;
-# every other system has them from its constructor.
+# How each _View attribute of FiniteSystem is computed.  The five fields and
+# successor_groups are views only on lattice-backed models, which hold their
+# integer form instead; every other system has them from its constructor.
 _VIEWS = {
     "states": lambda s: _embed(s.state_coords, s.state_theta),
     "inputs": lambda s: _embed(s.input_coords, s.input_theta),
@@ -479,8 +484,9 @@ _VIEWS = {
     "state_coords": lambda s: tuple(map(tuple, s._coords.tolist())),
     # (states x inputs) successor matrix of a deterministic system.
     "successor_matrix": _matrix_view,
-    # successor_groups as int64 arrays.
-    "successor_arrays": lambda s: tuple(np.array(a, dtype=np.int64) for a in s.successor_groups),
+    # successor_groups as arrays: ptr in int64, class and state ids in int32.
+    "successor_arrays": lambda s: tuple(map(np.array, s.successor_groups, (np.int64, np.int32, np.int32))),
+    "successor_groups": lambda s: tuple(a.tolist() for a in s.successor_arrays),
     # int64 state coordinates, or None when they overflow.
     "_coords": _coords_view,
     # Per-class successor masks (init, steps), bit i for state i: init[c] masks the

@@ -203,7 +203,9 @@ def test_parser_takes_up_to_200_nested_parentheses():
 
 @pytest.mark.parametrize(
     "text, position",
-    [("y1 + (x1", 5), ("x1 +", 4), ("", 0), ("x1 + * u1", 5), ("min(x1, x2,)", 11), ("x1 x2", 3)],
+    [("y1 + (x1", 5), ("x1 +", 4), ("", 0), ("x1 + * u1", 5), ("min(x1, x2,)", 11), ("x1 x2", 3)]
+    # An unexpected character at its own index, not where the blanks before it start.
+    + [("@", 0), ("x1+@", 3), ("x1 + @", 5), ("x1 +   $", 7)],
 )
 def test_syntax_errors_carry_the_position_in_the_text(text, position):
     # y1 is unknown, but the syntax error is the one reported.

@@ -542,21 +542,70 @@ def test_array_native_model_matches_general_constructor_on_e1(e1_checks, e1_refe
     assert_same_verdict(check_diagnosability(back, spec), e1_references[mode])
 
 
-@pytest.mark.parametrize("mode", sorted(E1_SCENARIOS))
-def test_conclude_keeps_lattice_model_on_arrays(monkeypatch, mode):
-    """The check path reads the integer tables only: building the successor
-    tuples or the exact state embeddings would undo the array-native model."""
+@pytest.mark.parametrize(
+    "mode, eta",
+    # The E1_SCENARIOS grids (ids by mode alone), then finer ones and prove on refute's.
+    [pytest.param(mode, E1_SCENARIOS[mode][1][1], id=mode) for mode in sorted(E1_SCENARIOS)]
+    + [("prove", 0.03), ("prove", 0.015), ("refute", 0.015)],
+)
+def test_conclude_keeps_lattice_model_on_arrays(monkeypatch, mode, eta):
+    """The check path and `validate_witness` read the integer arrays only:
+    building the successor tuples, the Python-int successor CSR or the exact
+    state embeddings would undo the array-native model.  The CSR lists are
+    a view, equal to the arrays when read."""
 
     def forbidden(system):
         raise AssertionError("a lattice model view was materialized")
 
-    for view in ("succ", "states", "inputs", "outputs"):
+    views = {"succ", "states", "inputs", "outputs", "successor_groups"}
+    for view in views:
         monkeypatch.setitem(finsys._VIEWS, view, forbidden)
     sysdef, cert = ad.parse_system((CONFIGS / "e1.json").read_text())
-    fault_file, params, rho = E1_SCENARIOS[mode]
+    fault_file, _, rho = E1_SCENARIOS[mode]
     region = ad.BoxUnion.from_json(json.loads((CONFIGS / fault_file).read_text()))
-    params = ad.AbstractionParams(*params)
+    params = ad.AbstractionParams(*E1_GRIDS[eta])
     system = ad.build_abstraction(sysdef, cert, params)
     verdict = ad.conclude(sysdef, cert, params, region, mode, rho=rho, system=system)
     assert verdict.finite.diagnosable == (mode == "prove")
-    assert not {"succ", "states", "inputs", "outputs"} & system.__dict__.keys()
+    if mode == "refute":
+        spec = ad.FaultSpec(verdict.fault_indices, verdict.k * to_rational(eta))
+        assert diagnosis.validate_witness(system, spec, verdict.finite.witness)
+    assert not views & system.__dict__.keys()
+    monkeypatch.undo()
+    assert system.successor_groups == tuple(a.tolist() for a in system.successor_arrays)
+
+
+def wide_lattice_model(rng, n=48_000, reach=600, n_classes=200):
+    """An array-native model with n states whose pair codes i*n + j pass
+    2**31: only its last `reach` states are reachable, in 3 output classes
+    shared with the unreachable rest, and the initial states are the first
+    three reachable ones of class 0.  Its join tables stay under the cap."""
+    k = np.arange(n)
+    cls = np.where(k < n - reach, k % n_classes, k % 3)
+    successors = rng.integers(n - reach, n, (n, 3))
+    initial = tuple(int(i) for i in k[(k >= n - reach) & (cls == 0)][:3])
+    inputs = ((0,), (1,), (2,))
+    return FiniteSystem.on_lattice(
+        np.column_stack((cls, k)), 0.5, inputs, 0.5, initial, successors, 1, {}
+    )
+
+
+@pytest.mark.filterwarnings("error")  # numpy warns when a scalar product wraps
+def test_join_matches_scalar_where_pair_codes_pass_int32():
+    # The state ids are int32: a pair code formed in int32 would wrap here.
+    rng = np.random.default_rng(SUITE_SEED)
+    system = wide_lattice_model(rng)
+    n, first = system.n_states, min(system.initial)
+    assert first * n > 2**31 and n * n >= diagnosis._JOIN_MIN_PAIRS
+    assert diagnosis._join_tables(system) is not None  # under _PAIR_CAP: the join runs
+    later = [i for i in range(first, n) if i not in system.initial]
+    specs = [
+        ad.FaultSpec.of(rng.choice(later, 3, replace=False).tolist(), 0),
+        ad.FaultSpec.of(later[-40:], 3),
+    ]
+    verdicts = [check_diagnosability(system, spec) for spec in specs]
+    assert "successor_groups" not in vars(system)
+    for spec, got in zip(specs, verdicts):
+        assert_same_verdict(got, scalar_check(system, spec))
+        assert not got.diagnosable and got.stats["region_states"] > 0
+        assert diagnosis.validate_witness(system, spec, got.witness)
