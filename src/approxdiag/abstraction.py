@@ -20,16 +20,17 @@ reached state escapes it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import BoundExceededError, InternalInvariantError, ParamCheckError, ResourceLimitError
-from .finsys import _GRID_CAP, FiniteSystem
+from .finsys import FiniteSystem
 from .kfun import compose_inverse
-from .lattice import lattice_image, quantize, quantize_index, quantize_indices
-from .regions import Box, BoxUnion
+from .lattice import _GRID_CAP, lattice_image, quantize, quantize_index, quantize_indices
+from .regions import Box
 from .system import Certificate, SystemDef, _sample_union, _step_rows
 
 SOLVE_EPS_TOL = 1e-9
@@ -46,8 +47,8 @@ class AbstractionParams:
     mu: float
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and self.eta > 0 and self.mu > 0):
-            raise ParamCheckError("epsilon, eta and mu must all be positive")
+        if not all(0 < v < math.inf for v in (self.epsilon, self.eta, self.mu)):
+            raise ParamCheckError("epsilon, eta and mu must all be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -88,40 +89,49 @@ def solve_epsilon(cert: Certificate, eta: float, mu: float) -> float:
     return eps
 
 
-def _expand_level(sysdef: SystemDef, level, input_embeds, eta: float, keys) -> np.ndarray:
-    """``keys(q, first)`` of every (level state, input) row, state-major: q
-    holds a block's quantized successor indices as integer-valued floats,
-    and first numbers its first row.  A block holds whole states, at most
-    _ROW_CHUNK rows unless one state has more inputs.
+def _expand_level(sysdef: SystemDef, level, input_embeds, eta: float, keys, table):
+    """``table`` at ``keys(q, first)`` of every (level state, input) row,
+    state-major, and the keys where it is 0, in row order: q holds a block's
+    quantized successor indices, a float column per axis, and first numbers
+    its first row; keys is None if some row fails the bound.  A block holds
+    whole states, at most _ROW_CHUNK rows unless one state has more inputs.
 
     A row the numpy forest flags, or whose image does not quantize, is
     re-run through the scalar path, so the first such row in level order
     and then input order raises exactly the scalar exception.
     """
     n_in = len(input_embeds)
-    out = np.empty(len(level) * n_in, dtype=np.int64)
+    ids, unseen = np.empty(len(level) * n_in, dtype=table.dtype), [np.empty(0, np.int64)]
     per_block = max(1, _ROW_CHUNK // n_in)
+    u_tiled = [np.tile(col, min(per_block, len(level))) for col in input_embeds.T]
     for lo in range(0, len(level), per_block):
-        xs = np.repeat((2.0 * eta) * level[lo : lo + per_block], n_in, axis=0)
-        us = np.tile(input_embeds, (len(xs) // n_in, 1))
-        cols, bad = sysdef.compiled_np(list(xs.T), list(us.T))
-        q = quantize_indices(np.column_stack(cols), eta)
-        for col in q.T:
-            bad |= ~np.isfinite(col)
+        xs = [np.repeat((2.0 * eta) * col[lo : lo + per_block], n_in) for col in level.T]
+        us = [col[: len(xs[0])] for col in u_tiled]
+        cols, bad = sysdef.compiled_np(xs, us)
+        q = [quantize_indices(col, eta) for col in cols]
+        key = keys(q, lo * n_in)
+        if key is None or bad.any():
+            for col in q:
+                bad |= ~np.isfinite(col)
         if bad.any():
             r = int(np.flatnonzero(bad)[0])
-            fx = sysdef.compiled(tuple(xs[r].tolist()), tuple(us[r].tolist()))
+            fx = sysdef.compiled(tuple(float(c[r]) for c in xs), tuple(float(c[r]) for c in us))
             tuple(quantize_index(v, eta) for v in fx)
             raise InternalInvariantError(f"row {r} flagged but evaluates: {fx}")
-        out[lo * n_in : lo * n_in + len(q)] = keys(q, lo * n_in)
-    return out
+        if key is not None:
+            got = np.take(table, key, out=ids[lo * n_in : lo * n_in + len(key)])
+            unseen.append(key[got == 0])
+    return ids, np.concatenate(unseen)
 
 
-def _key_grid(bound: Box, eta: float) -> tuple[list[int], tuple[int, ...]]:
+def _key_grid(bound: Box, eta: float) -> tuple[list[int], tuple[int, ...], list[tuple[int, int]]]:
     """Lowest index and size per axis of the index box that holds every c
     with (2.0*eta)*c in ``bound`` as floats: one cell of margin on each side
     covers the product's rounding while |bound / (2 eta)| < 2^52.  Past that,
-    or above _GRID_CAP cells (counted as a Python int), ResourceLimitError."""
+    or above _GRID_CAP cells (counted as a Python int), ResourceLimitError.
+    Then per axis the least and greatest c of the box whose (2.0*eta)*c passes
+    the bound's float comparisons, open sides included: the rounded product is
+    monotone in c, so those c form one interval."""
     scaled = [v / (2.0 * eta) for v in bound.lower + bound.upper]
     if not all(abs(v) < 2.0**52 for v in scaled):
         raise ResourceLimitError(f"exploration box too far out at eta {eta}")
@@ -130,7 +140,13 @@ def _key_grid(bound: Box, eta: float) -> tuple[list[int], tuple[int, ...]]:
     if math.prod(shape) > _GRID_CAP:
         cells = f"{math.prod(shape)} lattice cells at eta {eta}, above {_GRID_CAP}"
         raise ResourceLimitError(f"exploration box spans {cells}")
-    return lows, shape
+    ranges, emb = [], lambda c: (2.0 * eta) * c
+    for k, (low, size) in enumerate(zip(lows, shape)):
+        cells, lo_open, hi_open = range(low, low + size), bound.lower_open[k], bound.upper_open[k]
+        a = (bisect.bisect_right if lo_open else bisect.bisect_left)(cells, bound.lower[k], key=emb)
+        b = (bisect.bisect_left if hi_open else bisect.bisect_right)(cells, bound.upper[k], key=emb)
+        ranges.append((low + a, low + b - 1))
+    return lows, shape, ranges
 
 
 def build_abstraction(
@@ -156,8 +172,8 @@ def build_abstraction(
     The box fixes an index box (``_key_grid``, ResourceLimitError above
     _GRID_CAP cells) and one table over it holding state id + 1 by mixed-radix
     key, axis 0 most significant, so ascending keys are lexicographic order.
-    Each level's (states x inputs) numpy rows are bound-tested, keyed and
-    looked up; new states are numbered in ascending key order.
+    Each level's rows are bound-tested on the grid's per-axis index intervals,
+    keyed and looked up block by block; new states are numbered in key order.
     """
     if enforce_params:
         chk = check_params(cert, params)
@@ -166,8 +182,7 @@ def build_abstraction(
                 f"quantization parameters rejected: slacks {chk.slack_decrease}, {chk.slack_bound}"
             )
     eta, mu = params.eta, params.mu
-    lows, shape = _key_grid(cert.explore_bound, eta)
-    inside = BoxUnion.of(cert.explore_bound)
+    lows, shape, ranges = _key_grid(cert.explore_bound, eta)
 
     input_points = lattice_image(sysdef.u_set, mu)
     input_coords = tuple(pt.coords for pt in input_points)
@@ -176,18 +191,18 @@ def build_abstraction(
 
     outside = []  # (rows outside the bound, their row numbers) of each block with any
 
-    def keys(rows, first=0):
-        """Table keys of integer-valued float coordinate rows numbered from
-        `first`; 0 when some are outside the bound, and those go to `outside`."""
-        ok = inside.contains_columns(list((2.0 * eta) * rows.T))
+    def keys(cols, first=0):
+        """Keys (exact in floats, below _GRID_CAP) of integer-valued float columns
+        numbered from `first`; None if some rows fail the bound, put in `outside`."""
+        ok = np.logical_and.reduce([(a <= c) & (c <= b) for c, (a, b) in zip(cols, ranges)])
         if not ok.all():
-            outside.append((rows[~ok], first + np.flatnonzero(~ok)))
-            return 0
-        key = np.zeros(len(rows), dtype=np.int64)
-        for col, low, size in zip(rows.astype(np.int64).T, lows, shape):
+            outside.append((np.column_stack([col[~ok] for col in cols]), first + np.flatnonzero(~ok)))
+            return None
+        key = cols[0] - lows[0]
+        for col, low, size in zip(cols[1:], lows[1:], shape[1:]):
             key *= size
             key += col - low
-        return key
+        return key.astype(np.int64)
 
     def check_bound(origin):
         """Raise for the least row outside the bound (first among equals),
@@ -201,26 +216,28 @@ def build_abstraction(
     table = np.zeros(math.prod(shape), dtype=np.int32)
     init_points = lattice_image(sysdef.x0, eta)  # already sorted lexicographically
     init_rows = np.array([pt.coords for pt in init_points], dtype=float).reshape(-1, sysdef.n)
-    init_keys = keys(init_rows)
+    init_keys = keys(list(init_rows.T))
     check_bound(lambda r: (None, None))
     table[init_keys] = np.arange(1, len(init_keys) + 1)
     level = init_rows.astype(np.int64)
     state_rows, succ_ids = [level], []  # per level: its states, their successor ids
     while len(level):
-        key = _expand_level(sysdef, level, input_embeds, eta, keys)
+        ids, new = _expand_level(sysdef, level, input_embeds, eta, keys, table)
         check_bound(lambda r: (tuple(level[r // n_in].tolist()), input_coords[r % n_in]))
-        fresh = np.sort(key[table[key] == 0])
+        fresh = np.sort(new)
         fresh = fresh[np.diff(fresh, prepend=-1) != 0]  # np.unique: slower, imports numpy.ma
         start = sum(map(len, state_rows))
         table[fresh] = np.arange(start + 1, start + 1 + len(fresh))
-        succ_ids.append((table[key] - 1).reshape(len(level), n_in))
+        ids[ids == 0] = table[new]
+        ids -= 1
+        succ_ids.append(ids.reshape(len(level), n_in))
         level = np.column_stack(np.unravel_index(fresh, shape)) + lows
         state_rows.append(level)
 
     meta = {"epsilon": params.epsilon}
     if config_digest is not None:
         meta["config_digest"] = config_digest
-    del table, key  # past here, only the model's own arrays are held
+    del table  # past here, only the model's own arrays are held
     succ_ids = np.concatenate(succ_ids)  # the matrix; the per-level blocks are freed
     return FiniteSystem.on_lattice(
         np.concatenate(state_rows),

@@ -106,7 +106,7 @@ def _load_faults_region(path: str) -> BoxUnion:
 
 
 def _fault_spec_for_model(model: FiniteSystem, faults_arg: str, rho: float) -> FaultSpec:
-    if all(part.strip().lstrip("-").isdecimal() for part in faults_arg.split(",")):
+    if all(part.strip().removeprefix("-").isdecimal() for part in faults_arg.split(",")):
         indices = [int(part) for part in faults_arg.split(",")]
     else:
         region = _load_faults_region(faults_arg)

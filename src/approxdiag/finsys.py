@@ -25,15 +25,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, FaultSpecError
-from .lattice import quantize
+from .lattice import _GRID_CAP, quantize
 from .rational import to_exact, to_rational
 from .report import canonical_json
 
 SCHEMA_VERSION = 1
-
-# Most cells an index box may span: the build's key table holds 4 bytes per
-# cell of its explore box, the lattice ball 1 byte per cell of its states' box.
-_GRID_CAP = 1 << 26
 
 
 def _index(v) -> int:
@@ -218,7 +214,7 @@ class FiniteSystem:
         ranked = np.sort(matrix, axis=1)
         keep = np.ones(ranked.shape, dtype=bool)
         np.not_equal(ranked[:, 1:], ranked[:, :-1], out=keep[:, 1:])
-        counts, flat = keep.sum(axis=1), ranked[keep]
+        counts, flat = np.count_nonzero(keep, axis=1), ranked[keep]
         del ranked, keep
         key = np.repeat(np.arange(ns) * len(class_of), counts) + ids[flat]
         by_class = np.argsort(key, kind="stable")

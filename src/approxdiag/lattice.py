@@ -24,11 +24,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, UnboundedRegionError
+from .errors import DomainError, ResourceLimitError, UnboundedRegionError
 from .rational import to_rational
 from .regions import Box, BoxUnion
 
 REL_TIE_SNAP = 1e-9
+# Most cells an index box may span: 4 bytes each in the build's key table, 1
+# byte in the lattice ball's grid, a tuple each in an enumerated lattice box.
+_GRID_CAP = 1 << 26
 
 __all__ = [
     "LatticePoint",
@@ -140,13 +143,16 @@ def _require_enumerable(region: BoxUnion, theta: float):
 def _index_points(region: BoxUnion, axis_range) -> list[tuple[int, ...]]:
     """Sorted coordinate tuples in the union, over the region's nonempty
     boxes, of the index boxes ``axis_range(box, i) -> (cmin, cmax)`` per
-    axis; a box with an empty range on some axis contributes nothing."""
+    axis; a box with an empty range on some axis contributes nothing, and
+    one of more than _GRID_CAP points (counted first) is ResourceLimitError."""
     found: set[tuple[int, ...]] = set()
     for box in region.boxes:
         if box.is_empty():
             continue
         axes = [axis_range(box, i) for i in range(box.dim)]
         if all(cmin <= cmax for cmin, cmax in axes):
+            if math.prod(cmax - cmin + 1 for cmin, cmax in axes) > _GRID_CAP:
+                raise ResourceLimitError(f"lattice box of more than {_GRID_CAP} points")
             found.update(itertools.product(*(range(cmin, cmax + 1) for cmin, cmax in axes)))
     return sorted(found)
 

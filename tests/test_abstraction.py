@@ -124,6 +124,26 @@ def test_explore_box_beyond_the_key_table_is_resource_limit(lower, upper, messag
         build_abstraction(sysdef, cert, params)
 
 
+def test_key_grid_intervals_are_the_float_comparisons():
+    # Sides on lattice embeddings and a few ulps off them, open and closed:
+    # the interval holds exactly the grid's c whose (2.0*eta)*c the box
+    # contains, and the c just outside the grid fail.
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        eta = float(rng.choice([0.015, 0.04, 0.05, 0.1, 0.3]))
+        sides = []
+        for c in sorted(rng.integers(-40, 41, 2)):
+            v = (2.0 * eta) * int(c)
+            for _ in range(int(rng.integers(0, 3))):
+                v = math.nextafter(v, math.inf if rng.random() < 0.5 else -math.inf)
+            sides.append(v)
+        if sides[0] > sides[1]:
+            continue
+        box = Box((sides[0],), (sides[1],), (bool(rng.random() < 0.5),), (bool(rng.random() < 0.5),))
+        (low,), (size,), ((a, b),) = abstraction._key_grid(box, eta)
+        inside = [c for c in range(low - 1, low + size + 1) if box.contains(((2.0 * eta) * c,))]
+        assert inside == list(range(a, b + 1))
+
 def test_grid_cap_admits_exactly_its_cell_count(monkeypatch):
     sysdef, cert = e1()
     params = AbstractionParams(0.4, 0.04, 0.005)

@@ -240,6 +240,16 @@ def test_superscript_digit_faults_is_a_missing_region_file(tmp_path, capsys, mon
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("command", ["check-fts", "monitor"])
+def test_doubled_dash_fault_index_is_a_missing_region_file(tmp_path, capsys, monkeypatch, command):
+    # Only one leading minus makes an index; "--2" is read as a region path.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO("[0]\n"))
+    assert main([command, D1, "--faults", "1,--2", "--rho", "0"]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 2] No such file or directory: '1,--2'\n"
+
 @pytest.fixture
 def e1_fine_model(tmp_path, capsys):
     """The e1 abstraction at eta 0.05 with faults at x1 >= 1.5, which the
@@ -339,6 +349,26 @@ def test_explore_box_above_grid_cap_exits_4(tmp_path, capsys, command):
     assert "lattice cells" in capsys.readouterr().err
     assert not model.exists()
 
+
+
+@pytest.mark.parametrize("command", ["abstract", "check"])
+@pytest.mark.parametrize("flag", ["--epsilon", "--eta", "--mu"])
+def test_infinite_parameter_exits_4(tmp_path, capsys, command, flag):
+    model = tmp_path / "model.json"
+    argv = [command, E1, "--eta", "0.04", "--mu", "0.005", "--epsilon", "0.4"]
+    argv[argv.index(flag) + 1] = "inf"
+    argv += ["-o", str(model)] if command == "abstract" else ["--faults", FAULT_X1, "--mode", "prove"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "error: epsilon, eta and mu must all be positive and finite\n"
+    assert not model.exists()
+
+
+def test_absurd_input_lattice_exits_4(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    argv = ["abstract", E1, "--eta", "0.04", "--mu", "1e-300", "--epsilon", "0.4", "-o", str(model)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "error: lattice box of more than 67108864 points\n"
+    assert not model.exists()
 
 def test_check_refine_recovers_from_coarse_start(capsys):
     # eta = 0.06 erodes the fault region away; one halving settles it.

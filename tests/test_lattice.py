@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from approxdiag.errors import DomainError, UnboundedRegionError
+from approxdiag import lattice
+from approxdiag.errors import DomainError, ResourceLimitError, UnboundedRegionError
 from approxdiag.lattice import (
     LatticePoint,
     cell_of,
@@ -287,3 +288,17 @@ def test_quantize_index_overflow_is_a_domain_error(x):
     with pytest.raises(DomainError):
         quantize_index(x, 0.05)
     assert not np.isfinite(quantize_indices(np.array([x]), 0.05)).any()
+
+
+def test_lattice_box_above_the_grid_cap_is_counted_not_enumerated(monkeypatch):
+    # 1e300 cells per axis: counted as a Python int, never handed to range().
+    with pytest.raises(ResourceLimitError, match="lattice box of more than 67108864 points"):
+        lattice_image(BoxUnion.of(Box((-1.0,), (1.0,))), 1e-300)
+    # Three boxes of 21 x 21 points: the cap applies to each box alone.
+    boxes = BoxUnion.of(*(Box((k, 0.0), (k + 2.0, 2.0)) for k in (0.0, 4.0, 8.0)))
+    monkeypatch.setattr(lattice, "_GRID_CAP", 21 * 21)
+    assert len(lattice_image(boxes, 0.05)) == 3 * 21 * 21
+    assert len(lattice_points_in(boxes, 0.05)) == 3 * 21 * 21
+    monkeypatch.setattr(lattice, "_GRID_CAP", 21 * 21 - 1)
+    with pytest.raises(ResourceLimitError, match="more than 440 points"):
+        lattice_points_in(boxes, 0.05)

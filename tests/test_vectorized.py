@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import approxdiag as ad
-from approxdiag import bridge, exprs
+from approxdiag import abstraction, bridge, exprs
 from approxdiag.bench import chain_system
 from approxdiag.cli import main
 from approxdiag.errors import BoundExceededError, DomainError, EvaluationError, NumericError
@@ -367,6 +367,76 @@ def test_build_errors_equal_reference(f1, error):
     got, want = build_outcomes(sysdef, cert, (0.4, 0.04, 0.005))
     assert got == want and got[0] is error
 
+
+
+def model_or_error(build, sysdef, cert, p):
+    """The model's JSON, or a BoundExceededError's five fields."""
+    try:
+        return build(sysdef, cert, p).to_json()
+    except BoundExceededError as exc:
+        return [getattr(exc, f) for f in ("coords", "embedding", "source", "input_label", "args")]
+
+
+# e1 at eta 0.04 (mu 0.025) reaches x1 in [-24, 25] and x2 in [-12, 13].
+EDGE_PARAMS = ad.AbstractionParams(0.4, 0.04, 0.025)
+EDGE_CASES = [
+    (axis, side, c, is_open, ulp)
+    for axis, (lo, hi) in enumerate([(-24, 25), (-12, 13)])
+    for side, c in (("lower", lo), ("upper", hi))
+    for is_open in (False, True)
+    for ulp in (-1, 0, 1)
+]
+
+
+@pytest.mark.parametrize("axis, side, c, is_open, ulp", EDGE_CASES)
+def test_bound_sides_on_and_beside_lattice_embeddings_equal_reference(axis, side, c, is_open, ulp):
+    # The build tests targets on index intervals; the reference compares each
+    # embedding (2.0*eta)*c with the bound's floats.  A side exactly on the
+    # embedding of the reached extreme c, or one ulp either side of it.
+    sysdef, cert = e1()
+    edge = TWO_ETA * c
+    edge = {-1: math.nextafter(edge, -math.inf), 0: edge, 1: math.nextafter(edge, math.inf)}[ulp]
+    lower, upper = [-4.0, -4.0], [4.0, 4.0]
+    (lower if side == "lower" else upper)[axis] = edge
+    flags = [False, False]
+    flags[axis] = is_open
+    opens = {"lower_open": flags} if side == "lower" else {"upper_open": flags}
+    cert = dataclasses.replace(cert, explore_bound=Box(lower, upper, **opens))
+    got = model_or_error(
+        functools.partial(ad.build_abstraction, enforce_params=False), sysdef, cert, EDGE_PARAMS
+    )
+    assert got == model_or_error(reference_build_abstraction, sysdef, cert, EDGE_PARAMS)
+    inward = ulp if side == "lower" else -ulp
+    assert isinstance(got, dict) == (inward < 0 or (inward == 0 and not is_open))
+
+
+@pytest.mark.parametrize("case", ["e1", "nonlinear"])
+def test_build_over_many_blocks_equals_reference(monkeypatch, case):
+    # Blocks of three states: every level spans many and most end on a
+    # partial one, and the input columns are sliced for the last.
+    if case == "e1":
+        sysdef, cert = e1()
+        p = ad.AbstractionParams(0.4, 0.04, 0.025)
+    else:
+        sysdef, cert = plant(NONLINEAR, u=BoxUnion.of(Box((-0.5,), (0.5,))))
+        p = ad.AbstractionParams(1.0, 0.05, 0.05)
+    n_in = len(ad.lattice_image(sysdef.u_set, p.mu))
+    monkeypatch.setattr(abstraction, "_ROW_CHUNK", 3 * n_in + 1)
+    built = ad.build_abstraction(sysdef, cert, p, enforce_params=False)
+    assert built.n_states > 300
+    assert built.to_json() == reference_build_abstraction(sysdef, cert, p).to_json()
+
+
+def test_flagged_row_in_a_later_block_raises_like_reference(monkeypatch):
+    # exp(1000*x1) overflows only for x1 > 0.7, so the first flagged row of
+    # the first level belongs to a state past the first few blocks.
+    sysdef, cert = plant(["0.5*x1 + u1 + 0*exp(1000*x1)", "0.25*x1 + 0.5*x2"])
+    n_in = len(ad.lattice_image(sysdef.u_set, 0.005))
+    monkeypatch.setattr(abstraction, "_ROW_CHUNK", 3 * n_in + 1)
+    first = [pt.coords for pt in ad.lattice_image(sysdef.x0, 0.04)]
+    assert next(i for i, c in enumerate(first) if TWO_ETA * c[0] > 0.71) >= 3 * 10  # block 10 on
+    got, want = build_outcomes(sysdef, cert, (0.4, 0.04, 0.005))
+    assert got == want and got[0] is EvaluationError
 
 def falsify_outcomes(sysdef, region, rho, trials, horizon, seed):
     got = scalar_or_error(bridge.falsify_plant, sysdef, region, rho, trials, horizon, seed)
