@@ -33,9 +33,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    DomainError,
     FaultSpecError,
     InfeasibleObservationError,
     InitialStateInBallError,
+    InternalInvariantError,
     NonDiagnosableError,
     ResourceLimitError,
 )
@@ -71,13 +73,20 @@ class FaultSpec:
 
     @staticmethod
     def of(faults, rho) -> "FaultSpec":
-        return FaultSpec(frozenset(int(i) for i in faults), _to_rho(rho))
+        return FaultSpec(frozenset(map(_fault_index, faults)), _to_rho(rho))
 
     def validate(self, system: FiniteSystem):
         _check_states(self.faults, system.n_states, "fault", FaultSpecError)
         bad = self.faults & set(system.initial)
         if bad:
             raise FaultSpecError(f"fault set meets the initial states: {sorted(bad)}")
+
+
+def _fault_index(i) -> int:
+    """A Python or numpy integer; int() would truncate 1.5 and take True or "1"."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise FaultSpecError(f"fault index must be an integer, got {i!r}")
+    return int(i)
 
 
 @dataclass(frozen=True)
@@ -491,6 +500,8 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
     squared state count plus the delay).
     """
     spec.validate(system)
+    if isinstance(horizon, bool) or not isinstance(horizon, int):
+        raise DomainError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1:
         raise ResourceLimitError("horizon must be at least 1")
     if system.n_states > BRUTE_MAX_STATES or horizon > BRUTE_MAX_HORIZON:
@@ -525,7 +536,9 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
     best_margin = -1
     pump: dict | None = None
 
-    def search(depth, unfauled_mask, faulted, safe_mask, fault_chains, safe_chains, stream):
+    def search(depth, unfauled_mask, faulted, safe_mask, chains, stream):
+        # chains: (k, fault side, safe side) in k order, for each depth k whose
+        # sides are both nonempty; a side maps a state at k to its reach now.
         nonlocal best_margin, pump
         if pump is not None:
             return
@@ -533,12 +546,12 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
             margin = depth - min(faulted.values())
             if margin > best_margin:
                 best_margin = margin
-            for k, (fch, sch) in enumerate(zip(fault_chains, safe_chains)):
-                if not (fch and sch):
-                    continue
+            for k, fch, sch in chains:
+                if k >= depth:
+                    break
                 f_loop = next((i for i, m in fch.items() if m >> i & 1), None)
                 s_loop = next((j for j, m in sch.items() if m >> j & 1), None)
-                if f_loop is not None and s_loop is not None and k < depth:
+                if f_loop is not None and s_loop is not None:
                     pump = {
                         "k": k,
                         "d": depth,
@@ -568,31 +581,27 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
             if not new_unf and not new_faulted:
                 continue
             new_safe = _advance(safe_mask, row) & ~ball_mask
-            # Entries whose masks reach 0 can never pump again and go; the
-            # chains keep their positions, which index the pump, and an empty
-            # chain is shared, never rebuilt.
-            new_fchains = [
-                {s: a for s, m in ch.items() if (a := _advance(m, row))} if ch else ch
-                for ch in fault_chains
-            ]
-            new_schains = [
-                {s: a for s, m in ch.items() if (a := _advance(m, row) & ~ball_mask)} if ch else ch
-                for ch in safe_chains
-            ]
-            new_fchains.append({s: 1 << s for s in new_faulted})
-            new_schains.append({j: 1 << j for j in _bits(new_safe)})
+            # Entries whose masks reach 0 never return, so a chain with an
+            # empty side can never pump again and goes for good.
+            new_chains = []
+            for k, fch, sch in chains:
+                if fch := {s: a for s, m in fch.items() if (a := _advance(m, row))}:
+                    if sch := {s: a for s, m in sch.items() if (a := _advance(m, row) & ~ball_mask)}:
+                        new_chains.append((k, fch, sch))
+            if new_faulted and new_safe:
+                new_chains.append(
+                    (depth + 1, {s: 1 << s for s in new_faulted}, {j: 1 << j for j in _bits(new_safe)})
+                )
             stream.append(out)
-            search(depth + 1, new_unf, new_faulted, new_safe, new_fchains, new_schains, stream)
+            search(depth + 1, new_unf, new_faulted, new_safe, new_chains, stream)
             stream.pop()
             if pump is not None:
                 return
 
     for out in (cls for cls in out_classes if cls in init):
         unf = init[out]
-        safe = unf & ~ball_mask
-        fchains = [{}]
-        schains = [{j: 1 << j for j in _bits(safe)}]
-        search(0, unf, {}, safe, fchains, schains, [out])
+        # Chain 0's fault side is empty: no initial state is a fault.
+        search(0, unf, {}, unf & ~ball_mask, [], [out])
 
     method = f"bounded-enumeration(T={horizon})"
     if pump is not None:
@@ -675,7 +684,8 @@ def _reconstruct_pump_witness(system, spec, ball, pump):
     # The pump loops: runs i -> i and j -> j over stream[k..d].
     loop_f = _find_run(system, stream[k:], (i,), i, d - k)
     loop_s = _find_run(system, stream[k:], (j,), j, d - k, forbidden=ball)
-    assert base_f and base_s and loop_f and loop_s
+    if not (base_f and base_s and loop_f and loop_s):
+        raise InternalInvariantError(f"pump at depths {k}..{d} has no pair of runs")
     run_f = tuple(base_f + loop_f[1:] + loop_f[1:])
     run_s = tuple(base_s + loop_s[1:] + loop_s[1:])
     return run_f, run_s

@@ -12,7 +12,9 @@ form, with region tests that reduce over the coordinate axis.  The
 eroded and plain fault lattices test each lattice point's exact
 embedding, the eroded one by rational box subtraction
 (``reference_ball_in_union``).  The belief diagnoser steps frozensets of
-(state, visited_ball) pairs through the successor CSR.  Expressions are
+(state, visited_ball) pairs through the successor CSR, and the bounded
+oracle carries a fault chain and a safe chain for every depth, empty or
+not.  Expressions are
 also parsed by recursive descent over the tokens, and forests compiled by
 printing Python source and compiling that text.  They are oracles, not
 library code.
@@ -29,13 +31,27 @@ import numpy as np
 from approxdiag import exprs
 from approxdiag.abstraction import AbstractionParams, RelationReport
 from approxdiag.bridge import Counterexample
-from approxdiag.diagnosis import Diagnoser, FaultSpec, Verdict, _shown, _unroll_witness
+from approxdiag.diagnosis import (
+    BRUTE_MAX_HORIZON,
+    BRUTE_MAX_STATES,
+    Diagnoser,
+    FaultSpec,
+    Verdict,
+    _advance,
+    _bits,
+    _fraction_repr,
+    _mask,
+    _reconstruct_pump_witness,
+    _shown,
+    _unroll_witness,
+)
 from approxdiag.errors import (
     BoundExceededError,
     DimensionMismatchError,
     DomainError,
     ExprSyntaxError,
     InfeasibleObservationError,
+    ResourceLimitError,
     UnknownIdentifierError,
 )
 from approxdiag.exprs import (
@@ -231,6 +247,134 @@ def reference_check(system: FiniteSystem, spec: FaultSpec) -> Verdict:
             if dist.get(tgt, -1) < base + 1:
                 dist[tgt] = base + 1
     return Verdict(True, delta=max(dist.values()) + 1, stats=stats)
+
+
+def reference_brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Verdict:
+    """Direct bounded-horizon decision from the definition, carrying one
+    fault chain and one safe chain per depth, empty or not, and advancing
+    every depth's safe chain at every node.
+
+    Enumerates output streams depth-first up to the horizon while tracking
+    every consistent run: states reachable by not-yet-faulty runs, earliest
+    fault-entry times, and states reachable by ball-avoiding runs.  A fault
+    margin of m at depth d means some pair of output-identical runs has one
+    side faulted since d - m while the other never touched the ball; the
+    reported delay is the largest margin plus one.  Non-diagnosability is
+    declared only on pumping evidence: the same faulted state and the same
+    ball-free state recur at two depths of one stream, which lets the pair
+    be extended forever.  Agreement with the twin-plant checker is expected
+    once the horizon exceeds the pair-graph revisit length (about twice the
+    squared state count plus the delay).
+    """
+    spec.validate(system)
+    if horizon < 1:
+        raise ResourceLimitError("horizon must be at least 1")
+    if system.n_states > BRUTE_MAX_STATES or horizon > BRUTE_MAX_HORIZON:
+        raise ResourceLimitError(
+            f"bounded enumeration limited to {BRUTE_MAX_STATES} states "
+            f"and horizon {BRUTE_MAX_HORIZON}"
+        )
+    if not spec.faults:
+        return Verdict(True, delta=0, method=f"bounded-enumeration(T={horizon})")
+
+    ball = system.ball_states(spec.faults, spec.rho)
+    ball_mask = _mask(ball)
+    fault_mask = _mask(spec.faults)
+    # Output classes, enumerated in the repr order of their values written
+    # as Fractions, whichever exact type holds them.
+    class_of = system.class_of
+    out_classes = [class_of[out] for out in sorted(class_of, key=_fraction_repr)]
+
+    init, steps = system.class_steps  # steps[c][i]: the successors of class c of state i
+
+    # States from which the fault set is reachable (any number of steps).
+    reach_fault_mask = fault_mask
+    changed = True
+    while changed:
+        changed = False
+        for row in steps.values():
+            for i, m in row.items():
+                if m & reach_fault_mask and not reach_fault_mask >> i & 1:
+                    reach_fault_mask |= 1 << i
+                    changed = True
+
+    best_margin = -1
+    pump: dict | None = None
+
+    def search(depth, unfauled_mask, faulted, safe_mask, fault_chains, safe_chains, stream):
+        nonlocal best_margin, pump
+        if pump is not None:
+            return
+        if safe_mask and faulted:
+            margin = depth - min(faulted.values())
+            if margin > best_margin:
+                best_margin = margin
+            for k, (fch, sch) in enumerate(zip(fault_chains, safe_chains)):
+                if not (fch and sch):
+                    continue
+                f_loop = next((i for i, m in fch.items() if m >> i & 1), None)
+                s_loop = next((j for j, m in sch.items() if m >> j & 1), None)
+                if f_loop is not None and s_loop is not None and k < depth:
+                    pump = {
+                        "k": k,
+                        "d": depth,
+                        "fault_state": f_loop,
+                        "safe_state": s_loop,
+                        "stream": tuple(stream),
+                    }
+                    return
+        if depth == horizon:
+            return
+        if not safe_mask:
+            return
+        if not faulted and not (unfauled_mask & reach_fault_mask):
+            return
+        for out in out_classes:
+            row = steps[out]
+            out_unf = _advance(unfauled_mask, row)
+            new_faulted: dict[int, int] = {}
+            for s, t in faulted.items():
+                for j in _bits(row.get(s, 0)):
+                    if j not in new_faulted or new_faulted[j] > t:
+                        new_faulted[j] = t
+            for j in _bits(out_unf & fault_mask):
+                if j not in new_faulted or new_faulted[j] > depth + 1:
+                    new_faulted[j] = depth + 1
+            new_unf = out_unf & ~fault_mask
+            if not new_unf and not new_faulted:
+                continue
+            new_safe = _advance(safe_mask, row) & ~ball_mask
+            # Entries whose masks reach 0 can never pump again and go; the
+            # chains keep their positions, which index the pump, and an empty
+            # chain is shared, never rebuilt.
+            new_fchains = [
+                {s: a for s, m in ch.items() if (a := _advance(m, row))} if ch else ch
+                for ch in fault_chains
+            ]
+            new_schains = [
+                {s: a for s, m in ch.items() if (a := _advance(m, row) & ~ball_mask)} if ch else ch
+                for ch in safe_chains
+            ]
+            new_fchains.append({s: 1 << s for s in new_faulted})
+            new_schains.append({j: 1 << j for j in _bits(new_safe)})
+            stream.append(out)
+            search(depth + 1, new_unf, new_faulted, new_safe, new_fchains, new_schains, stream)
+            stream.pop()
+            if pump is not None:
+                return
+
+    for out in (cls for cls in out_classes if cls in init):
+        unf = init[out]
+        safe = unf & ~ball_mask
+        fchains = [{}]
+        schains = [{j: 1 << j for j in _bits(safe)}]
+        search(0, unf, {}, safe, fchains, schains, [out])
+
+    method = f"bounded-enumeration(T={horizon})"
+    if pump is not None:
+        witness = _reconstruct_pump_witness(system, spec, ball, pump)
+        return Verdict(False, witness=witness, method=method)
+    return Verdict(True, delta=max(best_margin, 0) + 1, method=method)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from approxdiag import diagnosis
 from approxdiag.diagnosis import (
     ContractReport,
     Diagnoser,
@@ -14,15 +18,24 @@ from approxdiag.diagnosis import (
     validate_witness,
 )
 from approxdiag.errors import (
+    DomainError,
     FaultSpecError,
     InfeasibleObservationError,
     InitialStateInBallError,
+    InternalInvariantError,
     NonDiagnosableError,
     ResourceLimitError,
 )
 from approxdiag.finsys import FiniteSystem, observation_symbol
 from approxdiag.fixtures import D1_FAULTS, ND1_FAULTS, d1, nd1, random_finite_system
-from reference import reference_belief_start, reference_belief_step, reference_check
+from reference import (
+    reference_belief_start,
+    reference_belief_step,
+    reference_brute_force_check,
+    reference_check,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_d1_diagnosable_delta_one():
@@ -136,6 +149,101 @@ def test_checker_oracle_agreement_random():
             assert validate_witness(s, spec, vt.witness)
             assert validate_witness(s, spec, vb.witness)
 
+
+
+def _assert_same_oracle(s, spec, horizon):
+    got = brute_force_check(s, spec, horizon)
+    want = reference_brute_force_check(s, spec, horizon)
+    assert got == want  # diagnosable, delta, witness and method
+    return got
+
+
+def _perfbench_fts_cases():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclasses look themselves up there
+    return module.fts_cases
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_brute_force_equals_reference_on_fts_cases(seed):
+    # The benchmark's suite, through the model files' JSON form.
+    cases = _perfbench_fts_cases()(seed)
+    systems = [(FiniteSystem.from_json(c["model"]), FaultSpec.of(c["faults"], c["rho"])) for c in cases]
+    verdicts = [_assert_same_oracle(s, spec, t) for t in (1, 2, 10, 14) for s, spec in systems]
+    assert 0 < sum(v.diagnosable for v in verdicts) < len(verdicts)
+
+
+def test_brute_force_equals_reference_on_acceptance_suite():
+    rng = np.random.default_rng(SUITE_SEED)
+    for _ in range(200):
+        _assert_same_oracle(*random_finite_system(rng), 10)
+
+
+@pytest.mark.parametrize(
+    "name, faults",
+    [("mixed_outputs", [1]), ("fts40_diag", range(30, 40)), ("fts40_nondiag", [2, 28])],
+)
+@pytest.mark.parametrize("horizon", [8, 11])
+def test_brute_force_equals_reference_on_golden_models(name, faults, horizon):
+    s = FiniteSystem.load(str(GOLDEN / f"{name}_model.json"))
+    _assert_same_oracle(s, FaultSpec.of(faults, 0), horizon)
+
+
+def _line_system(coords, outs, succ, initial=(0,)):
+    states = tuple((Fraction(c),) for c in coords)
+    outputs = tuple((Fraction(v),) for v in outs)
+    return FiniteSystem(states, initial, ("u",), tuple((tuple(t),) for t in succ), outputs, 1)
+
+
+def test_brute_force_drops_a_chain_whose_fault_side_dies_first():
+    # One observable output.  Fault 1 (depth 1) moves to 2, whose only move
+    # leaves the output for good, while 4 stays safe and enters fault 5 at
+    # depth 2.  Chain 1's fault side empties at depth 3 with its safe side
+    # {4} alive; the pump is chain 2's: 5 -> 5 against 4 -> 4.
+    s = _line_system(
+        [0, 10, 20, 30, 40, 50, 60], [0, 0, 0, 0, 0, 0, 1], [[1, 4], [2], [6], [3], [4, 5], [5], [6]]
+    )
+    spec = FaultSpec.of([1, 5], 0)
+    v = _assert_same_oracle(s, spec, 6)
+    assert v.witness == ((0, 4, 5, 5, 5), (0, 4, 4, 4, 4))
+    assert validate_witness(s, spec, v.witness)
+
+
+def test_brute_force_drops_a_chain_whose_safe_side_dies_first():
+    # Fault 1 loops on itself; the safe run 0 -> 2 -> 3 steps into the ball
+    # (3 sits within rho = 1 of the fault), so chain 1 loses its safe side
+    # while its fault side {1} still loops.  The chain created at depth 1
+    # must not be tested at depth 1, where its sides are still identities.
+    s = _line_system([0, 10, 20, 11], [0, 0, 0, 0], [[1, 2], [1], [3], [3]])
+    spec = FaultSpec.of([1], 1)
+    v = _assert_same_oracle(s, spec, 6)
+    assert v.diagnosable and v.delta == 1
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+def test_fault_spec_refuses_non_integer_indices(bad):
+    with pytest.raises(FaultSpecError, match="fault index must be an integer"):
+        FaultSpec.of([bad], 0)
+
+
+def test_fault_spec_takes_numpy_integers():
+    # random_finite_system draws its faults as a numpy array.
+    faults = FaultSpec.of(np.array([2, 1]), 0).faults
+    assert faults == {1, 2} and all(type(i) is int for i in faults)
+
+
+@pytest.mark.parametrize("horizon", [2.5, True])
+def test_brute_force_refuses_non_integer_horizon(horizon):
+    with pytest.raises(DomainError, match="horizon must be an integer"):
+        brute_force_check(d1(), FaultSpec.of(D1_FAULTS, 0), horizon)
+
+
+def test_pump_without_runs_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(diagnosis, "_find_run", lambda *args, **kwargs: None)
+    with pytest.raises(InternalInvariantError):
+        brute_force_check(nd1(), FaultSpec.of(ND1_FAULTS, 1), 6)
 
 def test_monotone_in_rho():
     # Not diagnosable for a large ball stays not diagnosable for smaller.
