@@ -320,6 +320,14 @@ def _check_trial(sysdef, fault_region, rho, x0f, x0s_raw, us, trial) -> Countere
     )
 
 
+def _quantizable(col: np.ndarray, eta: float) -> np.ndarray:
+    """Entries of an output column that ``quantize_indices(col, eta)`` maps
+    to finite indices: exactly those whose ``col / (2 eta) + 0.5`` is finite.
+    A huge entry overflows the division and a signalling NaN is invalid in
+    it, so call it under an errstate that ignores both."""
+    return np.isfinite(col / (2.0 * eta) + 0.5)
+
+
 def _screen_trials(sysdef, fault_region, rho, x0f, raw, us) -> np.ndarray:
     """Rows of a drawn chunk the scalar check must see, in trial order:
     those whose simulation may fail and those that pass every screen.
@@ -327,33 +335,50 @@ def _screen_trials(sysdef, fault_region, rho, x0f, raw, us) -> np.ndarray:
     Both trajectories of each trial are simulated as numpy columns, one
     time step at a time, and the screens make the scalar check's
     comparisons on the same floats, so a trial left out is one the scalar
-    check returns None for.
+    check returns None for.  The failure flags cover every row at every
+    step, since the scalar check raises on any trial whose simulation
+    fails.  The output, fault and distance screens run only on the live
+    trials: those whose quantized outputs have agreed so far, whose fault
+    side did not start in the fault region and whose safe side has stayed
+    farther than rho from it.  A trial that leaves the live set never
+    comes back, so once it is empty a step only runs the forest and the
+    failure flags.
     """
     p, c, eta = sysdef.p, len(x0f), sysdef.eta
     mixed = np.concatenate([x0f[:, :p], raw[:, p:]], axis=1)
     x0s = np.where(sysdef.x0.contains_columns(list(mixed.T))[:, None], mixed, raw)
     # The state as contiguous columns, fault rows first, then safe rows; the
-    # inputs as contiguous columns per step, shared by both halves.
+    # inputs as contiguous columns per step, doubled once for both halves.
     x = list(np.concatenate([x0f, x0s]).T.copy())
-    u = us.T.copy()
+    u = np.concatenate([us, us]).transpose(1, 2, 0).copy()
     bad = np.zeros(2 * c, dtype=bool)
-    same, near, entered = np.ones(c, dtype=bool), np.zeros(c, dtype=bool), np.zeros(c, dtype=bool)
-    for t in range(us.shape[1] + 1):
-        if t:
-            x, failed = sysdef.compiled_np(x, [np.concatenate([col, col]) for col in u[:, t - 1]])
-            bad |= failed
-        q = [quantize_indices(col, eta) for col in x[:p]]
-        for col in (*x, *q):
-            bad |= ~np.isfinite(col)
-        for col in q:
-            same &= col[:c] == col[c:]
-        hit = fault_region.contains_columns([col[:c] for col in x])
-        if t:
-            entered |= hit
-        else:
-            hit0 = hit
-        near |= fault_region.distance_columns([col[c:] for col in x]) <= rho
-    return np.flatnonzero(bad[:c] | bad[c:] | (entered & ~hit0 & ~near & same))
+    live, entered = np.arange(c), np.zeros(c, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(us.shape[1] + 1):
+            if t:
+                x, failed = sysdef.compiled_np(x, u[t - 1])
+                bad |= failed
+            for col in x[:p]:
+                bad |= ~_quantizable(col, eta)
+            for col in x[p:]:
+                bad |= ~np.isfinite(col)
+            if not len(live):
+                continue
+            # Each column's live rows as a (2, live) array: fault side, safe side.
+            rows = [col.reshape(2, c)[:, live] for col in x]
+            hit = fault_region.contains_columns([r[0] for r in rows])
+            keep = fault_region.distance_columns([r[1] for r in rows]) > rho
+            if t:
+                entered |= hit
+            else:
+                keep &= ~hit
+            for r in rows[:p]:
+                q = quantize_indices(r, eta)
+                keep &= q[0] == q[1]
+            live, entered = live[keep], entered[keep]
+    keep = bad[:c] | bad[c:]
+    keep[live[entered]] = True
+    return np.flatnonzero(keep)
 
 
 def falsify_plant(
@@ -375,15 +400,22 @@ def falsify_plant(
     at offset t*k (see ``_draw_chunk``), so a trial's outcome depends only
     on seed, t and horizon, never on chunking or the trial count, and
     ``PCG64(seed).advance(t * k)`` replays it alone.  A rho that is
-    negative, NaN or infinite is a DomainError, raised before any trial.
+    negative, NaN or infinite, and a trial count or horizon that is a bool,
+    not an integer or negative, are DomainErrors, raised before any trial.
 
     Trials are drawn and simulated a chunk at a time as numpy rows,
-    _TRIAL_CHUNK of them first and 8 times that in each later chunk;
-    the trials that fail or pass the screens go, in trial order and with
-    the rows their chunk drew, to the scalar check, which returns the first
-    counterexample or raises the first error.
+    _TRIAL_CHUNK of them first and 8 times that in each later chunk.  The
+    screens drop a trial once its quantized outputs part or its safe side
+    comes within rho of the fault region, and flag every trial whose
+    simulation fails; the flagged trials and those that survive every
+    screen go, in trial order and with the rows their chunk drew, to the
+    scalar check, which returns the first counterexample or raises the
+    first error.
     """
     _to_rho(rho)
+    for name, value in (("trials", trials), ("horizon", horizon)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
     if fault_region.is_empty():
         return None
     _require_closed(fault_region)

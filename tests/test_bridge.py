@@ -16,7 +16,7 @@ from approxdiag.bridge import (
     fault_lattice_eroded,
     smallest_refute_k,
 )
-from approxdiag.errors import EmptyErosionError, FaultSpecError, ParamCheckError
+from approxdiag.errors import DomainError, EmptyErosionError, FaultSpecError, ParamCheckError
 from approxdiag.finsys import FiniteSystem
 from approxdiag.fixtures import e1
 from approxdiag.lattice import LatticePoint, lattice_points_in
@@ -342,6 +342,21 @@ def test_falsify_trivial_cases():
     region = BoxUnion.of(Box((1.02, 0.22), (1.98, 0.98)))
     assert falsify_plant(sysdef, region, 0.05, trials=0, horizon=10) is None
     assert falsify_plant(sysdef, region, 100.0, trials=200, horizon=10) is None
+
+
+@pytest.mark.parametrize(
+    "name, trials, horizon",
+    [
+        ("trials", True, 10), ("trials", 2.0, 10), ("trials", "5", 10), ("trials", -5, 10),
+        ("horizon", 10, False), ("horizon", 10, 2.5), ("horizon", 10, None), ("horizon", 10, -1),
+    ],
+)
+def test_falsify_refuses_bad_trials_and_horizon(monkeypatch, name, trials, horizon):
+    sysdef, _ = e1()
+    monkeypatch.setattr(bridge, "_draw_chunk", lambda *args: pytest.fail("drew a trial"))
+    for region in (BoxUnion.of(Box((1.02, 0.22), (1.98, 0.98))), BoxUnion((), 2)):
+        with pytest.raises(DomainError, match=f"{name} must be a nonnegative integer"):
+            falsify_plant(sysdef, region, 0.05, trials=trials, horizon=horizon)
 
 
 def test_falsify_finds_hidden_fault_pair():

@@ -174,6 +174,30 @@ def test_quantize_indices_matches_scalar_quantizer():
     assert not np.isfinite(quantize_indices(np.array([np.inf, np.nan]), 0.1)).any()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eta", [1e-300, 0.1, 1e300])
+def test_screen_finiteness_flag_equals_quantizer(eta):
+    # Every class of float64 by random bit patterns (subnormals, NaNs and
+    # infinities included), the extremes, and the floats around the point
+    # where col / (2 eta) overflows.
+    rng = np.random.default_rng(11)
+    top = np.finfo(float).max
+    with np.errstate(over="ignore"):
+        around = [min(2.0 * eta * top, top)]
+        for _ in range(4):
+            around = [np.nextafter(around[0], 0.0), *around, np.nextafter(around[-1], math.inf)]
+    values = np.concatenate([
+        rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 20_000, dtype=np.int64, endpoint=True).view(float),
+        [1.7e308, -1.7e308, np.finfo(float).max, 5e-324, -5e-324, 2.2e-308, 1e-310],
+        [math.inf, -math.inf, math.nan, -math.nan, 0.0, -0.0, 1.0],
+        np.array(around), -np.array(around),
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = bridge._quantizable(values, eta)
+    assert (got == np.isfinite(quantize_indices(values, eta))).all()
+    assert got.any() and not got.all()
+
+
 def same_floats(a, b) -> bool:
     """Equal bit for bit, except that any NaN equals any NaN."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -475,6 +499,9 @@ def test_falsify_equals_reference_on_two_box_x0_and_nonlinear_plant():
 
 SCREEN_CASES = {
     "e1-x1": (None, None, FAULT_X1, 2.1),
+    # Both sides share x1, so a safe side meets FAULT_X1 with the fault side,
+    # at distance exactly rho: no trial may pass.
+    "touching": (None, None, FAULT_X1, 0.0),
     "e1-x2": (None, None, FAULT_X2, 0.05),
     "e1-band": (None, None, BAND, 0.05),
     "two-box": (None, TWO_BOX_X0, FAULT_X2, 0.05),
@@ -485,6 +512,10 @@ SCREEN_CASES = {
     "huge-output": (["1.5e308*u1", "0.5*x2"], None, FAULT_X2, 0.05),
     # FAULT_X2 widened into X0: a trial that starts in it never enters it.
     "starts-inside": (None, None, BoxUnion.of(Box((0.8, 0.22), (1.98, 0.98))), 0.05),
+    # Every safe side starts within 2.7 of FAULT_X1, so no trial outlives
+    # step 0; x2 overflows from step 8 on in the rows whose x1 stays above
+    # -0.3, and the screen must still flag them.
+    "dead-then-overflow": (["0.5*x1 + u1", "1e40*x2*max(x1 + 0.3, 0)"], None, FAULT_X1, 2.8),
 }
 
 
@@ -500,7 +531,7 @@ def test_screen_equals_whole_trajectory_screen(case):
             want = reference_screen_trials(sysdef, region, rho, *rows)
             assert got.dtype == want.dtype and (got == want).all(), (seed, start)
             kept += len(got)
-    assert kept == 0 if region is FAULT_X1 else kept > 0
+    assert kept == 0 if case in ("e1-x1", "touching") else kept > 0
 
 
 @pytest.mark.parametrize("seed", [0, 2**64, 2**128 + 1])
