@@ -31,7 +31,7 @@ from .diagnosis import (
 )
 from .finsys import FiniteSystem, observation_symbol
 from .kfun import KFunction, compose_inverse
-from .lattice import LatticePoint, cell_of, lattice_image, lattice_points_in, quantize
+from .lattice import cell_of, lattice_image, lattice_points_in, quantize
 from .regions import Box, BoxUnion, ball_in_union
 from .system import (
     Certificate,

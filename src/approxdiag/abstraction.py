@@ -155,7 +155,6 @@ def build_abstraction(
     params: AbstractionParams,
     *,
     enforce_params: bool = True,
-    threads: int | None = None,
     config_digest: str | None = None,
 ) -> FiniteSystem:
     """Breadth-first closure of the lattice abstraction.
@@ -167,7 +166,7 @@ def build_abstraction(
     outside the certificate's exploration box: the lexicographically
     smallest of the first level that has one, and the first (state, input)
     reaching it.  ``enforce_params=False`` skips the accuracy check; it
-    exists for negative-control experiments.  ``threads`` is ignored.
+    exists for negative-control experiments.
 
     The box fixes an index box (``_key_grid``, ResourceLimitError above
     _GRID_CAP cells) and one table over it holding state id + 1 by mixed-radix
@@ -184,10 +183,9 @@ def build_abstraction(
     eta, mu = params.eta, params.mu
     lows, shape, ranges = _key_grid(cert.explore_bound, eta)
 
-    input_points = lattice_image(sysdef.u_set, mu)
-    input_coords = tuple(pt.coords for pt in input_points)
-    input_embeds = np.array([pt.embed() for pt in input_points])
-    n_in = len(input_points)
+    input_coords = tuple(lattice_image(sysdef.u_set, mu))
+    input_embeds = (2.0 * mu) * np.array(input_coords, dtype=float)
+    n_in = len(input_coords)
 
     outside = []  # (rows outside the bound, their row numbers) of each block with any
 
@@ -214,8 +212,8 @@ def build_abstraction(
             raise BoundExceededError(coords, [2.0 * eta * c for c in coords], *origin(int(at[r])))
 
     table = np.zeros(math.prod(shape), dtype=np.int32)
-    init_points = lattice_image(sysdef.x0, eta)  # already sorted lexicographically
-    init_rows = np.array([pt.coords for pt in init_points], dtype=float).reshape(-1, sysdef.n)
+    # Already sorted lexicographically.
+    init_rows = np.array(lattice_image(sysdef.x0, eta), dtype=float).reshape(-1, sysdef.n)
     init_keys = keys(list(init_rows.T))
     check_bound(lambda r: (None, None))
     table[init_keys] = np.arange(1, len(init_keys) + 1)

@@ -35,7 +35,7 @@ from .errors import (
     ParamCheckError,
 )
 from .finsys import FiniteSystem, _to_rho
-from .lattice import LatticePoint, _index_points, lattice_points_in, quantize, quantize_indices
+from .lattice import _index_points, embed_exact, lattice_points_in, quantize, quantize_indices
 from .rational import to_rational
 from .regions import Box, BoxUnion, ball_in_union
 from .system import Certificate, SystemDef, output, step
@@ -137,14 +137,14 @@ def fault_lattice_eroded(
         c
         for c in _fault_lattice_plain(region, eta, bound)
         if any(_in_ranges(c, core) for core in cores)
-        or (len(cores) > 1 and ball_in_union(LatticePoint(c, eta).embed_exact(), eps, region))
+        or (len(cores) > 1 and ball_in_union(embed_exact([c], eta)[0], eps, region))
     ]
 
 
 def _fault_lattice_plain(region: BoxUnion, eta: float, bound: Box) -> list[tuple[int, ...]]:
     """Lattice points of the fault region within the bound."""
     clip = _index_ranges(bound, eta)
-    return [pt.coords for pt in lattice_points_in(region, eta) if _in_ranges(pt.coords, clip)]
+    return [c for c in lattice_points_in(region, eta) if _in_ranges(c, clip)]
 
 
 def _map_to_states(system: FiniteSystem, coords_list) -> tuple[frozenset[int], int]:
@@ -312,8 +312,8 @@ def _check_trial(sysdef, fault_region, rho, x0f, x0s_raw, us, trial) -> Countere
     fault_time = next((t for t, x in enumerate(traj_f) if fault_region.contains(x)), None)
     if not fault_time or any(fault_region.distance_to(x) <= rho for x in traj_s):
         return None
-    trace_f = [quantize(output(sysdef, x), sysdef.eta).coords for x in traj_f]
-    if trace_f != [quantize(output(sysdef, x), sysdef.eta).coords for x in traj_s]:
+    trace_f = [quantize(output(sysdef, x), sysdef.eta) for x in traj_f]
+    if trace_f != [quantize(output(sysdef, x), sysdef.eta) for x in traj_s]:
         return None
     return Counterexample(
         trial, fault_time, x0f, x0s, inputs, tuple(traj_f), tuple(traj_s), tuple(trace_f)

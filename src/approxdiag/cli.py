@@ -377,7 +377,6 @@ def build_parser() -> _Parser:
     sub.add_argument("config")
     _add_params_flags(sub)
     sub.add_argument("-o", "--output", required=True)
-    sub.add_argument("--threads", type=int, help="accepted and ignored")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_abstract)
 
@@ -386,7 +385,6 @@ def build_parser() -> _Parser:
     _add_params_flags(sub)
     sub.add_argument("--samples", type=_sample_count, default=10_000)
     sub.add_argument("--seed", type=_sample_count, default=0)
-    sub.add_argument("--threads", type=int, help="accepted and ignored")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_certify)
 
@@ -413,7 +411,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--rho-target", type=float, help="report whether this rho is covered")
     _add_params_flags(sub)
     sub.add_argument("--refine", type=int, default=0, help="halve eta, mu up to N times on INCONCLUSIVE")
-    sub.add_argument("--threads", type=int, help="accepted and ignored")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_check)
 
@@ -431,7 +428,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--dims", type=_dims, default="", help="comma-separated dimensions, e.g. 1,2,3")
     sub.add_argument("--width", type=_positive, default=5, help="cells per axis")
     sub.add_argument("--eta", type=float, default=0.5)
-    sub.add_argument("--threads", type=int, help="accepted and ignored")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_bench)
 

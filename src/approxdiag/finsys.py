@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, FaultSpecError
-from .lattice import _GRID_CAP, quantize
+from .lattice import _GRID_CAP, embed_exact, quantize
 from .rational import to_exact, to_rational
 from .report import canonical_json
 
@@ -206,7 +206,7 @@ class FiniteSystem:
         )
         order = np.argsort(first)
         ids = np.argsort(order).astype(np.int32)[inverse.reshape(-1)]
-        keys = _embed([coords[i, :p].tolist() for i in first[order].tolist()], state_theta)
+        keys = embed_exact([coords[i, :p].tolist() for i in first[order].tolist()], state_theta)
         class_of = {key: k for k, key in enumerate(keys)}
         # Distinct successors of each row, ascending.  A stable sort on
         # (row, class) gives each entry the smallest member of its class
@@ -433,18 +433,14 @@ def _coord_array(rows) -> np.ndarray:
     return pts if len(rows) else pts.reshape(0, 0)
 
 
-def _embed(coords, theta) -> tuple[tuple[int | Fraction, ...], ...]:
-    two_theta = 2 * to_rational(theta)
-    return tuple(tuple(to_exact(two_theta * c) for c in row) for row in coords)
-
-
 def _succ_view(s: FiniteSystem):
     singles = [(j,) for j in range(s.n_states)]
     return tuple(tuple(map(singles.__getitem__, row)) for row in s.successor_matrix.tolist())
 
 
 def _matrix_view(s: FiniteSystem) -> np.ndarray:
-    assert all(len(t) == 1 for row in s.succ for t in row), "one successor per input"
+    if any(len(t) != 1 for row in s.succ for t in row):
+        raise DomainError("a successor matrix needs exactly one successor per state and input")
     flat = [t[0] for row in s.succ for t in row]
     return np.array(flat, dtype=np.int32).reshape(s.n_states, len(s.inputs))
 
@@ -473,8 +469,8 @@ def _coords_view(s: FiniteSystem) -> np.ndarray | None:
 # successor_groups are views only on lattice-backed models, which hold their
 # integer form instead; every other system has them from its constructor.
 _VIEWS = {
-    "states": lambda s: _embed(s.state_coords, s.state_theta),
-    "inputs": lambda s: _embed(s.input_coords, s.input_theta),
+    "states": lambda s: embed_exact(s.state_coords, s.state_theta),
+    "inputs": lambda s: embed_exact(s.input_coords, s.input_theta),
     "outputs": lambda s: tuple(x[: s.p] for x in s.states),
     "succ": _succ_view,
     "state_coords": lambda s: tuple(map(tuple, s._coords.tolist())),
@@ -493,9 +489,9 @@ _VIEWS = {
 
 def observation_symbol(s: FiniteSystem, values) -> tuple[int | Fraction, ...]:
     """Map an observed numeric output vector onto the system's own output
-    value domain: via the output quantizer for lattice-backed models (as
-    Fractions), via exact decimal conversion by ``to_exact`` for
-    hand-written ones."""
+    value domain: via the output quantizer and ``embed_exact`` for
+    lattice-backed models, via exact decimal conversion by ``to_exact`` for
+    hand-written ones; either way held like the model's own output values."""
     if not isinstance(values, (list, tuple, np.ndarray)):
         raise DomainError(f"an observation is a list of {s.p} numbers, got {values!r}")
     if len(values) != s.p:
@@ -508,4 +504,4 @@ def observation_symbol(s: FiniteSystem, values) -> tuple[int | Fraction, ...]:
         point = tuple(float(v) for v in values)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"observation {values!r} is not numeric") from exc
-    return quantize(point, s.state_theta).embed_exact()
+    return embed_exact([quantize(point, s.state_theta)], s.state_theta)[0]

@@ -1,9 +1,9 @@
 """Uniform quantizers and half-open cell geometry over the lattice 2*theta*Z^n.
 
-A lattice point is stored as an integer coordinate vector plus the scalar
-quantization parameter, so membership and hashing are exact; the real
-embedding 2*theta*coords is derived, never stored.  The quantizer sends x
-to the unique lattice point whose half-open cell
+A lattice point is a tuple of Python ints, its integer coordinates; the
+lattice's one spacing 2*theta travels beside it, so membership and hashing
+are exact and the real embedding 2*theta*coords is derived, never stored.
+The quantizer sends x to the unique lattice point whose half-open cell
 [embed - theta, embed + theta) contains it, i.e. floor(x/(2 theta) + 1/2)
 per axis, with ties (x exactly on a cell boundary) going to the upper cell.
 
@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, UnboundedRegionError
-from .rational import to_rational
+from .rational import to_exact, to_rational
 from .regions import Box, BoxUnion
 
 REL_TIE_SNAP = 1e-9
@@ -34,50 +33,27 @@ REL_TIE_SNAP = 1e-9
 _GRID_CAP = 1 << 26
 
 __all__ = [
-    "LatticePoint",
     "quantize",
     "quantize_index",
     "quantize_indices",
     "cell_of",
+    "embed_exact",
     "lattice_points_in",
     "lattice_image",
 ]
 
 
-_INT_ONLY = frozenset((int,))
+def _check_theta(theta) -> None:
+    if not 0 < theta < math.inf:
+        raise DomainError("quantization parameter must be positive and finite")
 
 
-@dataclass(frozen=True, order=True, init=False)
-class LatticePoint:
-    """Integer lattice coordinates plus quantization parameter.
-
-    Coordinates are normalised to a tuple of Python ints (a list or numpy
-    integers compare and hash like the plain tuple); theta must be positive
-    and finite.
-    """
-
-    coords: tuple[int, ...]
-    theta: float
-
-    def __init__(self, coords, theta: float):
-        if not 0 < theta < math.inf:
-            raise DomainError("quantization parameter must be positive and finite")
-        # Already normalised (the common case) costs one type scan, no copy.
-        if type(coords) is not tuple or not _INT_ONLY.issuperset(map(type, coords)):
-            coords = tuple(int(c) for c in coords)
-        # Frozen dataclass: write the fields past the blocked __setattr__.
-        self.__dict__.update(coords=coords, theta=theta)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def embed(self) -> tuple[float, ...]:
-        return tuple(2.0 * self.theta * c for c in self.coords)
-
-    def embed_exact(self) -> tuple[Fraction, ...]:
-        two_theta = 2 * to_rational(self.theta)
-        return tuple(two_theta * c for c in self.coords)
+def embed_exact(rows, theta) -> tuple[tuple[int | Fraction, ...], ...]:
+    """Exact embeddings 2*theta*coords of coordinate rows, theta read as the
+    decimal it was written as: each component an int where integral, else a
+    Fraction."""
+    two_theta = 2 * to_rational(theta)
+    return tuple(tuple(to_exact(two_theta * c) for c in row) for row in rows)
 
 
 def quantize_index(x, theta: float) -> int:
@@ -108,34 +84,34 @@ def quantize_indices(values: np.ndarray, theta: float) -> np.ndarray:
     return np.where(snap, nearest, np.floor(q))
 
 
-def quantize(x, theta: float) -> LatticePoint:
-    """Map x to the unique lattice point whose half-open cell contains it."""
-    if not theta > 0:
-        raise DomainError("quantization parameter must be positive")
-    return LatticePoint(tuple(quantize_index(v, theta) for v in x), theta)
+def quantize(x, theta: float) -> tuple[int, ...]:
+    """Coordinates of the unique lattice point whose half-open cell contains x."""
+    _check_theta(theta)
+    return tuple(quantize_index(v, theta) for v in x)
 
 
-def cell_of(q: LatticePoint) -> Box:
+def cell_of(coords, theta: float) -> Box:
     """Half-open cell [embed - theta, embed + theta) of a lattice point.
 
-    Bounds are (2.0*theta)*c -/+ theta in floats, the same values as
-    ``embed()`` -/+ theta; they are floats with lower <= upper and the flags
-    are bool constants, so the cell skips ``Box`` validation.
+    Bounds are (2.0*theta)*c -/+ theta in floats, c read as a Python int;
+    they are floats with lower <= upper and the flags are bool constants, so
+    the cell skips ``Box`` validation.
     """
-    theta = float(q.theta)
+    _check_theta(theta)
+    theta = float(theta)
     two_theta = 2.0 * theta
-    n = len(q.coords)
+    coords = tuple(map(int, coords))
+    n = len(coords)
     return Box._trusted(
-        tuple([two_theta * c - theta for c in q.coords]),
-        tuple([two_theta * c + theta for c in q.coords]),
+        tuple([two_theta * c - theta for c in coords]),
+        tuple([two_theta * c + theta for c in coords]),
         (False,) * n,
         (True,) * n,
     )
 
 
 def _require_enumerable(region: BoxUnion, theta: float):
-    if not theta > 0:
-        raise DomainError("quantization parameter must be positive")
+    _check_theta(theta)
     if not region.is_bounded():
         raise UnboundedRegionError("lattice enumeration requires a bounded region")
 
@@ -157,9 +133,9 @@ def _index_points(region: BoxUnion, axis_range) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def lattice_points_in(region: BoxUnion, theta: float) -> list[LatticePoint]:
-    """Lattice points whose embedding lies in the region (intersection
-    semantics, exact rational comparisons).  Sorted by coordinates."""
+def lattice_points_in(region: BoxUnion, theta: float) -> list[tuple[int, ...]]:
+    """Coordinates of the lattice points whose embedding lies in the region
+    (intersection semantics, exact rational comparisons), sorted."""
     _require_enumerable(region, theta)
     two_theta = 2 * to_rational(theta)
 
@@ -173,17 +149,18 @@ def lattice_points_in(region: BoxUnion, theta: float) -> list[LatticePoint]:
             cmax -= 1
         return cmin, cmax
 
-    return [LatticePoint(c, theta) for c in _index_points(region, axis_range)]
+    return _index_points(region, axis_range)
 
 
-def lattice_image(region: BoxUnion, theta: float) -> list[LatticePoint]:
-    """Image of the region under the quantizer: every lattice point whose
-    cell meets the region, one point per met cell.  Computed from the
-    quantizer itself (index intervals per axis, never by sampling), so it is
-    consistent with ``quantize`` including its tie treatment: a bound's own
-    cell is met by points arbitrarily close to the bound.  The one exception
-    is an open upper bound exactly on a cell's lower edge (exact rational
-    test), which does not meet that cell.  Sorted by coordinates.
+def lattice_image(region: BoxUnion, theta: float) -> list[tuple[int, ...]]:
+    """Image of the region under the quantizer: the coordinates of every
+    lattice point whose cell meets the region, one point per met cell.
+    Computed from the quantizer itself (index intervals per axis, never by
+    sampling), so it is consistent with ``quantize`` including its tie
+    treatment: a bound's own cell is met by points arbitrarily close to the
+    bound.  The one exception is an open upper bound exactly on a cell's
+    lower edge (exact rational test), which does not meet that cell.
+    Sorted by coordinates.
     """
     _require_enumerable(region, theta)
     t = to_rational(theta)
@@ -194,4 +171,4 @@ def lattice_image(region: BoxUnion, theta: float) -> list[LatticePoint]:
             cmax -= 1
         return quantize_index(box.lower[i], theta), cmax
 
-    return [LatticePoint(c, theta) for c in _index_points(region, axis_range)]
+    return _index_points(region, axis_range)

@@ -24,7 +24,7 @@ import numpy as np
 from . import exprs
 from .errors import ConfigError, DomainError, InternalInvariantError, NumericError
 from .kfun import KFunction
-from .lattice import LatticePoint, quantize
+from .lattice import quantize
 from .regions import Box, BoxUnion, as_float
 
 ORIGIN_FIXPOINT_TOL = 1e-12
@@ -106,7 +106,7 @@ def output(sysdef: SystemDef, x):
     return tuple(x[: sysdef.p])
 
 
-def quantized_output_trace(sysdef: SystemDef, x0, inputs) -> list[LatticePoint]:
+def quantized_output_trace(sysdef: SystemDef, x0, inputs) -> list[tuple[int, ...]]:
     """Simulate from x0 under the input sequence and quantize each output.
 
     Element t depends only on x0 and inputs[0:t]; the trace has one more

@@ -469,9 +469,8 @@ def reference_build_abstraction(
     eta, mu = params.eta, params.mu
     fn = sysdef.compiled
     bound = cert.explore_bound
-    input_points = lattice_image(sysdef.u_set, mu)
-    input_coords = [pt.coords for pt in input_points]
-    input_embeds = [pt.embed() for pt in input_points]
+    input_coords = lattice_image(sysdef.u_set, mu)
+    input_embeds = [tuple(2.0 * mu * c for c in coords) for coords in input_coords]
     init_points = lattice_image(sysdef.x0, eta)
     index: dict[tuple[int, ...], int] = {}
     embeds: list[tuple[float, ...]] = []
@@ -483,10 +482,10 @@ def reference_build_abstraction(
         index[coords] = len(embeds)
         embeds.append(emb)
 
-    for pt in init_points:
-        admit(pt.coords)
+    for coords in init_points:
+        admit(coords)
     succ_rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    level = [pt.coords for pt in init_points]
+    level = list(init_points)
     while level:
         fresh: dict[tuple[int, ...], tuple] = {}
         for coords in level:
@@ -548,11 +547,10 @@ def reference_falsify(
             continue
         trace_f = quantized_output_trace(sysdef, x0f, inputs)
         trace_s = quantized_output_trace(sysdef, x0s, inputs)
-        if any(a.coords != b.coords for a, b in zip(trace_f, trace_s)):
+        if trace_f != trace_s:
             continue
-        coords = tuple(pt.coords for pt in trace_f)
         return Counterexample(
-            trial, fault_time, x0f, x0s, inputs, tuple(traj_f), tuple(traj_s), coords
+            trial, fault_time, x0f, x0s, inputs, tuple(traj_f), tuple(traj_s), tuple(trace_f)
         )
     return None
 
@@ -658,18 +656,20 @@ def reference_fault_lattice_eroded(
     and whose closed eps-ball ``reference_ball_in_union`` finds covered,
     point by point."""
     inside = _inside_closed(bound)
+    two_eta = 2 * to_rational(eta)
     out = []
-    for pt in lattice_points_in(region, eta):
-        emb = pt.embed_exact()
+    for coords in lattice_points_in(region, eta):
+        emb = tuple(two_eta * c for c in coords)
         if inside(emb) and reference_ball_in_union(emb, eps, region):
-            out.append(pt.coords)
+            out.append(coords)
     return out
 
 
 def reference_fault_lattice_plain(region: BoxUnion, eta: float, bound: Box) -> list[tuple[int, ...]]:
     """Lattice points of the region whose exact embedding lies in the bound."""
     inside = _inside_closed(bound)
-    return [pt.coords for pt in lattice_points_in(region, eta) if inside(pt.embed_exact())]
+    two_eta = 2 * to_rational(eta)
+    return [c for c in lattice_points_in(region, eta) if inside(tuple(two_eta * v for v in c))]
 
 
 def reference_contains_rows(union: BoxUnion, points: np.ndarray) -> np.ndarray:
@@ -789,8 +789,7 @@ def reference_certify_relation(
     init_set = set(system.initial)
     for x in init_samples:
         x = tuple(x)
-        q = quantize(x, params.eta)
-        idx = coords_index.get(q.coords)
+        idx = coords_index.get(quantize(x, params.eta))
         if idx is None or idx not in init_set:
             viol_init += 1
             continue
@@ -809,7 +808,7 @@ def reference_certify_relation(
         if max(abs(a - b) for a, b in zip(x, xi)) > eps:
             viol_dist += 1
         u = tuple(u_samples[k])
-        v_coords = quantize(u, params.mu).coords
+        v_coords = quantize(u, params.mu)
         u_idx = input_index.get(v_coords)
         if u_idx is None:
             viol_step += 1

@@ -82,12 +82,14 @@ def test_finiteness_bound():
     assert system.n_states <= per_axis[0] * per_axis[1]
 
 
-def test_reproducible_across_runs_and_threads():
+def test_reproducible_across_runs():
     a = build_e1_coarse()
-    b = build_e1_coarse(threads=4)
+    b = build_e1_coarse()
     assert a.state_coords == b.state_coords
     assert a.succ == b.succ
     assert a.initial == b.initial
+    with pytest.raises(TypeError):
+        build_e1_coarse(threads=4)  # the build is single-threaded; there is no knob
 
 
 def test_param_enforcement():

@@ -19,7 +19,7 @@ from approxdiag.bridge import (
 from approxdiag.errors import DomainError, EmptyErosionError, FaultSpecError, ParamCheckError
 from approxdiag.finsys import FiniteSystem
 from approxdiag.fixtures import e1
-from approxdiag.lattice import LatticePoint, lattice_points_in
+from approxdiag.lattice import lattice_points_in
 from approxdiag.rational import to_rational
 from approxdiag.regions import Box, BoxUnion
 from reference import reference_fault_lattice_eroded, reference_fault_lattice_plain
@@ -43,7 +43,7 @@ def test_eroded_examples():
     assert set(pts) == {(a, b) for a in range(1, 5) for b in range(1, 5)}
     assert fault_lattice_eroded(square, 0.6, 0.1, WIDE) == []  # past the inradius
     all_inside = fault_lattice_eroded(square, 0.0, 0.1, WIDE)
-    assert set(all_inside) == {pt.coords for pt in lattice_points_in(square, 0.1)}
+    assert set(all_inside) == set(lattice_points_in(square, 0.1))
 
 
 def test_eroded_respects_union_geometry():
@@ -88,7 +88,7 @@ def test_sandwich_on_random_instances():
             assert dil == sorted(dilated_oracle(box, eps, eta, bound))
         dil = set(fault_lattice_dilated(region, eps, eta, WIDE))
         ero = set(fault_lattice_eroded(region, eps, eta, WIDE))
-        plain = {pt.coords for pt in lattice_points_in(region, eta)}
+        plain = set(lattice_points_in(region, eta))
         assert ero <= plain <= dil
 
 
@@ -163,7 +163,7 @@ def test_one_box_erosion_needs_no_box_subtraction(monkeypatch):
         raise AssertionError("a one-box erosion reached a per-point test")
 
     monkeypatch.setattr(bridge, "ball_in_union", forbidden)
-    monkeypatch.setattr(LatticePoint, "embed_exact", forbidden)
+    monkeypatch.setattr(bridge, "embed_exact", forbidden)
     assert [fault_lattice_eroded(*case) for case in cases] == want
 
 
@@ -372,7 +372,7 @@ def test_falsify_finds_hidden_fault_pair():
 
     tf = quantized_output_trace(sysdef, cx.x0_fault, cx.inputs)
     ts = quantized_output_trace(sysdef, cx.x0_safe, cx.inputs)
-    assert [q.coords for q in tf] == [q.coords for q in ts]
+    assert tf == ts
     assert cx.fault_time >= 1
 
 

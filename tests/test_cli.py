@@ -97,11 +97,31 @@ def test_abstract_writes_stable_model(tmp_path, capsys):
         capsys,
         [
             "abstract", E1, "--eta", "0.5", "--mu", "0.5", "--solve-epsilon",
-            "-o", str(out2), "--threads", "3", "--json",
+            "-o", str(out2), "--json",
         ],
     )
     assert code2 == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abstract", E1, "--eta", "0.5", "--mu", "0.5", "--solve-epsilon", "-o", "m.json"],
+        ["certify", E1, "--eta", "0.5", "--mu", "0.5", "--solve-epsilon"],
+        [
+            "check", E1, "--faults", FAULT_X1, "--mode", "prove",
+            "--eta", "0.05", "--mu", "0.025", "--epsilon", "0.5",
+        ],
+        ["bench", "--dims", "1"],
+    ],
+    ids=["abstract", "certify", "check", "bench"],
+)
+def test_threads_option_is_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", "3"])
+    assert exc.value.code == 64
+    assert "unrecognized arguments: --threads 3" in capsys.readouterr().err
 
 
 def test_abstract_requires_epsilon_choice(capsys):

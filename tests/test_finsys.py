@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,6 +157,9 @@ def test_observation_symbol_lattice_and_raw():
     system = build_abstraction(sysdef, cert, params)
     # 0.9 lies in the cell of embedding 1.0 on the 1.0-grid.
     assert observation_symbol(system, [0.9]) == (2 * Fraction(0.5) * 1,)
+    # Held like the model's own output values, so it keys their classes.
+    for y in ([0.9], [-0.2], [1.6]):
+        assert observation_symbol(system, y) in system.class_of
     raw = d1()
     assert observation_symbol(raw, [2]) == (Fraction(2),)
     assert observation_symbol(raw, ["4"]) == (Fraction(4),)
@@ -184,6 +190,39 @@ def test_construction_error_precedence(succ, error, message):
         FiniteSystem(states, (0,), ("a", "b"), succ, states, 1)
     assert type(exc.value) is error
     assert message in str(exc.value)
+
+
+MATRIX_CASES = {
+    "two successors": (((1,),), ((1, 2),), ((2,),)),
+    "no successor": (((1,),), ((),), ((2,),)),
+}
+
+
+@pytest.mark.parametrize("succ", MATRIX_CASES.values(), ids=MATRIX_CASES.keys())
+def test_successor_matrix_needs_one_successor_per_input(succ):
+    states = tuple((v,) for v in range(3))
+    s = FiniteSystem(states, (0,), ("a",), succ, states, 1)
+    with pytest.raises(DomainError, match="exactly one successor"):
+        s.successor_matrix
+
+
+def test_successor_matrix_check_survives_optimized_mode():
+    # The check is not an assert: python -O keeps it.
+    script = (
+        "from approxdiag.errors import DomainError\n"
+        "from approxdiag.finsys import FiniteSystem\n"
+        "states = tuple((v,) for v in range(3))\n"
+        f"for succ in {list(MATRIX_CASES.values())!r}:\n"
+        "    s = FiniteSystem(states, (0,), ('a',), succ, states, 1)\n"
+        "    try:\n"
+        "        print(s.successor_matrix.tolist())\n"
+        "    except DomainError:\n"
+        "        print('DomainError')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert run.stdout.split() == ["DomainError", "DomainError"], run.stderr
 
 
 def random_lattice_model(rng) -> FiniteSystem:

@@ -7,8 +7,8 @@ import pytest
 from approxdiag import lattice
 from approxdiag.errors import DomainError, ResourceLimitError, UnboundedRegionError
 from approxdiag.lattice import (
-    LatticePoint,
     cell_of,
+    embed_exact,
     lattice_image,
     lattice_points_in,
     quantize,
@@ -20,16 +20,16 @@ from approxdiag.regions import Box, BoxUnion
 
 
 def test_quantize_examples():
-    assert quantize((0.3,), 0.5).coords == (0,)
-    assert quantize((0.5,), 0.5).coords == (1,)  # boundary goes up
+    assert quantize((0.3,), 0.5) == (0,)
+    assert quantize((0.5,), 0.5) == (1,)  # boundary goes up
     for theta in (0.05, 0.5, 1.3):
-        assert quantize((0.0, 0.0), theta).coords == (0, 0)
+        assert quantize((0.0, 0.0), theta) == (0, 0)
 
 
 def test_quantize_decimal_boundary():
     # 0.3 sits on the cell boundary of the 0.2-grid and belongs upward.
-    assert quantize((0.3,), 0.1).coords == (2,)
-    assert quantize((1.0,), 0.1).coords == (5,)
+    assert quantize((0.3,), 0.1) == (2,)
+    assert quantize((1.0,), 0.1) == (5,)
 
 
 def test_quantize_rejects_nonfinite():
@@ -47,13 +47,13 @@ def test_partition_membership_and_uniqueness():
             for x in pts:
                 x = tuple(float(v) for v in x)
                 q = quantize(x, theta)
-                assert cell_of(q).contains(x)
+                assert cell_of(q, theta).contains(x)
                 # No neighboring cell also claims the point.
                 for axis in range(n):
                     for d in (-1, 1):
-                        other = list(q.coords)
+                        other = list(q)
                         other[axis] += d
-                        assert not cell_of(LatticePoint(tuple(other), theta)).contains(x)
+                        assert not cell_of(other, theta).contains(x)
 
 
 def test_cell_of_matches_validated_box():
@@ -64,9 +64,8 @@ def test_cell_of_matches_validated_box():
         for theta in (0.05, 0.1, 0.5, 0.7):
             for _ in range(100):
                 coords = tuple(int(c) for c in rng.integers(-10**6, 10**6, size=n, endpoint=True))
-                q = LatticePoint(coords, theta)
-                got = cell_of(q)
-                emb = q.embed()
+                got = cell_of(coords, theta)
+                emb = tuple(2.0 * theta * c for c in coords)
                 want = Box(
                     tuple(v - theta for v in emb),
                     tuple(v + theta for v in emb),
@@ -78,25 +77,39 @@ def test_cell_of_matches_validated_box():
                     assert type(field) is tuple and all(type(v) is float for v in field)
                 for field in (got.lower_open, got.upper_open):
                     assert type(field) is tuple and all(type(v) is bool for v in field)
-    # Non-float theta values still give float bounds equal to the oracle's.
+    # Non-float theta values and numpy coordinates still give float bounds
+    # equal to the oracle's.
+    assert cell_of(np.array([3, -7]), 0.5) == cell_of((3, -7), 0.5)
+    assert all(type(v) is float for v in cell_of(np.array([3, -7]), 0.5).lower)
     for theta in (np.float64(0.5), Fraction(1, 4), 1):
-        q = LatticePoint((3, -7), theta)
-        got = cell_of(q)
-        emb = q.embed()
+        got = cell_of((3, -7), theta)
+        emb = tuple(2.0 * theta * c for c in (3, -7))
         want = Box(tuple(v - theta for v in emb), tuple(v + theta for v in emb), (False,) * 2, (True,) * 2)
         assert got == want and hash(got) == hash(want)
         assert all(type(v) is float for v in got.lower + got.upper)
 
 
-def test_lattice_point_normalises_coords():
-    plain = LatticePoint((3, -2, 0), 0.5)
-    for coords in ([3, -2, 0], tuple(np.int64(c) for c in (3, -2, 0)), np.array([3, -2, 0])):
-        q = LatticePoint(coords, 0.5)
-        assert type(q.coords) is tuple and all(type(c) is int for c in q.coords)
-        assert q == plain and hash(q) == hash(plain)
-    for theta in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(DomainError):
-            LatticePoint((3, -2, 0), theta)
+def test_quantize_of_numpy_floats_is_a_tuple_of_int():
+    for x in (np.array([1.2, -0.9, 0.0]), tuple(np.float64(v) for v in (1.2, -0.9, 0.0))):
+        q = quantize(x, 0.5)
+        assert type(q) is tuple and all(type(c) is int for c in q)
+        assert q == (1, -1, 0) and hash(q) == hash((1, -1, 0))
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0, float("nan"), float("inf")])
+def test_every_lattice_function_rejects_a_bad_theta(theta):
+    box = BoxUnion.of(Box((0.0, 0.0), (1.0, 1.0)))
+    for call in (
+        lambda: quantize((0.3, 0.4), theta),
+        lambda: quantize((), theta),
+        lambda: cell_of((3, -2), theta),
+        lambda: lattice_image(box, theta),
+        lambda: lattice_points_in(box, theta),
+        lambda: lattice_image(BoxUnion((), 2), theta),
+        lambda: lattice_points_in(BoxUnion((), 2), theta),
+    ):
+        with pytest.raises(DomainError, match="positive and finite"):
+            call()
 
 
 def test_quantize_idempotent_on_lattice():
@@ -104,8 +117,7 @@ def test_quantize_idempotent_on_lattice():
     for theta in (0.05, 0.5, 0.7):
         for _ in range(200):
             coords = tuple(int(c) for c in rng.integers(-50, 50, size=2))
-            q = LatticePoint(coords, theta)
-            assert quantize(q.embed(), theta).coords == coords
+            assert quantize(tuple(2.0 * theta * c for c in coords), theta) == coords
 
 
 def test_adjacent_cells_disjoint():
@@ -113,8 +125,8 @@ def test_adjacent_cells_disjoint():
     theta = 0.3
     for _ in range(200):
         c = int(rng.integers(-20, 20))
-        left = cell_of(LatticePoint((c,), theta))
-        right = cell_of(LatticePoint((c + 1,), theta))
+        left = cell_of((c,), theta)
+        right = cell_of((c + 1,), theta)
         x = float(rng.uniform(-7, 7))
         assert not (left.contains((x,)) and right.contains((x,)))
 
@@ -122,16 +134,16 @@ def test_adjacent_cells_disjoint():
 def test_boundary_ties_go_up():
     # Exactly representable boundaries: float probes.
     for k in range(-99, 100, 2):
-        assert quantize((0.5 * k,), 0.5).coords == ((k + 1) // 2,)
+        assert quantize((0.5 * k,), 0.5) == ((k + 1) // 2,)
     # theta = 0.05 boundaries are not float-representable; exact odd
     # multiples are expressed as decimal rationals.
     t = Fraction("0.05")
     for k in range(-99, 100, 2):
-        assert quantize((t * k,), 0.05).coords == ((k + 1) // 2,)
+        assert quantize((t * k,), 0.05) == ((k + 1) // 2,)
     # Float products carry rounding noise; the documented tie snap still
     # classifies them into the upper cell.
     for k in range(-999, 1000, 2):
-        assert quantize((0.05 * k,), 0.05).coords == ((k + 1) // 2,)
+        assert quantize((0.05 * k,), 0.05) == ((k + 1) // 2,)
 
 
 def enum_oracle(region: BoxUnion, theta: float, span=60):
@@ -155,13 +167,14 @@ def enum_oracle(region: BoxUnion, theta: float, span=60):
 def test_lattice_points_in_examples():
     sixteen = lattice_points_in(BoxUnion.of(Box((0.2, 0.2), (0.8, 0.8))), 0.1)
     assert len(sixteen) == 16
-    assert {pt.coords for pt in sixteen} == {(a, b) for a in range(1, 5) for b in range(1, 5)}
+    assert set(sixteen) == {(a, b) for a in range(1, 5) for b in range(1, 5)}
+    assert all(type(pt) is tuple and all(type(c) is int for c in pt) for pt in sixteen)
 
     point = lattice_points_in(BoxUnion.of(Box((0.0, 0.0), (0.0, 0.0))), 0.7)
-    assert [pt.coords for pt in point] == [(0, 0)]
+    assert point == [(0, 0)]
 
     around = lattice_points_in(BoxUnion.of(Box((-0.4,), (0.4,))), 0.5)
-    assert [pt.coords for pt in around] == [(0,)]
+    assert around == [(0,)]
 
 
 def test_lattice_points_in_matches_enumeration_oracle():
@@ -171,13 +184,14 @@ def test_lattice_points_in_matches_enumeration_oracle():
         hi = lo + rng.uniform(0.1, 2.5, size=2)
         region = BoxUnion.of(Box(tuple(lo), tuple(hi)))
         theta = float(rng.choice([0.1, 0.25, 0.5]))
-        got = {pt.coords for pt in lattice_points_in(region, theta)}
+        got = set(lattice_points_in(region, theta))
         assert got == set(enum_oracle(region, theta))
 
 
 def test_lattice_image_of_initial_box():
     image = lattice_image(BoxUnion.of(Box((-1.0, -1.0), (1.0, 1.0))), 0.5)
-    assert {pt.coords for pt in image} == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+    assert set(image) == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+    assert all(type(pt) is tuple and all(type(c) is int for c in pt) for pt in image)
 
 
 def test_image_and_intersection_semantics_differ():
@@ -185,15 +199,15 @@ def test_image_and_intersection_semantics_differ():
     # interval meets two cells, so the quantizer image is nonempty.
     region = BoxUnion.of(Box((0.25,), (0.35,)))
     assert lattice_points_in(region, 0.1) == []
-    assert {pt.coords for pt in lattice_image(region, 0.1)} == {(1,), (2,)}
+    assert set(lattice_image(region, 0.1)) == {(1,), (2,)}
 
 
 def test_open_upper_bound_on_cell_edge_meets_no_cell_above():
     # [0, 0.05) meets only cell 0 = [-0.05, 0.05); cell 1 starts at 0.05.
     half_open = BoxUnion.of(Box((0.0,), (0.05,), (False,), (True,)))
-    assert [pt.coords for pt in lattice_image(half_open, 0.05)] == [(0,)]
+    assert lattice_image(half_open, 0.05) == [(0,)]
     closed = BoxUnion.of(Box((0.0,), (0.05,)))
-    assert [pt.coords for pt in lattice_image(closed, 0.05)] == [(0,), (1,)]
+    assert lattice_image(closed, 0.05) == [(0,), (1,)]
 
 
 def cell_meets_box(coords, theta, box):
@@ -235,7 +249,7 @@ def test_lattice_image_matches_cell_oracle():
                 tuple(bool(f) for f in flags[0]), tuple(bool(f) for f in flags[1]),
             ))
         region = BoxUnion.of(*boxes)
-        image = {pt.coords for pt in lattice_image(region, theta)}
+        image = set(lattice_image(region, theta))
         # Every image cell meets the region, and every met cell is imaged.
         window = [
             range(
@@ -263,7 +277,7 @@ def test_lattice_image_matches_cell_oracle():
                     picks += [a] * (not a_open) + [b] * (not b_open)
                     x.append(picks[int(rng.integers(len(picks)))])
                 if box.contains(x):
-                    assert quantize(x, theta).coords in image, (box, x)
+                    assert quantize(x, theta) in image, (box, x)
 
 
 def test_unbounded_region_rejected():
@@ -275,11 +289,14 @@ def test_unbounded_region_rejected():
 
 
 def test_embed_exact_matches_embedding():
-    q = LatticePoint((3, -2), 0.1)
-    exact = q.embed_exact()
+    (exact,) = embed_exact([(3, -2)], 0.1)
     # Decimal-intent rationals: theta = 0.1 means exactly 1/10.
     assert exact == (Fraction(3, 5), Fraction(-2, 5))
-    assert all(abs(float(e) - v) < 1e-15 for e, v in zip(exact, q.embed()))
+    assert all(abs(float(e) - 2.0 * 0.1 * c) < 1e-15 for e, c in zip(exact, (3, -2)))
+    # Integral components are held as Python ints, every row alike.
+    rows = embed_exact([(5, 0), (-10, 1), ()], 0.1)
+    assert rows == ((1, 0), (-2, Fraction(1, 5)), ())
+    assert [type(v) for v in rows[0] + rows[1]] == [int, int, int, Fraction]
 
 
 @pytest.mark.parametrize("x", [1.5e308, -1.5e308, 1e308])

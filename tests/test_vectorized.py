@@ -457,7 +457,7 @@ def test_flagged_row_in_a_later_block_raises_like_reference(monkeypatch):
     sysdef, cert = plant(["0.5*x1 + u1 + 0*exp(1000*x1)", "0.25*x1 + 0.5*x2"])
     n_in = len(ad.lattice_image(sysdef.u_set, 0.005))
     monkeypatch.setattr(abstraction, "_ROW_CHUNK", 3 * n_in + 1)
-    first = [pt.coords for pt in ad.lattice_image(sysdef.x0, 0.04)]
+    first = ad.lattice_image(sysdef.x0, 0.04)
     assert next(i for i, c in enumerate(first) if TWO_ETA * c[0] > 0.71) >= 3 * 10  # block 10 on
     got, want = build_outcomes(sysdef, cert, (0.4, 0.04, 0.005))
     assert got == want and got[0] is EvaluationError
