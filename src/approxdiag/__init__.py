@@ -26,7 +26,6 @@ from .diagnosis import (
     Verdict,
     brute_force_check,
     check_diagnosability,
-    monte_carlo_contract,
     synthesize_diagnoser,
 )
 from .finsys import FiniteSystem, observation_symbol
@@ -39,7 +38,6 @@ from .system import (
     SystemDef,
     output,
     parse_system,
-    quantized_output_trace,
     step,
     validate_certificate,
 )

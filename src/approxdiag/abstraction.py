@@ -154,7 +154,6 @@ def build_abstraction(
     cert: Certificate,
     params: AbstractionParams,
     *,
-    enforce_params: bool = True,
     config_digest: str | None = None,
 ) -> FiniteSystem:
     """Breadth-first closure of the lattice abstraction.
@@ -165,8 +164,8 @@ def build_abstraction(
     eta-lattice.  Raises BoundExceededError when any reached state embeds
     outside the certificate's exploration box: the lexicographically
     smallest of the first level that has one, and the first (state, input)
-    reaching it.  ``enforce_params=False`` skips the accuracy check; it
-    exists for negative-control experiments.
+    reaching it.  Parameters that fail the accuracy check are a
+    ParamCheckError.
 
     The box fixes an index box (``_key_grid``, ResourceLimitError above
     _GRID_CAP cells) and one table over it holding state id + 1 by mixed-radix
@@ -174,12 +173,11 @@ def build_abstraction(
     Each level's rows are bound-tested on the grid's per-axis index intervals,
     keyed and looked up block by block; new states are numbered in key order.
     """
-    if enforce_params:
-        chk = check_params(cert, params)
-        if not chk.ok:
-            raise ParamCheckError(
-                f"quantization parameters rejected: slacks {chk.slack_decrease}, {chk.slack_bound}"
-            )
+    chk = check_params(cert, params)
+    if not chk.ok:
+        raise ParamCheckError(
+            f"quantization parameters rejected: slacks {chk.slack_decrease}, {chk.slack_bound}"
+        )
     eta, mu = params.eta, params.mu
     lows, shape, ranges = _key_grid(cert.explore_bound, eta)
 

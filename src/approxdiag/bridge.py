@@ -36,7 +36,7 @@ from .errors import (
 )
 from .finsys import FiniteSystem, _to_rho
 from .lattice import _index_points, embed_exact, lattice_points_in, quantize, quantize_indices
-from .rational import to_rational
+from .rational import as_int, to_rational
 from .regions import Box, BoxUnion, ball_in_union
 from .system import Certificate, SystemDef, output, step
 
@@ -203,7 +203,10 @@ def conclude(
     # Each mode picks k, its lattice fault set, the plant verdict a
     # transferring finite verdict yields, and the fields every result carries.
     if mode == PROVE:
-        kk = k if k is not None else math.ceil(2 * to_rational(eps) / to_rational(eta))
+        if k is None:
+            kk = math.ceil(2 * to_rational(eps) / to_rational(eta))
+        else:
+            kk = as_int(k, FaultSpecError, "k must be a natural number")
         if kk < 0:
             raise FaultSpecError("k must be a natural number")
         coords, success, fields = dilated, DIAGNOSABLE_ABOVE, {}
@@ -413,8 +416,10 @@ def falsify_plant(
     first error.
     """
     _to_rho(rho)
+    trials = as_int(trials, DomainError, "trials must be a nonnegative integer")
+    horizon = as_int(horizon, DomainError, "horizon must be a nonnegative integer")
     for name, value in (("trials", trials), ("horizon", horizon)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        if value < 0:
             raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
     if fault_region.is_empty():
         return None

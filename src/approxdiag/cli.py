@@ -441,7 +441,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (InternalInvariantError, AssertionError) as exc:
+    except InternalInvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ApproxDiagError, FileNotFoundError) as exc:

@@ -42,7 +42,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .finsys import FiniteSystem, _check_states, _to_rho
-from .rational import to_rational
+from .rational import as_int, to_rational
 
 BRUTE_MAX_STATES = 64
 BRUTE_MAX_HORIZON = 24
@@ -73,20 +73,14 @@ class FaultSpec:
 
     @staticmethod
     def of(faults, rho) -> "FaultSpec":
-        return FaultSpec(frozenset(map(_fault_index, faults)), _to_rho(rho))
+        faults = (as_int(i, FaultSpecError, "fault index must be an integer") for i in faults)
+        return FaultSpec(frozenset(faults), _to_rho(rho))
 
     def validate(self, system: FiniteSystem):
         _check_states(self.faults, system.n_states, "fault", FaultSpecError)
         bad = self.faults & set(system.initial)
         if bad:
             raise FaultSpecError(f"fault set meets the initial states: {sorted(bad)}")
-
-
-def _fault_index(i) -> int:
-    """A Python or numpy integer; int() would truncate 1.5 and take True or "1"."""
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-        raise FaultSpecError(f"fault index must be an integer, got {i!r}")
-    return int(i)
 
 
 @dataclass(frozen=True)
@@ -101,10 +95,8 @@ class Verdict:
     stats: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.diagnosable:
-            assert self.delta is not None and self.witness is None
-        else:
-            assert self.delta is None and self.witness is not None
+        if not (self.delta is not None) == (self.witness is None) == self.diagnosable:
+            raise InternalInvariantError("a verdict carries a delay if diagnosable, else a witness")
 
     def to_json(self) -> dict:
         doc = {"diagnosable": self.diagnosable, "method": self.method}
@@ -500,8 +492,7 @@ def brute_force_check(system: FiniteSystem, spec: FaultSpec, horizon: int) -> Ve
     squared state count plus the delay).
     """
     spec.validate(system)
-    if isinstance(horizon, bool) or not isinstance(horizon, int):
-        raise DomainError(f"horizon must be an integer, got {horizon!r}")
+    horizon = as_int(horizon, DomainError, "horizon must be an integer")
     if horizon < 1:
         raise ResourceLimitError("horizon must be at least 1")
     if system.n_states > BRUTE_MAX_STATES or horizon > BRUTE_MAX_HORIZON:
@@ -780,79 +771,3 @@ def synthesize_diagnoser(system: FiniteSystem, spec: FaultSpec) -> Diagnoser:
             f"initial states {sorted(ball & set(system.initial))} lie inside the ball"
         )
     return Diagnoser(system, spec, ball, verdict.delta)
-
-
-# -- Monte Carlo behavioral contract ----------------------------------------
-
-
-@dataclass(frozen=True)
-class ContractReport:
-    runs: int
-    checked_alarm: int
-    checked_window: int
-    violations_alarm: int
-    violations_window: int
-
-    @property
-    def passed(self) -> bool:
-        return self.violations_alarm == 0 and self.violations_window == 0
-
-
-def monte_carlo_contract(
-    system: FiniteSystem,
-    spec: FaultSpec,
-    diag: Diagnoser,
-    n_runs: int = 1000,
-    seed: int = 0,
-    horizon: int | None = None,
-) -> ContractReport:
-    """Simulate random runs and test both diagnosability clauses.
-
-    Alarm clause: on a run first entering the fault set at time t that
-    stays observable through t + delta, the decision turns 1 by t + delta.
-    Window clause: at the first alarm time t', some state of a run
-    consistent with the whole observed prefix lies in the ball within
-    [max(t' - delta, 0), t'] (computed by backward-pruning the beliefs).
-    """
-    rng = np.random.default_rng(seed)
-    ball = diag._ball
-    delta = diag.delta
-    horizon = horizon if horizon is not None else delta + 2 * system.n_states + 4
-    ids = system.output_ids
-    ptr, _, succ = system.successor_groups
-    rows = [sorted(succ[a:b]) for a, b in zip(ptr, ptr[1:])]  # ascending successors
-    steps = system.class_steps[1]
-    checked_alarm = checked_window = viol_alarm = viol_window = 0
-
-    for _ in range(n_runs):
-        s = int(rng.choice(system.initial))
-        run = [s]
-        for _ in range(horizon):
-            succs = rows[run[-1]]
-            if not succs:
-                break
-            run.append(int(succs[rng.integers(0, len(succs))]))
-
-        belief, decision = diag.start(system.outputs[run[0]])
-        consistent = [belief.seen | belief.free]
-        alarm_at = None if decision == 0 else 0
-        for t in range(1, len(run)):
-            belief, decision = diag.step(belief, system.outputs[run[t]])
-            consistent.append(belief.seen | belief.free)
-            if alarm_at is None and decision == 1:
-                alarm_at = t
-
-        t_fault = next((t for t, i in enumerate(run) if i in spec.faults), None)
-        if t_fault is not None and len(run) - 1 >= t_fault + delta:
-            checked_alarm += 1
-            if alarm_at is None or alarm_at > t_fault + delta:
-                viol_alarm += 1
-        if alarm_at is not None:
-            checked_window += 1
-            lo = max(alarm_at - delta, 0)
-            for t in range(alarm_at - 1, -1, -1):
-                row, nxt = steps[ids[run[t + 1]]], consistent[t + 1]
-                consistent[t] = _mask(s for s in _bits(consistent[t]) if row.get(s, 0) & nxt)
-            if not any(m & ball for m in consistent[lo : alarm_at + 1]):
-                viol_window += 1
-    return ContractReport(n_runs, checked_alarm, checked_window, viol_alarm, viol_window)

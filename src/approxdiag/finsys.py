@@ -26,17 +26,16 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, FaultSpecError
 from .lattice import _GRID_CAP, embed_exact, quantize
-from .rational import to_exact, to_rational
+from .rational import as_int, to_exact, to_rational
 from .report import canonical_json
 
 SCHEMA_VERSION = 1
 
 
 def _index(v) -> int:
-    """A JSON integer field: int() would truncate 1.7 and accept true."""
-    if type(v) is not int:
-        raise DomainError(f"expected an integer, got {v!r}")
-    return v
+    """An integer field of a model file, by ``as_int``; a JSON int, by far
+    the most common value, skips the call."""
+    return v if type(v) is int else as_int(v, DomainError, "expected an integer")
 
 
 def _fraction_json(v: int | Fraction):
@@ -140,10 +139,6 @@ class FiniteSystem:
     @property
     def n_states(self) -> int:
         return len(self.output_ids)
-
-    @property
-    def deterministic(self) -> bool:
-        return all(len(t) <= 1 for row in self.succ for t in row)
 
     # -- run machinery ---------------------------------------------------
 
@@ -322,26 +317,14 @@ class FiniteSystem:
                     meta,
                 )
             if kind == "finite-system":
-                # Equal string values are parsed once and share one exact
-                # value, and equal target lists share one tuple: fewer objects
-                # per model.
-                exact: dict = {}
-                targets: dict = {}
-
-                def value(v):
-                    # Decimal intent: 0.4 in a JSON file means 2/5, not the binary float.
-                    if type(v) is not str:
-                        return to_exact(v)
-                    if v not in exact:
-                        exact[v] = to_exact(v)
-                    return exact[v]
-
-                states = tuple(tuple(map(value, row)) for row in doc["raw_states"])
-                outputs = tuple(tuple(map(value, row)) for row in doc["raw_outputs"])
+                # Rows go to the constructor as written: its to_exact reads
+                # 0.4 in a JSON file as 2/5, not the binary float.
+                outputs = doc["raw_outputs"]
                 p = _index(doc["p"])
                 if p < 0 or any(len(row) != p for row in outputs):
                     raise DomainError(f"output rows must have p = {p} components")
                 inputs = tuple(doc["inputs"])
+                states = doc["raw_states"]
                 n_states, n_inputs = len(states), len(inputs)
                 table = [[set() for _ in range(n_inputs)] for _ in range(n_states)]
                 for i, u, j in doc["transitions"]:
@@ -349,17 +332,9 @@ class FiniteSystem:
                     if not (0 <= i < n_states and 0 <= u < n_inputs):
                         raise DomainError(f"transition {[i, u, j]} out of range")
                     table[i][u].add(j)
-                succ = tuple(
-                    tuple(targets.setdefault(t, t) for t in map(tuple, map(sorted, row)))
-                    for row in table
-                )
+                succ = tuple(tuple(tuple(sorted(t)) for t in row) for row in table)
                 return FiniteSystem(
-                    states,
-                    tuple(map(_index, doc["initial"])),
-                    inputs,
-                    succ,
-                    outputs,
-                    p,
+                    states, tuple(map(_index, doc["initial"])), inputs, succ, outputs, p
                 )
             raise DomainError(f"unknown model kind {kind!r}")
         except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

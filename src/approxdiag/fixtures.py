@@ -1,14 +1,8 @@
-"""Bundled example systems and the seeded random-system generator.
+"""The D1 model document and the seeded random-system generator.
 
-E1 is the two-dimensional linear plant used throughout the test suite:
-x1' = 0.5 x1 + u1, x2' = 0.25 x1 + 0.5 x2, observed output x1.  Its
-certificate is the plain infinity-norm difference with decrease rate
-0.25 r (the dynamics matrix has infinity norm 0.75) and input gain r.
-
-D1 and ND1 are hand-written finite systems: in D1 the faulty and clean
-branches are output-distinguishable one step after the fork, in ND1 they
-produce identical outputs forever while sitting 5 apart, so ND1 is not
-diagnosable for any ball radius below 5.
+The example systems live in ``configs/``.  ``d1_doc`` equals
+``configs/d1.json``; it stays importable because perfbench builds D1 from
+it without reading a file.
 """
 
 from __future__ import annotations
@@ -17,32 +11,6 @@ import numpy as np
 
 from .diagnosis import FaultSpec
 from .finsys import FiniteSystem
-from .system import Certificate, SystemDef, parse_system
-
-
-def e1_config() -> dict:
-    return {
-        "n": 2,
-        "m": 1,
-        "p": 1,
-        "f": ["0.5*x1 + u1", "0.25*x1 + 0.5*x2"],
-        "eta": 0.1,
-        "X0": {"boxes": [{"lower": [-1, -1], "upper": [1, 1]}]},
-        "U": {"boxes": [{"lower": [-1], "upper": [1]}]},
-        "certificate": {
-            "alpha_lo": {"form": "linear", "a": 1},
-            "alpha_hi": {"form": "linear", "a": 1},
-            "lambda": {"form": "linear", "a": 0.25},
-            "sigma": {"form": "linear", "a": 1},
-            "L": 2,
-            "V_weights": [1, 1],
-            "explore_bound": {"lower": [-4, -4], "upper": [4, 4]},
-        },
-    }
-
-
-def e1() -> tuple[SystemDef, Certificate]:
-    return parse_system(e1_config())
 
 
 def d1_doc() -> dict:
@@ -57,35 +25,6 @@ def d1_doc() -> dict:
         "initial": [0],
         "transitions": [[0, 0, 1], [0, 0, 2], [1, 0, 1], [2, 0, 2]],
     }
-
-
-def d1() -> FiniteSystem:
-    return FiniteSystem.from_json(d1_doc())
-
-
-D1_FAULTS = frozenset({1})
-
-
-def nd1_doc() -> dict:
-    # a=(0,0) initial, f=(2,0) faulty, c=(2,5); output = first coordinate,
-    # so f and c stay indistinguishable while 5 apart.
-    return {
-        "kind": "finite-system",
-        "schema": 1,
-        "p": 1,
-        "raw_states": [[0, 0], [2, 0], [2, 5]],
-        "raw_outputs": [[0], [2], [2]],
-        "inputs": ["step"],
-        "initial": [0],
-        "transitions": [[0, 0, 1], [0, 0, 2], [1, 0, 1], [2, 0, 2]],
-    }
-
-
-def nd1() -> FiniteSystem:
-    return FiniteSystem.from_json(nd1_doc())
-
-
-ND1_FAULTS = frozenset({1})
 
 
 def random_finite_system(rng: np.random.Generator) -> tuple[FiniteSystem, FaultSpec]:

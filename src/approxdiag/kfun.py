@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, InternalInvariantError, RangeError
 from .regions import as_float
 
 TOL_INV = 1e-9
@@ -127,7 +127,7 @@ def _pwl(points, r: float) -> float:
     for (r0, y0), (r1, y1) in zip(points, points[1:]):
         if r < r1:
             return y0 + (r - r0) * (y1 - y0) / (r1 - r0)
-    raise AssertionError("unreachable")
+    raise InternalInvariantError(f"no segment of {points} holds {r}")
 
 
 def compose_inverse(f: KFunction, g: KFunction, y: float) -> float:

@@ -14,6 +14,9 @@ a numpy integer reads as the int it holds.
 it is integral, a Fraction otherwise.  Ints compare and hash equal to the
 integral Fractions, so the two serve alike as dict keys and in comparisons;
 only the cost differs.
+
+``as_int`` is the one rule for an integer argument: a Python or numpy
+integer, never a bool, a float (not even 2.0) or a string.
 """
 
 from __future__ import annotations
@@ -41,3 +44,14 @@ def to_exact(v) -> int | Fraction:
         return v
     r = to_rational(v)
     return r.numerator if r.denominator == 1 else r
+
+
+def as_int(v, error: type[Exception], what: str) -> int:
+    """``v`` as an int when it is a Python or numpy integer, else
+    ``error(f"{what}, got {v!r}")``: int() would truncate 1.5 and take True
+    or "1"."""
+    if type(v) is int:
+        return v
+    if isinstance(v, numbers.Integral) and type(v) is not bool:
+        return int(v)
+    raise error(f"{what}, got {v!r}")

@@ -24,7 +24,6 @@ import numpy as np
 from . import exprs
 from .errors import ConfigError, DomainError, InternalInvariantError, NumericError
 from .kfun import KFunction
-from .lattice import quantize
 from .regions import Box, BoxUnion, as_float
 
 ORIGIN_FIXPOINT_TOL = 1e-12
@@ -104,21 +103,6 @@ def _step_rows(sysdef: SystemDef, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
 def output(sysdef: SystemDef, x):
     """Projection onto the first p coordinates."""
     return tuple(x[: sysdef.p])
-
-
-def quantized_output_trace(sysdef: SystemDef, x0, inputs) -> list[tuple[int, ...]]:
-    """Simulate from x0 under the input sequence and quantize each output.
-
-    Element t depends only on x0 and inputs[0:t]; the trace has one more
-    element than the input sequence.
-    """
-    x = tuple(x0)
-    trace = [quantize(output(sysdef, x), sysdef.eta)]
-    for u in inputs:
-        u_t = (u,) if np.isscalar(u) else tuple(u)
-        x = step(sysdef, x, u_t)
-        trace.append(quantize(output(sysdef, x), sysdef.eta))
-    return trace
 
 
 # -- config parsing -------------------------------------------------------

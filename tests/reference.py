@@ -16,8 +16,9 @@ embedding, the eroded one by rational box subtraction
 oracle carries a fault chain and a safe chain for every depth, empty or
 not.  Expressions are
 also parsed by recursive descent over the tokens, and forests compiled by
-printing Python source and compiling that text.  They are oracles, not
-library code.
+printing Python source and compiling that text.  The Monte Carlo
+contract simulates finite runs and tests a diagnoser's alarm and window
+clauses on them.  They are oracles, not library code.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
-from approxdiag import exprs
-from approxdiag.abstraction import AbstractionParams, RelationReport
+from approxdiag import abstraction, exprs
+from approxdiag.abstraction import AbstractionParams, ParamCheck, RelationReport
 from approxdiag.bridge import Counterexample
 from approxdiag.diagnosis import (
     BRUTE_MAX_HORIZON,
@@ -82,7 +84,7 @@ from approxdiag.system import (
     CertificateReport,
     SystemDef,
     _sample_union,
-    quantized_output_trace,
+    output,
     step,
 )
 
@@ -421,6 +423,87 @@ def synchronized_product(s: FiniteSystem) -> TwinProduct:
     return TwinProduct(product, tuple(pairs))
 
 
+def deterministic(system: FiniteSystem) -> bool:
+    """At most one successor for every state and input."""
+    return all(len(t) <= 1 for row in system.succ for t in row)
+
+
+# -- Monte Carlo behavioral contract ----------------------------------------
+
+
+@dataclass(frozen=True)
+class ContractReport:
+    runs: int
+    checked_alarm: int
+    checked_window: int
+    violations_alarm: int
+    violations_window: int
+
+    @property
+    def passed(self) -> bool:
+        return self.violations_alarm == 0 and self.violations_window == 0
+
+
+def monte_carlo_contract(
+    system: FiniteSystem,
+    spec: FaultSpec,
+    diag: Diagnoser,
+    n_runs: int = 1000,
+    seed: int = 0,
+    horizon: int | None = None,
+) -> ContractReport:
+    """Simulate random runs and test both diagnosability clauses.
+
+    Alarm clause: on a run first entering the fault set at time t that
+    stays observable through t + delta, the decision turns 1 by t + delta.
+    Window clause: at the first alarm time t', some state of a run
+    consistent with the whole observed prefix lies in the ball within
+    [max(t' - delta, 0), t'] (computed by backward-pruning the beliefs).
+    """
+    rng = np.random.default_rng(seed)
+    ball = diag._ball
+    delta = diag.delta
+    horizon = horizon if horizon is not None else delta + 2 * system.n_states + 4
+    ids = system.output_ids
+    ptr, _, succ = system.successor_groups
+    rows = [sorted(succ[a:b]) for a, b in zip(ptr, ptr[1:])]  # ascending successors
+    steps = system.class_steps[1]
+    checked_alarm = checked_window = viol_alarm = viol_window = 0
+
+    for _ in range(n_runs):
+        s = int(rng.choice(system.initial))
+        run = [s]
+        for _ in range(horizon):
+            succs = rows[run[-1]]
+            if not succs:
+                break
+            run.append(int(succs[rng.integers(0, len(succs))]))
+
+        belief, decision = diag.start(system.outputs[run[0]])
+        consistent = [belief.seen | belief.free]
+        alarm_at = None if decision == 0 else 0
+        for t in range(1, len(run)):
+            belief, decision = diag.step(belief, system.outputs[run[t]])
+            consistent.append(belief.seen | belief.free)
+            if alarm_at is None and decision == 1:
+                alarm_at = t
+
+        t_fault = next((t for t, i in enumerate(run) if i in spec.faults), None)
+        if t_fault is not None and len(run) - 1 >= t_fault + delta:
+            checked_alarm += 1
+            if alarm_at is None or alarm_at > t_fault + delta:
+                viol_alarm += 1
+        if alarm_at is not None:
+            checked_window += 1
+            lo = max(alarm_at - delta, 0)
+            for t in range(alarm_at - 1, -1, -1):
+                row, nxt = steps[ids[run[t + 1]]], consistent[t + 1]
+                consistent[t] = _mask(s for s in _bits(consistent[t]) if row.get(s, 0) & nxt)
+            if not any(m & ball for m in consistent[lo : alarm_at + 1]):
+                viol_window += 1
+    return ContractReport(n_runs, checked_alarm, checked_window, viol_alarm, viol_window)
+
+
 def reference_belief_start(diag: Diagnoser, y) -> tuple[frozenset, int]:
     """The belief automaton on a frozenset of (state, visited_ball) pairs:
     the initial belief for the first observed output y and its decision,
@@ -459,6 +542,14 @@ def reference_sample_union(rng: np.random.Generator, union: BoxUnion, count: int
         b = boxes[int(k)]
         out[i] = [rng.uniform(lo, hi) if hi > lo else lo for lo, hi in zip(b.lower, b.upper)]
     return out
+
+
+def build_unchecked(sysdef: SystemDef, cert: Certificate, params: AbstractionParams) -> FiniteSystem:
+    """``build_abstraction`` with its accuracy check passing whatever the
+    parameters: for negative controls, and plants no parameters suit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(abstraction, "check_params", lambda cert, params: ParamCheck(True, 0.0, 0.0))
+        return abstraction.build_abstraction(sysdef, cert, params)
 
 
 def reference_build_abstraction(
@@ -507,6 +598,21 @@ def reference_build_abstraction(
     return FiniteSystem.on_lattice(
         tuple(coords_list), eta, tuple(input_coords), mu, initial, succ, sysdef.p, meta
     )
+
+
+def quantized_output_trace(sysdef: SystemDef, x0, inputs) -> list[tuple[int, ...]]:
+    """Simulate from x0 under the input sequence and quantize each output.
+
+    Element t depends only on x0 and inputs[0:t]; the trace has one more
+    element than the input sequence.
+    """
+    x = tuple(x0)
+    trace = [quantize(output(sysdef, x), sysdef.eta)]
+    for u in inputs:
+        u_t = (u,) if np.isscalar(u) else tuple(u)
+        x = step(sysdef, x, u_t)
+        trace.append(quantize(output(sysdef, x), sysdef.eta))
+    return trace
 
 
 def reference_falsify(

@@ -14,9 +14,10 @@ from approxdiag.abstraction import (
 )
 from approxdiag.bench import chain_system
 from approxdiag.errors import BoundExceededError, ParamCheckError, ResourceLimitError
-from approxdiag.fixtures import e1, e1_config
 from approxdiag.regions import Box
 from approxdiag.system import parse_system
+from examples import e1, e1_config
+from reference import build_unchecked, deterministic
 
 
 def test_check_params_examples():
@@ -66,7 +67,7 @@ def test_e1_successors_of_origin():
 
 def test_abstraction_closed_and_deterministic():
     system = build_e1_coarse()
-    assert system.deterministic
+    assert deterministic(system)
     for row in system.succ:
         for (j,) in row:
             assert 0 <= j < system.n_states  # every target expanded
@@ -94,8 +95,11 @@ def test_reproducible_across_runs():
 
 def test_param_enforcement():
     sysdef, cert = e1()
+    bad = AbstractionParams(0.5, 0.1, 0.1)
     with pytest.raises(ParamCheckError):
-        build_abstraction(sysdef, cert, AbstractionParams(0.5, 0.1, 0.1))
+        build_abstraction(sysdef, cert, bad)
+    with pytest.raises(TypeError):
+        build_abstraction(sysdef, cert, bad, enforce_params=False)  # the check is always on
 
 
 def test_bound_exceeded_reports_state():
@@ -183,6 +187,6 @@ def test_certify_relation_negative_control():
     sysdef, cert = e1()
     bad = AbstractionParams(1.0, 0.5, 0.05)
     assert not check_params(cert, bad).ok
-    system = build_abstraction(sysdef, cert, bad, enforce_params=False)
+    system = build_unchecked(sysdef, cert, bad)
     rep = certify_relation(sysdef, cert, bad, system, samples=4000, seed=0)
     assert rep.violations_step > 0

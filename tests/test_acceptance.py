@@ -5,19 +5,19 @@ All tolerances and budgets are pinned here, not configurable."""
 import json
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import approxdiag as ad
-from approxdiag.diagnosis import monte_carlo_contract, synthesize_diagnoser, validate_witness
+from approxdiag.diagnosis import synthesize_diagnoser, validate_witness
 from approxdiag.errors import InitialStateInBallError
-from approxdiag.fixtures import D1_FAULTS, ND1_FAULTS, d1, e1, nd1, random_finite_system
+from approxdiag.fixtures import random_finite_system
 from approxdiag.lattice import cell_of, lattice_points_in, quantize
 from approxdiag.regions import Box, BoxUnion, ball_in_union
+from examples import CONFIGS, D1_FAULTS, ND1_FAULTS, d1, e1, nd1
+from reference import build_unchecked, deterministic, monte_carlo_contract
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SUITE_SEED = 20260810
 
 
@@ -80,7 +80,7 @@ def test_criterion_3_abstraction_correctness(tmp_path):
         system.save(str(path))
         files.append(path.read_bytes())
     base = ad.build_abstraction(sysdef, cert, params)
-    deterministic = base.deterministic
+    is_deterministic = deterministic(base)
     closed = all(0 <= t[0] < base.n_states for row in base.succ for t in row)
     k = base.state_coords.index((0, 0))
     succs = {base.state_coords[t[0]] for t in base.succ[k]}
@@ -90,7 +90,7 @@ def test_criterion_3_abstraction_correctness(tmp_path):
     _report(
         3,
         "abstraction-correctness",
-        deterministic and closed and expected and identical and elapsed < 10.0,
+        is_deterministic and closed and expected and identical and elapsed < 10.0,
         f"{base.n_states} states, {elapsed:.2f}s",
     )
 
@@ -104,7 +104,7 @@ def test_criterion_4_relation_certification():
 
     bad = ad.AbstractionParams(1.0, 0.5, 0.05)
     assert not ad.check_params(cert, bad).ok
-    controlled = ad.build_abstraction(sysdef, cert, bad, enforce_params=False)
+    controlled = build_unchecked(sysdef, cert, bad)
     rep_bad = ad.certify_relation(sysdef, cert, bad, controlled, samples=10_000, seed=0)
     negative = rep_bad.violations_step >= 1
     _report(

@@ -18,11 +18,15 @@ from approxdiag.bridge import (
 )
 from approxdiag.errors import DomainError, EmptyErosionError, FaultSpecError, ParamCheckError
 from approxdiag.finsys import FiniteSystem
-from approxdiag.fixtures import e1
 from approxdiag.lattice import lattice_points_in
 from approxdiag.rational import to_rational
 from approxdiag.regions import Box, BoxUnion
-from reference import reference_fault_lattice_eroded, reference_fault_lattice_plain
+from examples import e1
+from reference import (
+    quantized_output_trace,
+    reference_fault_lattice_eroded,
+    reference_fault_lattice_plain,
+)
 
 WIDE = Box((-10.0, -10.0), (10.0, 10.0))
 
@@ -368,8 +372,6 @@ def test_falsify_finds_hidden_fault_pair():
     assert region.contains(cx.traj_fault[cx.fault_time])
     assert all(not region.contains(x) for x in cx.traj_fault[: cx.fault_time])
     assert all(region.distance_to(x) > 0.05 for x in cx.traj_safe)
-    from approxdiag.system import quantized_output_trace
-
     tf = quantized_output_trace(sysdef, cx.x0_fault, cx.inputs)
     ts = quantized_output_trace(sysdef, cx.x0_safe, cx.inputs)
     assert tf == ts

@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -8,12 +10,11 @@ import pytest
 
 from approxdiag import diagnosis
 from approxdiag.diagnosis import (
-    ContractReport,
     Diagnoser,
     FaultSpec,
+    Verdict,
     brute_force_check,
     check_diagnosability,
-    monte_carlo_contract,
     synthesize_diagnoser,
     validate_witness,
 )
@@ -27,8 +28,11 @@ from approxdiag.errors import (
     ResourceLimitError,
 )
 from approxdiag.finsys import FiniteSystem, observation_symbol
-from approxdiag.fixtures import D1_FAULTS, ND1_FAULTS, d1, nd1, random_finite_system
+from approxdiag.fixtures import random_finite_system
+from examples import D1_FAULTS, ND1_FAULTS, d1, nd1
 from reference import (
+    ContractReport,
+    monte_carlo_contract,
     reference_belief_start,
     reference_belief_step,
     reference_brute_force_check,
@@ -238,6 +242,41 @@ def test_fault_spec_takes_numpy_integers():
 def test_brute_force_refuses_non_integer_horizon(horizon):
     with pytest.raises(DomainError, match="horizon must be an integer"):
         brute_force_check(d1(), FaultSpec.of(D1_FAULTS, 0), horizon)
+
+
+BAD_VERDICTS = [(True, None, None), (True, 1, ((0,), (0,))), (False, None, None), (False, 1, ((0,), (0,)))]
+
+
+@pytest.mark.parametrize("diagnosable, delta, witness", BAD_VERDICTS)
+def test_verdict_needs_a_delay_or_a_witness(diagnosable, delta, witness):
+    with pytest.raises(InternalInvariantError):
+        Verdict(diagnosable, delta, witness)
+
+
+def test_verdict_invariant_survives_optimized_mode():
+    # The check is not an assert: python -O keeps it.
+    script = (
+        "from approxdiag.diagnosis import Verdict\n"
+        "from approxdiag.errors import InternalInvariantError\n"
+        f"for case in {BAD_VERDICTS!r}:\n"
+        "    try:\n"
+        "        print(Verdict(*case))\n"
+        "    except InternalInvariantError:\n"
+        "        print('InternalInvariantError')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert run.stdout.split() == ["InternalInvariantError"] * len(BAD_VERDICTS), run.stderr
+
+
+def test_test_only_helpers_left_the_package():
+    # The contract and the output trace live in tests/reference.py.
+    import approxdiag
+
+    for name in ("monte_carlo_contract", "ContractReport", "quantized_output_trace"):
+        assert not hasattr(approxdiag, name), name
+    assert not hasattr(diagnosis, "ContractReport") and not hasattr(FiniteSystem, "deterministic")
 
 
 def test_pump_without_runs_raises_invariant_error(monkeypatch):

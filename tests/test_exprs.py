@@ -10,8 +10,8 @@ import pytest
 from approxdiag import exprs
 from approxdiag.cli import main
 from approxdiag.errors import ApproxDiagError, ConfigError, ExprSyntaxError
-from approxdiag.fixtures import e1_config
 from approxdiag.system import parse_system, step
+from examples import e1_config
 from reference import reference_compile_forest, reference_compile_forest_np, reference_parse_expr
 
 NAMES = ["x1", "x2", "x3", "u1", "u2", "x0", "x01", "y", "_", "_0", "_1", "None", "True"]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -12,9 +13,10 @@ from approxdiag.abstraction import AbstractionParams, build_abstraction, solve_e
 from approxdiag.diagnosis import FaultSpec
 from approxdiag.errors import DimensionMismatchError, DomainError
 from approxdiag.finsys import FiniteSystem, observation_symbol
-from approxdiag.fixtures import d1, d1_doc, e1, nd1, nd1_doc, random_finite_system
+from approxdiag.fixtures import d1_doc, random_finite_system
 from approxdiag.report import canonical_json
-from reference import synchronized_product
+from examples import CONFIGS, d1, e1, nd1
+from reference import deterministic, synchronized_product
 
 
 def output_run(s: FiniteSystem, run) -> tuple:
@@ -120,6 +122,11 @@ def test_product_soundness_by_enumeration():
         assert lifted > 0
 
 
+def test_d1_doc_equals_its_config():
+    # perfbench builds D1 from fixtures.d1_doc(); configs/d1.json is the source.
+    assert d1_doc() == json.loads((CONFIGS / "d1.json").read_text())
+
+
 def test_abstraction_model_round_trip(tmp_path):
     sysdef, cert = e1()
     params = AbstractionParams(solve_epsilon(cert, 0.5, 0.5), 0.5, 0.5)
@@ -131,7 +138,7 @@ def test_abstraction_model_round_trip(tmp_path):
     assert back.succ == system.succ
     assert back.initial == system.initial
     assert back.outputs == system.outputs
-    assert back.deterministic
+    assert deterministic(back)
 
 
 def test_raw_system_round_trip(tmp_path):
@@ -141,14 +148,14 @@ def test_raw_system_round_trip(tmp_path):
     back = FiniteSystem.load(str(path))
     assert back.states == s.states
     assert back.succ == s.succ
-    assert not back.deterministic  # two successors under one input
+    assert not deterministic(back)  # two successors under one input
 
 
 def test_deterministic_flag():
-    assert not d1().deterministic
+    assert not deterministic(d1())
     sysdef, cert = e1()
     params = AbstractionParams(solve_epsilon(cert, 0.5, 0.5), 0.5, 0.5)
-    assert build_abstraction(sysdef, cert, params).deterministic
+    assert deterministic(build_abstraction(sysdef, cert, params))
 
 
 def test_observation_symbol_lattice_and_raw():
@@ -472,8 +479,9 @@ def test_hand_written_models_equal_their_fraction_forms():
         assert [s.class_of[out] for out in outputs] == list(s.output_ids), name
     models = hand_written_models()
     assert canonical_json(models["thirds"].to_json()) == THIRDS_JSON
-    assert canonical_json(models["d1"].to_json()) == canonical_json(d1_doc())
-    assert canonical_json(models["nd1"].to_json()) == canonical_json(nd1_doc())
+    for name in ("d1", "nd1"):
+        want = json.loads((CONFIGS / f"{name}.json").read_text())
+        assert canonical_json(models[name].to_json()) == canonical_json(want), name
     for name in ("fts40_diag", "fts40_nondiag", "mixed_outputs"):
         want = (GOLDEN / f"{name}_model.json").read_bytes()
         assert (canonical_json(models[name].to_json()) + "\n").encode() == want, name

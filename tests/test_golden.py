@@ -5,11 +5,10 @@ import pytest
 
 from approxdiag.abstraction import AbstractionParams, build_abstraction, solve_epsilon
 from approxdiag.cli import main
-from approxdiag.fixtures import e1
 from approxdiag.report import canonical_json, strip_timings
+from examples import CONFIGS, e1
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_e1_coarse_model_is_bit_stable(tmp_path):

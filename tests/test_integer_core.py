@@ -1,12 +1,13 @@
 """The twin plant on integer output classes and the integer lattice ball,
-checked against their exact Fraction-valued forms in `reference.py`."""
+checked against their exact Fraction-valued forms in `reference.py`, and
+the one rule for an integer argument."""
 
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,14 +15,14 @@ import pytest
 import approxdiag as ad
 from approxdiag import bridge, diagnosis, finsys
 from approxdiag.diagnosis import check_diagnosability
-from approxdiag.errors import FaultSpecError
+from approxdiag.errors import DomainError, FaultSpecError
 from approxdiag.finsys import FiniteSystem
-from approxdiag.fixtures import D1_FAULTS, ND1_FAULTS, d1, nd1, random_finite_system
-from approxdiag.rational import to_rational
+from approxdiag.fixtures import d1_doc, random_finite_system
+from approxdiag.rational import as_int, to_rational
 from approxdiag.report import canonical_json
+from examples import CONFIGS, D1_FAULTS, ND1_FAULTS, d1, e1, nd1
 from reference import chunked_lattice_ball, exact_ball, reference_check
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SUITE_SEED = 20260810
 
 # (mode, fault region file, AbstractionParams, rho) of the e1 refute and
@@ -609,3 +610,98 @@ def test_join_matches_scalar_where_pair_codes_pass_int32():
         assert_same_verdict(got, scalar_check(system, spec))
         assert not got.diagnosable and got.stats["region_states"] > 0
         assert diagnosis.validate_witness(system, spec, got.witness)
+
+
+@functools.cache
+def e1_coarse():
+    """E1 at (1.0, 0.1, 0.05), its model, and a fault region clear of X0."""
+    sysdef, cert = e1()
+    params = ad.AbstractionParams(1.0, 0.1, 0.05)
+    region = ad.BoxUnion.of(ad.Box((2.1, -1.0), (2.3, 1.0)))
+    return sysdef, cert, params, region, ad.build_abstraction(sysdef, cert, params)
+
+
+def _conclude_k(k):
+    sysdef, cert, params, region, system = e1_coarse()
+    return ad.conclude(sysdef, cert, params, region, "prove", k=k, system=system).k
+
+
+def _d1_initial(v):
+    doc = d1_doc() | {"initial": [v]}
+    return FiniteSystem.from_json(doc).initial[0]
+
+
+def _d1_target(v):
+    doc = d1_doc() | {"transitions": [[0, 0, 1], [0, 0, v], [1, 0, 1], [2, 0, 2]]}
+    return FiniteSystem.from_json(doc).succ[0][0][1]
+
+
+def _lattice_coord(v):
+    doc = {
+        "kind": "abstraction-model", "schema": 1, "p": 1, "state_theta": 0.25,
+        "input_theta": 0.25, "states": [[0], [v]], "inputs": [[0]], "initial": [0],
+        "successors": [[1], [1]],
+    }
+    return FiniteSystem.from_json(doc).state_coords[1][0]
+
+
+def _falsify(name):
+    """falsify_plant with v as its trials or horizon, and the value its
+    first chunk was drawn with."""
+
+    def call(v):
+        sysdef, _ = e1()
+        region = ad.BoxUnion.of(ad.Box((1.02, 0.22), (1.98, 0.98)))
+        drawn, draw = [], bridge._draw_chunk
+
+        def spy(sysdef, horizon, seed, chunk):
+            drawn.append({"trials": chunk.stop, "horizon": horizon})
+            return draw(sysdef, horizon, seed, chunk)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bridge, "_draw_chunk", spy)
+            ad.falsify_plant(sysdef, region, 0.05, **({"trials": 2, "horizon": 3} | {name: v}))
+        return drawn[0][name]
+
+    return call
+
+
+def _oracle_horizon(v):
+    method = ad.brute_force_check(d1(), ad.FaultSpec.of(D1_FAULTS, 0), v).method
+    return int(method.removeprefix("bounded-enumeration(T=").removesuffix(")"))
+
+
+# Each caller of ``as_int``: (call with the value in the integer slot and
+# the int it reads back, error class, message).
+INTEGER_CALLERS = {
+    "fault index": (lambda v: min(ad.FaultSpec.of([v], 0).faults), FaultSpecError, "fault index must be an integer"),
+    "model initial": (_d1_initial, DomainError, "expected an integer"),
+    "model transition": (_d1_target, DomainError, "expected an integer"),
+    "lattice coordinate": (_lattice_coord, DomainError, "expected an integer"),
+    "oracle horizon": (_oracle_horizon, DomainError, "horizon must be an integer"),
+    "falsify trials": (_falsify("trials"), DomainError, "trials must be a nonnegative integer"),
+    "falsify horizon": (_falsify("horizon"), DomainError, "horizon must be a nonnegative integer"),
+    "conclude k": (_conclude_k, FaultSpecError, "k must be a natural number"),
+}
+
+
+@pytest.mark.parametrize("caller", INTEGER_CALLERS)
+@pytest.mark.parametrize("value", [1.5, True, "1", 2.0, np.bool_(True)], ids=repr)
+def test_integer_arguments_refuse_bools_floats_and_strings(caller, value):
+    call, error, message = INTEGER_CALLERS[caller]
+    with pytest.raises(error, match=f"{message}, got {value!r}"):
+        call(value)
+
+
+@pytest.mark.parametrize("caller", INTEGER_CALLERS)
+@pytest.mark.parametrize("value", [2, np.int64(2), np.uint8(2)], ids=repr)
+def test_integer_arguments_take_python_and_numpy_integers(caller, value):
+    got = INTEGER_CALLERS[caller][0](value)
+    assert got == 2 and type(got) is int
+
+
+def test_as_int_names_the_caller_error():
+    assert as_int(np.int32(-3), ValueError, "n") == -3
+    with pytest.raises(KeyError, match="count must be whole, got 2.0"):
+        as_int(2.0, KeyError, "count must be whole")
+

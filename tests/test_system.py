@@ -6,17 +6,16 @@ import pytest
 from approxdiag import exprs
 from approxdiag.cli import main
 from approxdiag.errors import ConfigError, DomainError, EvaluationError
-from approxdiag.fixtures import e1, e1_config
 from approxdiag.lattice import quantize
 from approxdiag.regions import BoxUnion
 from approxdiag.system import (
     output,
     parse_system,
-    quantized_output_trace,
     step,
     validate_certificate,
 )
-from reference import eval_expr
+from examples import e1, e1_config
+from reference import eval_expr, quantized_output_trace
 
 
 def test_parse_e1_accepted():

@@ -7,7 +7,6 @@ import functools
 import json
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +16,13 @@ from approxdiag import abstraction, bridge, exprs
 from approxdiag.bench import chain_system
 from approxdiag.cli import main
 from approxdiag.errors import BoundExceededError, DomainError, EvaluationError, NumericError
-from approxdiag.fixtures import e1, e1_config
 from approxdiag.kfun import KFunction
 from approxdiag.lattice import quantize_index, quantize_indices
 from approxdiag.regions import Box, BoxUnion
 from approxdiag.system import _sample_union, parse_system
+from examples import CONFIGS, e1, e1_config
 from reference import (
+    build_unchecked,
     eval_expr,
     reference_build_abstraction,
     reference_certify_relation,
@@ -34,7 +34,6 @@ from reference import (
     reference_validate_certificate,
 )
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 FAULT_X1 = BoxUnion.from_json(json.loads((CONFIGS / "fault_x1.json").read_text()))
 FAULT_X2 = BoxUnion.from_json(json.loads((CONFIGS / "fault_x2.json").read_text()))
 # A third fault region, reached through both coordinates.
@@ -303,14 +302,14 @@ def test_build_equals_reference_on_chain(dim):
 def test_build_equals_reference_on_nonlinear_plant():
     sysdef, cert = plant(NONLINEAR, u=BoxUnion.of(Box((-0.5,), (0.5,))))
     p = ad.AbstractionParams(1.0, 0.05, 0.05)
-    built = ad.build_abstraction(sysdef, cert, p, enforce_params=False)
+    built = build_unchecked(sysdef, cert, p)
     assert built.n_states > 300
     assert built.to_json() == reference_build_abstraction(sysdef, cert, p).to_json()
 
 
 def build_outcomes(sysdef, cert, params):
     p = ad.AbstractionParams(*params)
-    got = scalar_or_error(lambda: ad.build_abstraction(sysdef, cert, p, enforce_params=False))
+    got = scalar_or_error(lambda: build_unchecked(sysdef, cert, p))
     want = scalar_or_error(reference_build_abstraction, sysdef, cert, p)
     return got, want
 
@@ -426,9 +425,7 @@ def test_bound_sides_on_and_beside_lattice_embeddings_equal_reference(axis, side
     flags[axis] = is_open
     opens = {"lower_open": flags} if side == "lower" else {"upper_open": flags}
     cert = dataclasses.replace(cert, explore_bound=Box(lower, upper, **opens))
-    got = model_or_error(
-        functools.partial(ad.build_abstraction, enforce_params=False), sysdef, cert, EDGE_PARAMS
-    )
+    got = model_or_error(build_unchecked, sysdef, cert, EDGE_PARAMS)
     assert got == model_or_error(reference_build_abstraction, sysdef, cert, EDGE_PARAMS)
     inward = ulp if side == "lower" else -ulp
     assert isinstance(got, dict) == (inward < 0 or (inward == 0 and not is_open))
@@ -446,7 +443,7 @@ def test_build_over_many_blocks_equals_reference(monkeypatch, case):
         p = ad.AbstractionParams(1.0, 0.05, 0.05)
     n_in = len(ad.lattice_image(sysdef.u_set, p.mu))
     monkeypatch.setattr(abstraction, "_ROW_CHUNK", 3 * n_in + 1)
-    built = ad.build_abstraction(sysdef, cert, p, enforce_params=False)
+    built = build_unchecked(sysdef, cert, p)
     assert built.n_states > 300
     assert built.to_json() == reference_build_abstraction(sysdef, cert, p).to_json()
 
@@ -685,7 +682,7 @@ def sampled_plant(name):
 @functools.cache
 def relation_model(name, params):
     sysdef, cert = sampled_plant(name)
-    return ad.build_abstraction(sysdef, cert, ad.AbstractionParams(*params), enforce_params=False)
+    return build_unchecked(sysdef, cert, ad.AbstractionParams(*params))
 
 
 def exact(report):
